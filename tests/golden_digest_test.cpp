@@ -23,6 +23,7 @@
 #include "common/json.hpp"
 #include "common/md5.hpp"
 #include "common/sim_time.hpp"
+#include "generators.hpp"
 #include "workload/runner.hpp"
 #include "workload/scenarios.hpp"
 
@@ -48,6 +49,9 @@ struct GoldenScenario {
   std::string name;
   BedFactory factory;
   double offered_cps;  // scaled units
+  /// Runs with the observability layer on, so the RunRecord carries the
+  /// controller audit windows.
+  bool observe = false;
 };
 
 /// The representative point for each figure: same topology/policy as the
@@ -74,6 +78,10 @@ std::vector<GoldenScenario> golden_scenarios() {
                        series_chain(2, scaled_options(
                            PolicyKind::kServartuka, 2)),
                        110.0});
+  scenarios.push_back({"fig5_two_series_servartuka_observed",
+                       series_chain(2, scaled_options(
+                           PolicyKind::kServartuka, 2)),
+                       110.0, /*observe=*/true});
 
   // Figure 6: response time on the two-series chain (the record carries
   // setup_ms_mean/p90, so latency regressions flip this digest too).
@@ -87,6 +95,21 @@ std::vector<GoldenScenario> golden_scenarios() {
                        two_series_with_internal(
                            0.8, scaled_options(PolicyKind::kServartuka, 2)),
                        105.0});
+  {
+    // A seeded random fault schedule (crash, partition, bursts, cpu
+    // degrade) against the two-series topology.
+    chaos::FaultScheduleOptions fopt;
+    fopt.crashable = {"proxy1.example.net"};
+    fopt.degradable = {"proxy0.example.net", "proxy1.example.net"};
+    fopt.links = {{"proxy0.example.net", "proxy1.example.net"}};
+    fopt.window_start_s = 0.5;
+    fopt.window_end_s = 2.5;
+    ScenarioOptions options = scaled_options(PolicyKind::kServartuka, 2);
+    options.seed = 7;
+    options.faults = chaos::generate_fault_schedule(7, fopt);
+    scenarios.push_back({"fig7_chaos_seed7",
+                         two_series_with_internal(0.7, options), 115.0});
+  }
 
   // Figure 8: three-server parallel fork, and the wide-fork variant the
   // sharded-engine benchmark uses.
@@ -108,6 +131,7 @@ std::string compute_digest(const GoldenScenario& scenario) {
   MeasureOptions options;
   options.warmup = SimTime::seconds(1.0);
   options.measure = SimTime::seconds(2.0);
+  options.observe = scenario.observe;
   RunRecord record = to_run_record(
       measure_point(scenario.factory, scenario.offered_cps, options), 1.0,
       scenario.name);
