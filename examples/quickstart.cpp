@@ -65,8 +65,6 @@ int main(int argc, char** argv) {
   // internals while the simulation runs.
   auto bed = factory(offered);
   bed->start_load();
-  // Drive the bed, not bed->sim(): with SVK_SIM_SHARDS set the bed runs
-  // sharded, and sim() is only shard 0.
   bed->run_until(SimTime::seconds(8.0));
   const auto& entry =
       dynamic_cast<const core::Controller&>(bed->proxies()[0]->policy());

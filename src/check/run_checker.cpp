@@ -24,7 +24,8 @@ void RunChecker::tick() {
                  "(exactly-one-stateful violated)");
   }
   seen_double_stateful_ = totals.double_stateful;
-  if (totals.unmarked_invites > seen_unmarked_invites_) {
+  if (options_.expect_single_stateful &&
+      totals.unmarked_invites > seen_unmarked_invites_) {
     log_.add("run.unmarked_invite", sim_.now(),
              std::to_string(totals.unmarked_invites - seen_unmarked_invites_) +
                  " new admitted INVITE(s) reached the UAS without any hop "

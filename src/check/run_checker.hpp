@@ -39,9 +39,10 @@ namespace svk::check {
 struct CheckOptions {
   /// Aggregate-counter sweep period.
   SimTime period = SimTime::millis(250);
-  /// Assert that no call is ever handled statefully by two servers at once
-  /// (true for SERvartuka assignments; a deliberately all-stateful static
-  /// configuration must turn this off).
+  /// Assert exactly-one-stateful: no call is handled statefully by two
+  /// servers, and no admitted INVITE reaches the UAS without any stateful
+  /// hop (true for SERvartuka assignments; a deliberately all-stateful or
+  /// all-stateless static configuration must turn this off).
   bool expect_single_stateful = true;
   /// Assert at drain that every delivered request was answered. Turn off
   /// for runs with crash faults, which legitimately strand requests.

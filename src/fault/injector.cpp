@@ -51,23 +51,15 @@ const FaultInjector::Host* FaultInjector::resolve(const std::string& name,
   return &it->second;
 }
 
-void FaultInjector::schedule(SimTime at, std::function<void()> fn) {
-  if (scheduler_) {
-    scheduler_(at, std::move(fn));
-  } else {
-    sim_.schedule_at(at, sim::EventAction(std::move(fn)));
-  }
-}
-
 void FaultInjector::arm(const FaultPlan& plan) {
   plan_ = plan;
   for (std::size_t i = 0; i < plan_.events.size(); ++i) {
     const FaultEvent& event = plan_.events[i];
-    schedule(event.at, [this, i] {
+    sim_.schedule_at(event.at, [this, i] {
       apply(plan_.events[i], /*revert=*/false);
     });
     if (event.duration > SimTime{}) {
-      schedule(event.at + event.duration, [this, i] {
+      sim_.schedule_at(event.at + event.duration, [this, i] {
         apply(plan_.events[i], /*revert=*/true);
       });
     }

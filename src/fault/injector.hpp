@@ -31,18 +31,11 @@ class FaultInjector {
   void add_host(const std::string& name, Address address,
                 std::function<void(double)> set_cpu_factor = nullptr);
 
-  /// Overrides how arm() schedules fault events. Default: the simulator
-  /// (rank-0 events, which sort before same-tick host events). A sharded
-  /// TestBed routes them to ShardSet::schedule_global instead, which
-  /// applies them at window barriers with identical ordering semantics.
-  using Scheduler = std::function<void(SimTime, std::function<void()>)>;
-  void set_scheduler(Scheduler scheduler) {
-    scheduler_ = std::move(scheduler);
-  }
-
   /// Schedules every event of `plan` at its absolute simulation time (past
-  /// times fire on the next simulator step). Events naming unknown hosts
-  /// are skipped and recorded in errors(). Call once per injector.
+  /// times fire on the next simulator step). Armed from the harness, the
+  /// events carry rank 0 and so sort before every same-tick host event.
+  /// Events naming unknown hosts are skipped and recorded in errors(). Call
+  /// once per injector.
   void arm(const FaultPlan& plan);
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
@@ -63,11 +56,8 @@ class FaultInjector {
                                     const FaultEvent& event);
   void record(const FaultEvent& event, bool revert, std::uint32_t tid);
 
-  void schedule(SimTime at, std::function<void()> fn);
-
   sim::Simulator& sim_;
   sim::NetworkFaultState& net_;
-  Scheduler scheduler_;
   std::unordered_map<std::string, Host> hosts_;
   std::vector<Address> all_addresses_;  // declaration order, for partitions
   FaultPlan plan_;

@@ -1,6 +1,5 @@
 #include "obs/audit.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <utility>
@@ -69,18 +68,6 @@ void ControllerAuditLog::append(AuditWindow window) {
   windows_.push_back(std::move(window));
 }
 
-void ControllerAuditLog::absorb(ControllerAuditLog& src) {
-  for (AuditWindow& window : src.windows_) append(std::move(window));
-  dropped_ += src.dropped_;
-  src.windows_.clear();
-  src.dropped_ = 0;
-  std::stable_sort(windows_.begin(), windows_.end(),
-                   [](const AuditWindow& a, const AuditWindow& b) {
-                     if (a.at != b.at) return a.at < b.at;
-                     return a.node_tid < b.node_tid;
-                   });
-}
-
 std::vector<AuditWindow> ControllerAuditLog::windows_for(
     std::uint32_t node_tid) const {
   std::vector<AuditWindow> out;
@@ -117,19 +104,6 @@ void OverloadAuditLog::append(OverloadAuditRecord record) {
     ++dropped_;
   }
   records_.push_back(record);
-}
-
-void OverloadAuditLog::absorb(OverloadAuditLog& src) {
-  for (const OverloadAuditRecord& record : src.records_) append(record);
-  dropped_ += src.dropped_;
-  src.records_.clear();
-  src.dropped_ = 0;
-  std::stable_sort(records_.begin(), records_.end(),
-                   [](const OverloadAuditRecord& a,
-                      const OverloadAuditRecord& b) {
-                     if (a.at != b.at) return a.at < b.at;
-                     return a.node_tid < b.node_tid;
-                   });
 }
 
 std::vector<OverloadAuditRecord> OverloadAuditLog::records_for(

@@ -66,12 +66,6 @@ class ControllerAuditLog {
 
   void append(AuditWindow window);
 
-  /// Drains `src`'s windows into this log (shard merge), then re-sorts the
-  /// whole log by (time, node): the order a serial run appends in — each
-  /// node's closing tick executes in (time, locus rank) order — so merged
-  /// snapshots serialize bit-identically to serial ones.
-  void absorb(ControllerAuditLog& src);
-
   [[nodiscard]] const std::deque<AuditWindow>& windows() const {
     return windows_;
   }
@@ -114,10 +108,6 @@ class OverloadAuditLog {
   explicit OverloadAuditLog(std::size_t max_records = kDefaultCapacity);
 
   void append(OverloadAuditRecord record);
-
-  /// Drains `src`'s records into this log and re-sorts by (time, node) —
-  /// see ControllerAuditLog::absorb.
-  void absorb(OverloadAuditLog& src);
 
   [[nodiscard]] const std::deque<OverloadAuditRecord>& records() const {
     return records_;

@@ -18,14 +18,6 @@ void TimeSeries::sample(SimTime at, double value) {
   head_ = (head_ + 1) % buffer_.size();
 }
 
-void TimeSeries::drain_into(TimeSeries& dst) {
-  for (const Sample& s : samples()) dst.sample(s.at, s.value);
-  dst.dropped_ += dropped_;
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
-}
-
 std::vector<Sample> TimeSeries::samples() const {
   std::vector<Sample> out;
   out.reserve(size_);
@@ -66,16 +58,6 @@ TimeSeries& MetricRegistry::series(std::string_view name,
   series_.emplace_back(std::string(name), TimeSeries{capacity});
   series_index_.emplace(std::string(name), series_.size() - 1);
   return series_.back().second;
-}
-
-void MetricRegistry::absorb(MetricRegistry& src) {
-  for (auto& [name, c] : src.counters_) c.drain_into(counter(name));
-  for (auto& [name, g] : src.gauges_) {
-    gauge(name).set(g.value());
-  }
-  for (auto& [name, ts] : src.series_) {
-    ts.drain_into(series(name, ts.capacity()));
-  }
 }
 
 JsonValue MetricRegistry::to_json() const {

@@ -27,11 +27,6 @@ class Counter {
  public:
   void inc(std::uint64_t n = 1) { value_ += n; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
-  /// Moves this counter's whole value into `dst` (shard-merge drain).
-  void drain_into(Counter& dst) {
-    dst.value_ += value_;
-    value_ = 0;
-  }
 
  private:
   std::uint64_t value_{0};
@@ -61,10 +56,6 @@ class TimeSeries {
 
   void sample(SimTime at, double value);
 
-  /// Appends this ring's retained samples to `dst` and empties this ring
-  /// (shard-merge drain); dropped counts carry over.
-  void drain_into(TimeSeries& dst);
-
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t capacity() const { return buffer_.size(); }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
@@ -84,7 +75,7 @@ class MetricRegistry;
 /// Pre-resolved counter reference for hot paths. Looking an instrument up
 /// by name costs a string hash plus a map probe per event; a handle does
 /// that once per registry and afterwards is a pointer compare + increment.
-/// Registries attach late and differ per shard, so the handle re-resolves
+/// Registries attach late and differ per bed, so the handle re-resolves
 /// whenever the registry pointer it is shown changes (instrument references
 /// are stable for a registry's lifetime — deque-backed).
 class CounterHandle {
@@ -135,11 +126,6 @@ class MetricRegistry {
   Gauge& gauge(std::string_view name);
   TimeSeries& series(std::string_view name,
                      std::size_t capacity = kDefaultSeriesCapacity);
-
-  /// Drains every instrument of `src` into this registry (sharded runs:
-  /// per-shard registries merge into the primary at window barriers).
-  /// Counters add-and-zero, gauges last-write-wins, series append-and-clear.
-  void absorb(MetricRegistry& src);
 
   /// Serializes every instrument:
   /// {"counters": {...}, "gauges": {...}, "series": {name: {...}}}.

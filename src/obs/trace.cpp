@@ -49,17 +49,6 @@ void Tracer::set_thread_name(std::uint32_t tid, std::string name) {
   thread_names_[tid] = std::move(name);
 }
 
-void Tracer::absorb(Tracer& src) {
-  for (const TraceEvent& event : src.events_) push(event);
-  dropped_ += src.dropped_;
-  src.events_.clear();
-  src.dropped_ = 0;
-  for (auto& [tid, name] : src.thread_names_) {
-    thread_names_.try_emplace(tid, std::move(name));
-  }
-  src.thread_names_.clear();
-}
-
 JsonValue Tracer::to_chrome_json() const {
   JsonValue root = JsonValue::object();
   JsonValue& list = root["traceEvents"];

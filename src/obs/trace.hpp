@@ -65,12 +65,6 @@ class Tracer {
   /// Names the per-node timeline ("thread") in the viewer.
   void set_thread_name(std::uint32_t tid, std::string name);
 
-  /// Drains `src` into this tracer (sharded runs: per-shard tracers merge
-  /// into the primary at window barriers). Events append up to capacity —
-  /// overflow counts as dropped — and `src` is left empty; thread names
-  /// transfer without overwriting existing ones.
-  void absorb(Tracer& src);
-
   [[nodiscard]] const std::vector<TraceEvent>& events() const {
     return events_;
   }

@@ -11,11 +11,8 @@
 // builds the "user@host" string nor allocates.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 
@@ -52,13 +49,8 @@ class LocationService {
   [[nodiscard]] std::optional<Binding> lookup_uri(const sip::Uri& uri,
                                                   SimTime now) const;
 
-  [[nodiscard]] std::size_t size() const {
-    std::shared_lock lock(mutex_);
-    return table_.size();
-  }
-  [[nodiscard]] std::uint64_t query_count() const {
-    return queries_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t size() const { return table_.size(); }
+  [[nodiscard]] std::uint64_t query_count() const { return queries_; }
 
  private:
   struct Entry {
@@ -71,15 +63,9 @@ class LocationService {
                                                      std::string_view host,
                                                      SimTime now) const;
 
-  /// One service is shared by every proxy of a bed, so under the sharded
-  /// engine different shard threads may touch it in the same safe window.
-  /// The lock makes the *container* safe; result determinism holds because
-  /// all traffic for one AOR goes through its registrar proxy — a single
-  /// host, hence a single shard (see DESIGN.md §11).
-  mutable std::shared_mutex mutex_;
   common::Slab<Entry> slab_;
   common::FlatTable<common::SlabHandle> table_;
-  mutable std::atomic<std::uint64_t> queries_{0};
+  mutable std::uint64_t queries_{0};
 };
 
 }  // namespace svk::proxy

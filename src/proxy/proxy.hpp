@@ -165,7 +165,7 @@ class ProxyServer {
   }
   [[nodiscard]] DigestAuthenticator& authenticator() { return auth_; }
   [[nodiscard]] const ProxyConfig& config() const { return config_; }
-  /// The simulator this proxy schedules on — in a sharded bed, its shard's.
+  /// The simulator this proxy schedules on.
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] const txn::TransactionManager& transactions() const {
     return txns_;

@@ -13,17 +13,11 @@
 // pre-fault behaviour, and a run with no faults installed draws the same
 // random numbers as before the overlay existed.
 //
-// Sharded runs. Constructed over a ShardSet, the network routes every
-// datagram by destination shard: same-shard deliveries go straight into the
-// destination's wheel; cross-shard ones travel through the set's mailboxes
-// with the order key the *sender's* simulator allocated, so the receiver
-// orders them exactly as a serial run would. All per-send randomness
-// (loss, burst loss, jitter) comes from a counter-based per-datagram
-// generator — seeded by (network seed, link pair, per-pair datagram index)
-// — instead of a shared draw-order-dependent stream, so the draws are
-// identical no matter how sends from different hosts interleave. Mutable
-// counters (stats, no-route maps, pair counters) are kept per shard and
-// aggregated on read.
+// All per-send randomness (loss, burst loss, jitter) comes from a
+// counter-based per-datagram generator — seeded by (network seed, link
+// pair, per-pair datagram index) — instead of a shared draw-order-dependent
+// stream, so a link's draws depend only on its own traffic, never on how
+// sends from different hosts interleave.
 #pragma once
 
 #include <algorithm>
@@ -40,7 +34,6 @@
 #include "common/types.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/simulator.hpp"
 
 namespace svk::sim {
@@ -147,21 +140,9 @@ class Network {
   /// Receiver callback: (source address, payload).
   using Handler = std::function<void(Address, Payload)>;
 
-  /// Single-simulator (serial) network.
-  Network(Simulator& sim, Rng rng)
-      : home_sim_(&sim), seed_(rng.next()), per_shard_(1) {}
+  Network(Simulator& sim, Rng rng) : sim_(sim), seed_(rng.next()) {}
 
-  /// Shard-routed network: datagrams execute on the destination host's
-  /// shard. With a 1-shard set this is behaviourally identical to the
-  /// serial constructor.
-  Network(ShardSet& shards, Rng rng)
-      : shards_(&shards),
-        home_sim_(&shards.shard(0)),
-        seed_(rng.next()),
-        per_shard_(shards.shard_count()) {}
-
-  /// Registers (or replaces) the host listening on `addr`. Setup-time
-  /// only: the host table is read lock-free by every shard during a run.
+  /// Registers (or replaces) the host listening on `addr`.
   void attach(Address addr, Handler handler) {
     hosts_[addr] = std::move(handler);
   }
@@ -181,9 +162,9 @@ class Network {
     recompute_min_latency();
   }
 
-  /// The smallest configured one-way latency — the parallel engine's
-  /// conservative lookahead bound (jitter and fault disturbances only ever
-  /// add latency, so this stays a valid lower bound under faults).
+  /// The smallest configured one-way latency (jitter and fault
+  /// disturbances only ever add latency, so this stays a lower bound on
+  /// any datagram's flight time under faults).
   [[nodiscard]] SimTime min_latency() const { return min_latency_; }
 
   /// The fault overlay (crashes, down links, bursts) — see NetworkFaultState.
@@ -208,24 +189,20 @@ class Network {
   /// reachability at delivery time (a host that crashes mid-flight still
   /// loses the datagram).
   void send(Address from, Address to, Payload payload) {
-    // Everything mutable on the send path is per-shard: the sender's event
-    // is executing on `from`'s shard thread.
-    Simulator& ssim = sim_for(from);
-    PerShard& ps = per_shard_[shard_idx(from)];
-    ++ps.stats.sent;
+    ++stats_.sent;
     if (send_tap_) send_tap_(from, to, payload);
     const NetworkFaultState::Disturbance* burst = nullptr;
     if (faults_.any()) {
       if (faults_.host_down(from)) {
         // A crashed host's CPU may still drain scheduled work; its output
         // goes nowhere.
-        ++ps.stats.dropped_host_down;
-        trace_drop(ssim, "drop_tx_host_down", from, to);
+        ++stats_.dropped_host_down;
+        trace_drop("drop_tx_host_down", from, to);
         return;
       }
       if (faults_.link_down(from, to)) {
-        ++ps.stats.dropped_link_down;
-        trace_drop(ssim, "drop_link_down", from, to);
+        ++stats_.dropped_link_down;
+        trace_drop("drop_link_down", from, to);
         return;
       }
       burst = faults_.disturbance(from, to);
@@ -237,17 +214,17 @@ class Network {
     const bool jittery = link.jitter > SimTime{};
     if (lossy || bursty || jittery) {
       // Per-datagram counter-based generator: the draws depend only on the
-      // link pair and this pair's datagram index — both reproducible under
-      // any shard count — never on how sends from other hosts interleave.
+      // link pair and this pair's datagram index, never on how sends from
+      // other hosts interleave.
       const std::uint64_t pair = NetworkFaultState::key(from, to);
-      Rng draw(datagram_seed(pair, ++ps.pair_seq[pair]));
+      Rng draw(datagram_seed(pair, ++pair_seq_[pair]));
       if (lossy && draw.bernoulli(link.loss_probability)) {
-        ++ps.stats.dropped_loss;
+        ++stats_.dropped_loss;
         return;
       }
       if (bursty && draw.bernoulli(burst->extra_loss)) {
-        ++ps.stats.dropped_burst;
-        trace_drop(ssim, "drop_loss_burst", from, to);
+        ++stats_.dropped_burst;
+        trace_drop("drop_loss_burst", from, to);
         return;
       }
       if (jittery) {
@@ -256,105 +233,47 @@ class Network {
       }
     }
     if (burst != nullptr) delay += burst->extra_latency;
-    // The key is allocated on the sending shard (it encodes the sender's
-    // identity and history); the event executes under the receiver's locus
-    // on the receiver's shard.
-    const SimTime at = ssim.now() + delay;
-    const OrderKey key = ssim.allocate_order_key();
-    EventAction deliver = [this, from, to,
-                           payload = std::move(payload)]() mutable {
-      deliver_now(from, to, payload);
-    };
-    if (shards_ != nullptr) {
-      const std::size_t src = shards_->shard_of(from.value());
-      const std::size_t dst = shards_->shard_of(to.value());
-      if (src != dst) {
-        shards_->post_remote(src, dst,
-                             RemoteEvent{at, key, to.value(),
-                                         std::move(deliver)});
-        return;
-      }
-    }
-    ssim.insert_keyed(at, key, to.value(), std::move(deliver));
+    // The order key comes from the sender's locus (its identity and
+    // history); the event executes under the receiver's locus.
+    sim_.schedule_at_for(to.value(), sim_.now() + delay,
+                         [this, from, to, payload = std::move(payload)]() {
+                           deliver_now(from, to, payload);
+                         });
   }
 
-  /// Aggregated counters across shards (recomputed on every call).
-  [[nodiscard]] const NetworkStats& stats() const {
-    agg_stats_ = NetworkStats{};
-    for (const PerShard& ps : per_shard_) {
-      agg_stats_.sent += ps.stats.sent;
-      agg_stats_.delivered += ps.stats.delivered;
-      agg_stats_.dropped_loss += ps.stats.dropped_loss;
-      agg_stats_.dropped_no_route += ps.stats.dropped_no_route;
-      agg_stats_.dropped_host_down += ps.stats.dropped_host_down;
-      agg_stats_.dropped_link_down += ps.stats.dropped_link_down;
-      agg_stats_.dropped_burst += ps.stats.dropped_burst;
-    }
-    return agg_stats_;
-  }
+  [[nodiscard]] const NetworkStats& stats() const { return stats_; }
 
   /// Datagrams that died because `dest` was unreachable (detached or
   /// crashed), so tests can assert *where* traffic was lost.
   [[nodiscard]] std::uint64_t no_route_drops(Address dest) const {
-    std::uint64_t total = 0;
-    for (const PerShard& ps : per_shard_) {
-      const auto it = ps.no_route_by_dest.find(dest.value());
-      if (it != ps.no_route_by_dest.end()) total += it->second;
-    }
-    return total;
+    const auto it = no_route_by_dest_.find(dest.value());
+    return it != no_route_by_dest_.end() ? it->second : 0;
   }
   [[nodiscard]] const std::unordered_map<std::uint32_t, std::uint64_t>&
   no_route_drops_by_dest() const {
-    agg_no_route_.clear();
-    for (const PerShard& ps : per_shard_) {
-      for (const auto& [dest, n] : ps.no_route_by_dest) {
-        agg_no_route_[dest] += n;
-      }
-    }
-    return agg_no_route_;
+    return no_route_by_dest_;
   }
 
  private:
-  /// Per-shard mutable state, cache-line separated: each shard's worker
-  /// only ever touches its own entry during a window.
-  struct alignas(64) PerShard {
-    NetworkStats stats;
-    std::unordered_map<std::uint32_t, std::uint64_t> no_route_by_dest;
-    /// Datagram index per directed link — the counter of the per-datagram
-    /// RNG. A pair's sends all originate on one shard, so no two shards
-    /// ever count the same pair.
-    std::unordered_map<std::uint64_t, std::uint64_t> pair_seq;
-  };
-
   void deliver_now(Address from, Address to, const Payload& payload) {
-    // Executing on `to`'s shard.
-    PerShard& ps = per_shard_[shard_idx(to)];
     auto it = hosts_.find(to);
     if (it == hosts_.end() || faults_.host_down(to)) {
-      ++ps.stats.dropped_no_route;
-      ++ps.no_route_by_dest[to.value()];
-      trace_drop(sim_for(to), "drop_no_route", from, to);
+      ++stats_.dropped_no_route;
+      ++no_route_by_dest_[to.value()];
+      trace_drop("drop_no_route", from, to);
       return;
     }
-    ++ps.stats.delivered;
+    ++stats_.delivered;
     if (deliver_tap_) deliver_tap_(from, to, payload);
     it->second(from, payload);
   }
 
-  void trace_drop(Simulator& sim, std::string_view name, Address from,
-                  Address to) {
-    if (const obs::Sinks& obs = sim.obs(); obs.tracer != nullptr) {
-      obs.tracer->instant(name, "net", sim.now(), to.value(), "from",
+  void trace_drop(std::string_view name, Address from, Address to) {
+    if (const obs::Sinks& obs = sim_.obs(); obs.tracer != nullptr) {
+      obs.tracer->instant(name, "net", sim_.now(), to.value(), "from",
                           static_cast<double>(from.value()), "to",
                           static_cast<double>(to.value()));
     }
-  }
-
-  [[nodiscard]] Simulator& sim_for(Address a) {
-    return shards_ != nullptr ? shards_->sim_for(a.value()) : *home_sim_;
-  }
-  [[nodiscard]] std::size_t shard_idx(Address a) const {
-    return shards_ != nullptr ? shards_->shard_of(a.value()) : 0;
   }
 
   [[nodiscard]] std::uint64_t datagram_seed(std::uint64_t pair,
@@ -377,17 +296,18 @@ class Network {
     }
   }
 
-  ShardSet* shards_ = nullptr;
-  Simulator* home_sim_;
+  Simulator& sim_;
   std::uint64_t seed_;
   LinkParams default_link_;
   SimTime min_latency_ = LinkParams{}.latency;
   std::unordered_map<Address, Handler> hosts_;
   std::unordered_map<std::uint64_t, LinkParams> links_;
   NetworkFaultState faults_;
-  std::vector<PerShard> per_shard_;
-  mutable NetworkStats agg_stats_;
-  mutable std::unordered_map<std::uint32_t, std::uint64_t> agg_no_route_;
+  NetworkStats stats_;
+  std::unordered_map<std::uint32_t, std::uint64_t> no_route_by_dest_;
+  /// Datagram index per directed link — the counter of the per-datagram
+  /// RNG.
+  std::unordered_map<std::uint64_t, std::uint64_t> pair_seq_;
   WireTap send_tap_;
   WireTap deliver_tap_;
 };

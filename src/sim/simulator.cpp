@@ -42,12 +42,6 @@ EventId Simulator::schedule_at_for(std::uint32_t locus, SimTime when,
                              std::move(action));
 }
 
-EventId Simulator::insert_keyed(SimTime at, OrderKey key, std::uint32_t locus,
-                                Action action) {
-  if (at < now_) at = now_;
-  return wheel_.insert_keyed(at, key, locus, std::move(action));
-}
-
 EventId Simulator::reschedule(EventId id, SimTime delay, Action action) {
   wheel_.cancel(id);
   return schedule(delay, std::move(action));
@@ -83,12 +77,6 @@ void Simulator::run_until(SimTime until) {
   while (step_until(until)) {
   }
   if (now_ < until) now_ = until;
-}
-
-void Simulator::run_window(SimTime end) {
-  const SimTime limit = SimTime::nanos(end.ns() - 1);
-  while (step_until(limit)) {
-  }
 }
 
 void Simulator::run() {

@@ -4,10 +4,7 @@
 // same instant run in ascending (locus rank, per-locus sequence) order — a
 // tie-break that is a pure function of which host scheduled the event and
 // that host's own scheduling history, never of how hosts interleave. That
-// makes every run bit-reproducible for a given seed and schedule, and —
-// because the key survives re-partitioning hosts across shards — lets the
-// conservative parallel engine (parallel_sim.hpp) produce bit-identical
-// results for any shard count.
+// makes every run bit-reproducible for a given seed and schedule.
 //
 // The "ambient locus" is the rank (host address) charged for scheduling:
 // while an event executes it is that event's locus, so follow-on schedules
@@ -57,21 +54,9 @@ class Simulator {
   /// delivery charged to the receiving host). The order key is still
   /// allocated from the *ambient* locus — the scheduler's identity decides
   /// same-tick order; the execution locus decides who the event "is" while
-  /// it runs (and, in the parallel engine, which shard runs it).
+  /// it runs.
   EventId schedule_for(std::uint32_t locus, SimTime delay, Action action);
   EventId schedule_at_for(std::uint32_t locus, SimTime when, Action action);
-
-  /// Inserts a fully-specified event: absolute time, explicit order key,
-  /// execution locus. The parallel engine uses this to transplant
-  /// cross-shard events with the key their sender allocated, so the
-  /// receiving wheel orders them exactly as a serial run would have.
-  EventId insert_keyed(SimTime at, OrderKey key, std::uint32_t locus,
-                       Action action);
-
-  /// Allocates the next order key of the ambient locus — for events whose
-  /// insertion is deferred (cross-shard sends claim their key on the
-  /// sending shard, then travel through a mailbox).
-  OrderKey allocate_order_key();
 
   /// The locus new schedules are charged to. 0 outside event execution
   /// unless a LocusScope is active; the executing event's locus inside.
@@ -93,18 +78,6 @@ class Simulator {
   /// Runs events until the queue is empty or `until` is passed. The clock
   /// is left at the last executed event (or `until` if given and reached).
   void run_until(SimTime until);
-
-  /// Runs every event with time strictly before `end` and stops, leaving
-  /// the clock at the last executed event (NOT advanced to `end`). The
-  /// parallel engine's per-shard safe-window step; see advance_to.
-  void run_window(SimTime end);
-
-  /// Clamps the clock forward to `t` (no-op if already past). Applied by
-  /// the parallel engine when a run target is reached, mirroring what
-  /// run_until does for the serial loop.
-  void advance_to(SimTime t) {
-    if (now_ < t) now_ = t;
-  }
 
   /// Runs until the queue drains completely.
   void run();
@@ -137,6 +110,8 @@ class Simulator {
  private:
   /// Executes the next event if due at or before `limit`.
   bool step_until(SimTime limit);
+  /// Allocates the next order key of the ambient locus.
+  OrderKey allocate_order_key();
 
   SimTime now_;
   std::uint64_t executed_{0};
@@ -150,8 +125,8 @@ class Simulator {
 
 /// RAII ambient-locus override: the TestBed wraps component construction
 /// and load start in one of these so setup-time events are charged to the
-/// owning host rather than the harness (rank 0) — a prerequisite for the
-/// parallel engine, which places each host's events on that host's shard.
+/// owning host rather than the harness (rank 0), and so sort by that host's
+/// rank at equal times.
 class LocusScope {
  public:
   LocusScope(Simulator& sim, std::uint32_t locus)

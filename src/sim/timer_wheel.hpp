@@ -8,10 +8,9 @@
 //     simulator composes it as (locus rank << kLocusSeqBits | per-locus seq)
 //     so that the key is a pure function of *which host* scheduled the event
 //     and *how many* events that host had scheduled before, independent of
-//     how hosts interleave globally. That property is what lets the sharded
-//     parallel engine (parallel_sim.hpp) replay the exact serial order: a
-//     level-0 slot holds exactly one nanosecond tick, and pop_until() selects
-//     the minimum-key node within the tick.
+//     how hosts interleave globally. A level-0 slot holds exactly one
+//     nanosecond tick, and pop_until() selects the minimum-key node within
+//     the tick.
 //  2. O(1) schedule and true O(1) cancel. Events live in intrusive
 //     doubly-linked slot lists; an EventId resolves to its pool node in
 //     O(1) (index + generation), so cancel unlinks and recycles the node
@@ -65,8 +64,8 @@ using EventId = std::uint64_t;
 /// execution locus's rank (host address; 0 = harness/setup), the lower bits
 /// a per-locus sequence number. Because every locus executes its own events
 /// in an order independent of how other loci interleave, the key — unlike a
-/// global sequence number — is reproducible under any sharding of hosts,
-/// which is the foundation of the parallel engine's bit-identical digests.
+/// global sequence number — depends only on that host's own history, which
+/// is the foundation of the golden digests' event order.
 using OrderKey = std::uint64_t;
 
 /// Bits reserved for the per-locus sequence (~10^12 events per locus).

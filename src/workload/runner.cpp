@@ -118,18 +118,7 @@ ObservedPoint measure_point_retained(const BedFactory& factory,
                                      double offered_cps,
                                      const MeasureOptions& options) {
   const auto wall_start = std::chrono::steady_clock::now();
-  // Checked runs force the serial engine (the checker observes all hosts
-  // from one timeline); otherwise a nonzero options.shards reaches the
-  // bed through the thread-local override, even past factories that pass
-  // an explicit count of their own.
-  std::unique_ptr<TestBed> bed;
-  if (const std::size_t requested = options.check ? 1 : options.shards;
-      requested != 0) {
-    TestBed::ShardsOverride force(requested);
-    bed = factory(offered_cps);
-  } else {
-    bed = factory(offered_cps);
-  }
+  std::unique_ptr<TestBed> bed = factory(offered_cps);
   if (options.observe) bed->enable_observability();
   if (options.check) bed->enable_checking(options.check_options);
 

@@ -32,13 +32,6 @@ struct MeasureOptions {
   /// far are surfaced via PointResult::check_violations.
   bool check = false;
   check::CheckOptions check_options;
-  /// Shard count for the intra-run parallel engine (sim::ShardSet). 0 =
-  /// leave the bed's own resolution alone (constructor argument /
-  /// SVK_SIM_SHARDS / serial); any other value is forced onto the bed via
-  /// TestBed::ShardsOverride. Results are bit-identical for every value —
-  /// only wall_seconds changes. Ignored when `check` is set: checked
-  /// points always run the serial engine.
-  std::size_t shards = 0;
 };
 
 /// One (offered load -> observed behaviour) sample.

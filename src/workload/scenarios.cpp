@@ -138,9 +138,10 @@ void enroll_auth_user(proxy::ProxyServer& proxy) {
 }
 
 /// Builds the bed every factory starts from, applying the scenario-level
-/// knobs that must precede host declaration (shard count, link latency).
+/// knobs that must precede host declaration (link latency).
 std::unique_ptr<TestBed> make_bed(const ScenarioOptions& options) {
-  auto bed = std::make_unique<TestBed>(options.seed, options.shards);
+  assert(options.shards == 1);
+  auto bed = std::make_unique<TestBed>(options.seed);
   if (options.link_latency > SimTime{}) {
     bed->network().set_default_link(
         sim::LinkParams{options.link_latency, SimTime{}, 0.0});
@@ -291,37 +292,24 @@ BedFactory wide_fork(int num_exits, ScenarioOptions options) {
   assert(num_exits >= 2);
   return [num_exits, options](double offered_cps) {
     auto bed = make_bed(options);
-    const int num_shards = static_cast<int>(bed->shard_count());
-    // The balancer carries every call — roughly as many per-message events
-    // as a whole exit-farm's worth of any other role — so it gets shard 0
-    // to itself (plus the harness locus). Exits AND the UAC/UAS boxes
-    // spread over the remaining shards; leaving the boxes on the default
-    // all-shards round-robin would put ~40% of all events on shard 0 and
-    // cap the parallel speedup there. Placement never changes simulation
-    // results (the engine's shard-invariance), only wall-clock balance.
-    int spread_next = 0;
-    const auto spread_shard = [num_shards, &spread_next] {
-      return num_shards <= 1 ? -1 : 1 + (spread_next++ % (num_shards - 1));
-    };
-
     const std::string host0 = "lb.example.net";
-    const Address addr0 = bed->declare_host(host0, /*shard_hint=*/0);
+    const Address addr0 = bed->declare_host(host0);
     std::vector<std::string> hosts;
     std::vector<Address> addrs;
     for (int i = 0; i < num_exits; ++i) {
       hosts.push_back("exit" + std::to_string(i) + ".example.net");
-      addrs.push_back(bed->declare_host(hosts.back(), spread_shard()));
+      addrs.push_back(bed->declare_host(hosts.back()));
     }
-    // Pre-declare the endpoint boxes (declare_host is idempotent, so the
-    // add_uas/add_uac calls below pick up these placements).
+    // Pre-declare the endpoint boxes before any proxy exists: addresses
+    // are locus ranks, so this order fixes the same-tick event order the
+    // golden digests pin (declare_host is idempotent, so add_uas/add_uac
+    // below reuse these addresses).
     for (int j = 0; j < options.num_uas; ++j) {
       bed->declare_host("uas" + std::to_string(j) + "." +
-                            std::string(kCalleeDomain),
-                        spread_shard());
+                        std::string(kCalleeDomain));
     }
     for (int k = 0; k < std::max(1, options.num_uacs); ++k) {
-      bed->declare_host("uac" + std::to_string(k) + ".main.client.net",
-                        spread_shard());
+      bed->declare_host("uac" + std::to_string(k) + ".main.client.net");
     }
 
     proxy::RouteTable routes0;

@@ -94,14 +94,11 @@ struct ScenarioOptions {
 
   std::uint64_t seed = 1;
 
-  /// Shard count handed to the TestBed (0 = serial unless SVK_SIM_SHARDS
-  /// or a runner override says otherwise). Any value yields bit-identical
-  /// simulation results; see workload/testbed.hpp.
-  std::size_t shards = 0;
+  /// Fixed-serial compatibility field read by bench/e2e: must be 1 (a bed
+  /// has one simulator). The next benchmark change deletes it.
+  std::size_t shards = 1;
 
   /// Overrides the bed's default 250us one-way link latency when > 0.
-  /// A larger value raises the parallel engine's lookahead (fewer, wider
-  /// safe windows); results stay shard-count-invariant at any fixed value.
   SimTime link_latency = SimTime{};
 };
 
@@ -124,11 +121,8 @@ struct ScenarioOptions {
                                        double split_to_upper = 0.5);
 
 /// Wide load-balancing fork: one entry balancer spreads calls round-robin
-/// across `num_exits` (>= 2) exit proxies. The parallel-simulation
-/// showcase topology — in a sharded bed the balancer is pinned to shard 0
-/// and the exits spread over the remaining shards (UAC/UAS boxes
-/// round-robin over all of them). Use kStaticChainLastStateful to get the
-/// classic stateless-balancer / stateful-exits split.
+/// across `num_exits` (>= 2) exit proxies. Use kStaticChainLastStateful to
+/// get the classic stateless-balancer / stateful-exits split.
 [[nodiscard]] BedFactory wide_fork(int num_exits, ScenarioOptions options);
 
 /// Builds the policy for one proxy of a chain of `num_proxies`.

@@ -1,54 +1,24 @@
 #include "workload/testbed.hpp"
 
 #include <cassert>
-#include <cstdlib>
 #include <utility>
 
 namespace svk::workload {
-namespace {
 
-thread_local std::size_t t_shards_override = 0;
-
-std::size_t resolve_shards(std::size_t ctor_arg) {
-  if (t_shards_override != 0) return t_shards_override;
-  if (ctor_arg != 0) return ctor_arg;
-  if (const char* env = std::getenv("SVK_SIM_SHARDS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
-  }
-  return 1;
-}
-
-}  // namespace
-
-TestBed::ShardsOverride::ShardsOverride(std::size_t shards)
-    : prev_(t_shards_override) {
-  t_shards_override = shards;
-}
-
-TestBed::ShardsOverride::~ShardsOverride() { t_shards_override = prev_; }
-
-TestBed::TestBed(std::uint64_t seed, std::size_t shards)
-    : shards_(resolve_shards(shards)),
-      rng_(seed),
+TestBed::TestBed(std::uint64_t seed)
+    : rng_(seed),
       location_(std::make_shared<proxy::LocationService>()),
-      network_(shards_, rng_.split(0xAE7)) {
+      network_(sim_, rng_.split(0xAE7)) {
   // 250us per hop one-way gives the ~1.5ms UAC<->UAS round trip the paper
   // reports on its Gigabit segment (3 hops each way).
   network_.set_default_link(sim::LinkParams{SimTime::micros(250),
                                             SimTime{}, 0.0});
 }
 
-void TestBed::run_until(SimTime until) {
-  shards_.set_lookahead(network_.min_latency());
-  shards_.run_until(until);
-}
-
-Address TestBed::declare_host(const std::string& host, int shard_hint) {
+Address TestBed::declare_host(const std::string& host) {
   if (const auto existing = registry_.resolve(host)) return *existing;
   const Address addr{next_address_++};
   registry_.add(host, addr);
-  shards_.assign_rank(addr.value(), shard_hint);
   host_names_.emplace_back(addr.value(), host);
   if (obs_ != nullptr && obs_->tracer() != nullptr) {
     obs_->tracer()->set_thread_name(addr.value(), host);
@@ -59,30 +29,7 @@ Address TestBed::declare_host(const std::string& host, int shard_hint) {
 obs::Observability& TestBed::enable_observability(obs::Options options) {
   if (obs_ == nullptr) {
     obs_ = std::make_unique<obs::Observability>(options);
-    sim().set_obs(obs_->sinks());
-    for (std::size_t s = 1; s < shards_.shard_count(); ++s) {
-      shard_obs_.push_back(std::make_unique<obs::Observability>(options));
-      shards_.shard(s).set_obs(shard_obs_.back()->sinks());
-    }
-    if (!shard_obs_.empty()) {
-      shards_.set_barrier_hook([this] {
-        for (auto& bundle : shard_obs_) {
-          if (obs_->metrics() != nullptr && bundle->metrics() != nullptr) {
-            obs_->metrics()->absorb(*bundle->metrics());
-          }
-          if (obs_->tracer() != nullptr && bundle->tracer() != nullptr) {
-            obs_->tracer()->absorb(*bundle->tracer());
-          }
-          if (obs_->audit() != nullptr && bundle->audit() != nullptr) {
-            obs_->audit()->absorb(*bundle->audit());
-          }
-          if (obs_->overload_audit() != nullptr &&
-              bundle->overload_audit() != nullptr) {
-            obs_->overload_audit()->absorb(*bundle->overload_audit());
-          }
-        }
-      });
-    }
+    sim_.set_obs(obs_->sinks());
     if (obs_->tracer() != nullptr) {
       for (const auto& [addr, host] : host_names_) {
         obs_->tracer()->set_thread_name(addr, host);
@@ -96,28 +43,25 @@ proxy::ProxyServer& TestBed::add_proxy(
     proxy::ProxyConfig config, proxy::RouteTable routes,
     std::unique_ptr<proxy::StatePolicy> policy) {
   config.address = declare_host(config.host);
-  sim::Simulator& shard_sim = shards_.sim_for(config.address.value());
-  sim::LocusScope scope(shard_sim, config.address.value());
+  sim::LocusScope scope(sim_, config.address.value());
   proxies_.push_back(std::make_unique<proxy::ProxyServer>(
-      shard_sim, network_, registry_, location_, std::move(routes),
+      sim_, network_, registry_, location_, std::move(routes),
       std::move(policy), std::move(config)));
   return *proxies_.back();
 }
 
 Uas& TestBed::add_uas(UasConfig config) {
   config.address = declare_host(config.host);
-  sim::Simulator& shard_sim = shards_.sim_for(config.address.value());
-  sim::LocusScope scope(shard_sim, config.address.value());
-  uases_.push_back(std::make_unique<Uas>(shard_sim, network_, config));
+  sim::LocusScope scope(sim_, config.address.value());
+  uases_.push_back(std::make_unique<Uas>(sim_, network_, config));
   return *uases_.back();
 }
 
 Uac& TestBed::add_uac(UacConfig config) {
   config.address = declare_host(config.host);
-  sim::Simulator& shard_sim = shards_.sim_for(config.address.value());
-  sim::LocusScope scope(shard_sim, config.address.value());
+  sim::LocusScope scope(sim_, config.address.value());
   uacs_.push_back(std::make_unique<Uac>(
-      shard_sim, network_, rng_.split(0x0AC + uacs_.size()),
+      sim_, network_, rng_.split(0x0AC + uacs_.size()),
       std::move(config)));
   return *uacs_.back();
 }
@@ -135,13 +79,7 @@ void TestBed::register_users(const std::string& domain, int count,
 void TestBed::install_faults(const fault::FaultPlan& plan) {
   if (plan.empty()) return;
   injector_ =
-      std::make_unique<fault::FaultInjector>(sim(), network_.faults());
-  // Fault events mutate cross-shard state (the fault overlay, CPU
-  // factors), so they are global: the ShardSet applies them at window
-  // barriers, which for K == 1 degenerates to the plain rank-0 schedule.
-  injector_->set_scheduler([this](SimTime at, std::function<void()> fn) {
-    shards_.schedule_global(at, std::move(fn));
-  });
+      std::make_unique<fault::FaultInjector>(sim_, network_.faults());
   for (const auto& [addr, host] : host_names_) {
     std::function<void(double)> set_cpu_factor;
     for (auto& proxy : proxies_) {
@@ -159,11 +97,7 @@ void TestBed::install_faults(const fault::FaultPlan& plan) {
 
 check::RunChecker& TestBed::enable_checking(check::CheckOptions options) {
   if (checker_ != nullptr) return *checker_;
-  // The checker observes every host's transactions and datagrams from one
-  // timeline; it only supports the serial engine (the runner forces
-  // shards = 1 for checked points).
-  assert(shards_.shard_count() == 1);
-  checker_ = std::make_unique<check::RunChecker>(sim(), options);
+  checker_ = std::make_unique<check::RunChecker>(sim_, options);
   for (const auto& [addr, host] : host_names_) {
     checker_->wire().register_host(Address{addr}, host);
   }
@@ -206,7 +140,7 @@ check::RunChecker& TestBed::enable_checking(check::CheckOptions options) {
 void TestBed::start_load() {
   for (auto& uac : uacs_) {
     const std::uint32_t rank = uac->config().address.value();
-    sim::LocusScope scope(shards_.sim_for(rank), rank);
+    sim::LocusScope scope(sim_, rank);
     uac->start();
   }
 }

@@ -3,18 +3,9 @@
 // user registrations. One TestBed = one experiment run (fresh simulator,
 // deterministic for a given seed).
 //
-// Sharding. A TestBed owns a sim::ShardSet of `shards` simulators (default
-// 1 = the classic serial engine). The count is resolved at construction,
-// strongest first: an active ShardsOverride (the runner's
-// MeasureOptions.shards, and how checked runs force the serial engine),
-// then the constructor argument, then the SVK_SIM_SHARDS environment
-// variable, then 1. Hosts are assigned to shards round-robin in declaration
-// order (or explicitly via declare_host's shard hint); each component is
-// constructed against its host's shard simulator under a LocusScope, so
-// even setup-time events carry the owning host's identity. A sharded bed
-// must be driven through run_until() — never through sim().run_until(),
-// which advances only shard 0 — and produces bit-identical RunRecord
-// digests for any shard count.
+// Each component is constructed under a LocusScope of its host's address,
+// so even setup-time events carry the owning host's identity (and thus its
+// rank in the same-tick event order).
 #pragma once
 
 #include <memory>
@@ -29,7 +20,6 @@
 #include "proxy/host_registry.hpp"
 #include "proxy/location.hpp"
 #include "proxy/proxy.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/simulator.hpp"
 #include "workload/uac.hpp"
 #include "workload/uas.hpp"
@@ -42,34 +32,16 @@ using PolicyFactory =
 
 class TestBed {
  public:
-  /// `shards` == 0 defers to ShardsOverride, then SVK_SIM_SHARDS, then 1.
-  explicit TestBed(std::uint64_t seed = 1, std::size_t shards = 0);
+  explicit TestBed(std::uint64_t seed = 1);
 
-  /// Thread-local shard-count override (RAII): while one is alive, every
-  /// TestBed constructed on this thread uses its count, beating even an
-  /// explicit constructor argument. The runner wraps bed-factory
-  /// invocations in one of these so MeasureOptions.shards reaches
-  /// factories that only take a seed — and so checked runs can force the
-  /// serial engine regardless of what the factory asks for.
-  class ShardsOverride {
-   public:
-    explicit ShardsOverride(std::size_t shards);
-    ~ShardsOverride();
-    ShardsOverride(const ShardsOverride&) = delete;
-    ShardsOverride& operator=(const ShardsOverride&) = delete;
+  [[nodiscard]] sim::Simulator& sim() { return sim_; }
 
-   private:
-    std::size_t prev_;
-  };
+  // Fixed-serial compatibility surface read by bench/e2e: a bed has exactly
+  // one simulator. The next benchmark change deletes these three.
+  [[nodiscard]] std::size_t shard_count() const { return 1; }
+  [[nodiscard]] TestBed& shards() { return *this; }
+  [[nodiscard]] sim::Simulator& shard(std::size_t) { return sim_; }
 
-  /// Shard 0's simulator — THE simulator of a serial (1-shard) bed. For
-  /// sharded beds use run_until()/now(); this accessor remains for serial
-  /// tests and for harness-side scheduling (rank 0 lives on shard 0).
-  [[nodiscard]] sim::Simulator& sim() { return shards_.shard(0); }
-  [[nodiscard]] sim::ShardSet& shards() { return shards_; }
-  [[nodiscard]] std::size_t shard_count() const {
-    return shards_.shard_count();
-  }
   [[nodiscard]] proxy::SipNetwork& network() { return network_; }
   [[nodiscard]] proxy::HostRegistry& registry() { return registry_; }
   [[nodiscard]] const std::shared_ptr<proxy::LocationService>& location()
@@ -77,17 +49,14 @@ class TestBed {
     return location_;
   }
 
-  /// Advances the whole bed (every shard) through `until`, refreshing the
-  /// lookahead from the network's minimum link latency first. The only
-  /// correct way to drive a sharded bed; equivalent to sim().run_until()
-  /// for a serial one.
-  void run_until(SimTime until);
-  [[nodiscard]] SimTime now() const { return shards_.now(); }
+  /// Advances the bed through `until` (sim().run_until()).
+  void run_until(SimTime until) { sim_.run_until(until); }
+  [[nodiscard]] SimTime now() const { return sim_.now(); }
 
   /// Allocates an address and binds `host` to it in the registry.
-  /// `shard_hint` >= 0 pins the host to that shard (modulo shard count);
-  /// the default assigns round-robin in declaration order.
-  Address declare_host(const std::string& host, int shard_hint = -1);
+  /// Addresses are handed out in declaration order and double as the
+  /// hosts' locus ranks.
+  Address declare_host(const std::string& host);
 
   /// Adds a proxy. The route table refers to hosts by name (declare them
   /// first or reference UAS/proxy hosts added earlier).
@@ -125,10 +94,7 @@ class TestBed {
   /// Turns on observability for this bed (idempotent): creates the backend
   /// bundle, installs its sinks on the simulator, and names each declared
   /// host's trace timeline. Works before or after elements are added —
-  /// components read the simulator's Sinks struct by stable address. In a
-  /// sharded bed every shard gets a private bundle, drained into the
-  /// primary one at window barriers (audit logs re-sorted by (time, node),
-  /// the serial append order, so snapshots stay digest-identical).
+  /// components read the simulator's Sinks struct by stable address.
   obs::Observability& enable_observability(obs::Options options = {});
 
   /// Null when observability was never enabled.
@@ -137,9 +103,8 @@ class TestBed {
   /// Arms a fault plan against this bed: every declared host becomes a
   /// valid fault target (proxies additionally expose their CPU for
   /// cpu_degrade events). Call after all elements are added and before the
-  /// simulation runs; a no-op for an empty plan. Fault events are global —
-  /// in a sharded bed they apply at window barriers (same ordering as the
-  /// serial engine's rank-0 events).
+  /// simulation runs; a no-op for an empty plan. Fault events are rank-0
+  /// (harness) events, so they run before every same-tick host event.
   void install_faults(const fault::FaultPlan& plan);
 
   /// Null when no plan was installed.
@@ -152,16 +117,14 @@ class TestBed {
   /// datagram with the wire checker, and starts the periodic run-invariant
   /// sweep. Call AFTER all elements are added and before the simulation
   /// runs (idempotent; live transactions are not retrofitted). Checking is
-  /// read-only: a checked run produces bit-identical results. Serial-engine
-  /// only (the checker holds cross-host state); the runner forces
-  /// shards = 1 for checked points.
+  /// read-only: a checked run produces bit-identical results.
   check::RunChecker& enable_checking(check::CheckOptions options = {});
 
   /// Null when checking was never enabled.
   [[nodiscard]] check::RunChecker* checker() { return checker_.get(); }
 
  private:
-  sim::ShardSet shards_;
+  sim::Simulator sim_;
   Rng rng_;
   proxy::HostRegistry registry_;
   std::shared_ptr<proxy::LocationService> location_;
@@ -170,8 +133,6 @@ class TestBed {
   /// (address, host) pairs in declaration order, for trace thread names.
   std::vector<std::pair<std::uint32_t, std::string>> host_names_;
   std::unique_ptr<obs::Observability> obs_;
-  /// Shards 1..K-1's private bundles (empty for serial beds).
-  std::vector<std::unique_ptr<obs::Observability>> shard_obs_;
   std::unique_ptr<fault::FaultInjector> injector_;
   /// Declared before the elements that hold raw tap pointers into it, so
   /// it outlives them on destruction.

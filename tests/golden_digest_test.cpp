@@ -12,7 +12,9 @@
 //
 // The scenarios mirror the bench_fig* binaries at 1/100 scale with a short
 // warmup/measure window, so the whole suite runs in seconds while still
-// exercising every topology and policy the figures use.
+// exercising every topology and policy the figures use. Every scenario
+// also runs under the conformance checker, which must stay silent and
+// leave the digest unchanged.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -52,6 +54,9 @@ struct GoldenScenario {
   /// Runs with the observability layer on, so the RunRecord carries the
   /// controller audit windows.
   bool observe = false;
+  /// Whether the exactly-one-stateful run invariant applies (an
+  /// all-stateless configuration breaks it by design).
+  bool single_stateful = true;
 };
 
 /// The representative point for each figure: same topology/policy as the
@@ -67,7 +72,7 @@ std::vector<GoldenScenario> golden_scenarios() {
   scenarios.push_back({"fig4_single_all_stateless",
                        single_proxy(scaled_options(
                            PolicyKind::kStaticAllStateless, 1)),
-                       110.0});
+                       110.0, /*observe=*/false, /*single_stateful=*/false});
 
   // Figure 5: two in series, today's static config vs the controller.
   scenarios.push_back({"fig5_two_series_static",
@@ -111,8 +116,7 @@ std::vector<GoldenScenario> golden_scenarios() {
                          two_series_with_internal(0.7, options), 115.0});
   }
 
-  // Figure 8: three-server parallel fork, and the wide-fork variant the
-  // sharded-engine benchmark uses.
+  // Figure 8: three-server parallel fork, and the 16-exit wide fork.
   scenarios.push_back({"fig8_parallel_fork_servartuka",
                        parallel_fork(
                            scaled_options(PolicyKind::kServartuka, 3)),
@@ -127,16 +131,25 @@ std::vector<GoldenScenario> golden_scenarios() {
   return scenarios;
 }
 
-std::string compute_digest(const GoldenScenario& scenario) {
+PointResult run_scenario(const GoldenScenario& scenario, bool check) {
   MeasureOptions options;
   options.warmup = SimTime::seconds(1.0);
   options.measure = SimTime::seconds(2.0);
   options.observe = scenario.observe;
-  RunRecord record = to_run_record(
-      measure_point(scenario.factory, scenario.offered_cps, options), 1.0,
-      scenario.name);
+  options.check = check;
+  options.check_options.expect_single_stateful = scenario.single_stateful;
+  return measure_point(scenario.factory, scenario.offered_cps, options);
+}
+
+std::string digest_of(const GoldenScenario& scenario,
+                      const PointResult& point) {
+  RunRecord record = to_run_record(point, 1.0, scenario.name);
   record.wall_seconds = 0.0;  // host noise, not simulation output
   return Md5::hex(record.to_json().dump());
+}
+
+std::string compute_digest(const GoldenScenario& scenario) {
+  return digest_of(scenario, run_scenario(scenario, /*check=*/false));
 }
 
 TEST(GoldenDigestTest, BenchScenariosMatchCheckedInDigests) {
@@ -175,6 +188,15 @@ TEST(GoldenDigestTest, BenchScenariosMatchCheckedInDigests) {
     ASSERT_NE(expected, nullptr) << "no golden digest for " << scenario.name;
     ASSERT_TRUE(expected->as_string().has_value());
     EXPECT_EQ(compute_digest(scenario), *expected->as_string());
+  }
+}
+
+TEST(GoldenDigestTest, CheckedRunsAreCleanAndDigestIdentical) {
+  for (const GoldenScenario& scenario : golden_scenarios()) {
+    SCOPED_TRACE(scenario.name);
+    const PointResult checked = run_scenario(scenario, /*check=*/true);
+    EXPECT_EQ(checked.check_violations, 0u);
+    EXPECT_EQ(digest_of(scenario, checked), compute_digest(scenario));
   }
 }
 

@@ -268,11 +268,11 @@ TEST(TimerWheelTest, ChurnHeavyScheduleIsBitReproducible) {
 }
 
 // ---------------------------------------------------------------------------
-// Safe-window edge cases: the parallel engine (sim/parallel_sim) drives the
-// wheel through run_window() slices with keyed cross-shard inserts between
-// them. These pin the wheel behaviors that makes correct: rescheduling an
-// event across a window boundary, key-order ties between overflow-heap and
-// in-wheel events at one tick, and cursor rewind after a window barrier.
+// Run-window edge cases: a harness drives the simulator in run_until()
+// windows and schedules between them. These pin the wheel behaviours that
+// slicing relies on: rescheduling an event across a window boundary,
+// key-order ties between overflow-heap and in-wheel events at one tick, and
+// cursor rewind when a window stopped after peeking toward a far event.
 // ---------------------------------------------------------------------------
 
 TEST(TimerWheelTest, RescheduleAcrossWindowBoundaryFiresOnceAtNewTime) {
@@ -282,14 +282,15 @@ TEST(TimerWheelTest, RescheduleAcrossWindowBoundaryFiresOnceAtNewTime) {
       sim.schedule_at(SimTime::micros(50),
                       [&fired, &sim] { fired.push_back(sim.now().ns()); });
   sim.schedule_at(SimTime::micros(40), [&] {
-    // Move the 50us event into the NEXT safe window [100us, 200us).
+    // Move the 50us event past the end of the first run_until window.
     id = sim.reschedule(id, SimTime::micros(110),
                         [&fired, &sim] { fired.push_back(sim.now().ns()); });
   });
 
-  sim.run_window(SimTime::micros(100));
+  sim.run_until(SimTime::micros(100));
   EXPECT_TRUE(fired.empty());  // the original 50us firing must be gone
-  sim.run_window(SimTime::micros(200));
+  EXPECT_EQ(sim.now(), SimTime::micros(100));
+  sim.run_until(SimTime::micros(200));
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0], SimTime::micros(150).ns());
 }
@@ -329,17 +330,15 @@ TEST(TimerWheelTest, RewindAfterWindowBarrierKeepsTimeOrder) {
   std::vector<std::int64_t> fired;
   const auto record = [&fired, &sim] { fired.push_back(sim.now().ns()); };
 
-  // Only a far-future event exists: running a window peeks toward it and
-  // cascades the cursor well past the window end.
+  // Only a far-future event exists: the run peeks toward it, cascading the
+  // cursor well past the run's end, and stops short.
   sim.schedule_at(SimTime::millis(10), record);
-  sim.run_window(SimTime::micros(100));
+  sim.run_until(SimTime::micros(100));
   EXPECT_TRUE(fired.empty());
 
-  // A barrier-time insert lands between the window end and the cursor —
-  // exactly what a cross-shard mailbox drain does — forcing a rewind.
-  sim.insert_keyed(SimTime::micros(150), make_order_key(1, 1), 1,
-                   EventAction(record));
-  sim.run_window(SimTime::millis(1));
+  // A schedule between the run's end and the cursor forces a rewind.
+  sim.schedule_at(SimTime::micros(150), record);
+  sim.run_until(SimTime::millis(1));
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0], SimTime::micros(150).ns());
   EXPECT_GE(sim.event_stats().rewinds, 1u);
