@@ -8,7 +8,6 @@
 #include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sip/parser.hpp"
 
 namespace svk::proxy {
 namespace {
@@ -20,6 +19,18 @@ using profile::MsgKind;
 
 bool is_transaction_creating(const sip::Message& msg) {
   return msg.is_request() && msg.method() != sip::Method::kAck;
+}
+
+/// Header names the proxy writes per call, interned once per process.
+struct HeaderNames {
+  sip::Token stateful_mark{kStatefulMarkHeader};
+  sip::Token stateful_at{"X-Stateful-At"};
+  sip::Token retry_after{"Retry-After"};
+};
+
+const HeaderNames& header_names() {
+  static const HeaderNames names;
+  return names;
 }
 
 }  // namespace
@@ -37,6 +48,7 @@ ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
       routes_(std::move(routes)),
       policy_(std::move(policy)),
       config_(std::move(config)),
+      host_token_(config_.host),
       cpu_(sim, sim::CpuQueueConfig{config_.cpu_capacity,
                                     config_.max_queue_delay}),
       txns_(sim, config_.timers),
@@ -267,7 +279,7 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
         config_.stateful_mode == HandlingMode::kDialogStatefulAuth) {
       (void)dialogs_.match(*msg);  // dialog accounting for in-dialog ACK
     }
-    fwd.push_via(sip::Via{"SIP/2.0/UDP", config_.host,
+    fwd.push_via(sip::Via{sip::Via::udp(), host_token_,
                           sip::stateless_branch(msg->top_via().branch,
                                                 config_.host)});
     auto fwd_ptr = std::move(fwd).finish();
@@ -359,19 +371,19 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
 
   if (stateful) {
     if (ctx.already_stateful) ++stats_.double_stateful;
-    fwd.push_via(sip::Via{"SIP/2.0/UDP", config_.host, branches_.next()});
-    fwd.set_header(std::string(kStatefulMarkHeader), config_.host);
+    fwd.push_via(sip::Via{sip::Via::udp(), host_token_, branches_.next()});
+    fwd.set_header(header_names().stateful_mark, config_.host);
     if (dialog_mode) {
       if (msg->method() == sip::Method::kInvite) {
         dialogs_.create_early(fwd, sim_.now());
         fwd.record_routes().insert(fwd.record_routes().begin(),
-                                   sip::Uri("", config_.host));
+                                   sip::Uri("", host_token_));
       } else {
         (void)dialogs_.match(*msg);
       }
     }
   } else {
-    fwd.push_via(sip::Via{"SIP/2.0/UDP", config_.host,
+    fwd.push_via(sip::Via{sip::Via::udp(), host_token_,
                           sip::stateless_branch(msg->top_via().branch,
                                                 config_.host)});
   }
@@ -437,7 +449,7 @@ void ProxyServer::execute_stateful_forward(Address from, sip::MessagePtr msg,
 
   if (msg->method() == sip::Method::kInvite) {
     auto trying = sip::Message::response(*msg, sip::status::kTrying);
-    trying.set_header("X-Stateful-At", config_.host);
+    trying.set_header(header_names().stateful_at, config_.host);
     stamp_oc(trying);
     server_txn.respond(std::move(trying).finish());
     ++stats_.generated_100;
@@ -451,7 +463,7 @@ void ProxyServer::execute_stateful_forward(Address from, sip::MessagePtr msg,
   callbacks.on_response = [this, server_handle, dialog_mode](
                               const sip::MessagePtr& response) {
     sip::Message up = sip::clone(*response);
-    if (up.vias().empty() || up.top_via().sent_by != config_.host) {
+    if (up.vias().empty() || up.top_via().sent_by != host_token_) {
       return;  // malformed; drop
     }
     up.pop_via();
@@ -511,7 +523,7 @@ void ProxyServer::admit_response(Address from, const sip::MessagePtr& msg) {
   // the response up, so the param is read here — off our own top Via, keyed
   // by the path the sender terminates.
   if (overload_ != nullptr && !msg->vias().empty() &&
-      msg->top_via().sent_by == config_.host) {
+      msg->top_via().sent_by == host_token_) {
     if (const auto path = routes_.path_of(from)) {
       if (msg->top_via().oc_rate >= 0.0) {
         ++stats_.oc_advertisements;
@@ -557,7 +569,7 @@ void ProxyServer::admit_response(Address from, const sip::MessagePtr& msg) {
       if (dialogs_.abandon_early(*msg)) ++stats_.dialogs_abandoned;
     }
     sip::Message up = sip::clone(*msg);
-    if (up.vias().empty() || up.top_via().sent_by != config_.host) {
+    if (up.vias().empty() || up.top_via().sent_by != host_token_) {
       return;  // not ours; drop
     }
     up.pop_via();
@@ -605,7 +617,7 @@ void ProxyServer::respond_overload_503(const sip::Message& req, Address to,
   // control re-creates the oscillation RFC 7339 exists to avoid.
   if (with_retry_after) {
     response.set_header(
-        "Retry-After",
+        header_names().retry_after,
         std::to_string(
             static_cast<int>(config_.overload.retry_after_s + 0.5)));
   }
@@ -730,7 +742,7 @@ void ProxyServer::handle_cancel(Address from, const sip::MessagePtr& msg) {
     } else {
       target = decision->next_hop;
     }
-    fwd.push_via(sip::Via{"SIP/2.0/UDP", config_.host,
+    fwd.push_via(sip::Via{sip::Via::udp(), host_token_,
                           sip::stateless_branch(msg->top_via().branch,
                                                 config_.host)});
     send_charged(target, std::move(fwd).finish());
@@ -802,13 +814,13 @@ void ProxyServer::handle_control(Address from, const sip::Message& msg) {
 sip::MessagePtr ProxyServer::make_overload_options(std::string_view header,
                                                    const std::string& value) {
   sip::Message options = sip::Message::request(
-      sip::Method::kOptions, sip::Uri("overload", config_.host),
-      sip::NameAddr{"", sip::Uri("control", config_.host), "svk"},
-      sip::NameAddr{"", sip::Uri("control", config_.host), ""},
+      sip::Method::kOptions, sip::Uri("overload", host_token_),
+      sip::NameAddr{"", sip::Uri("control", host_token_), "svk"},
+      sip::NameAddr{"", sip::Uri("control", host_token_), ""},
       config_.host + "-ovl-" + std::to_string(++overload_signal_seq_),
       sip::CSeq{1, sip::Method::kOptions});
-  options.push_via(sip::Via{"SIP/2.0/UDP", config_.host, branches_.next()});
-  options.set_header(std::string(header), value);
+  options.push_via(sip::Via{sip::Via::udp(), host_token_, branches_.next()});
+  options.set_header(header, value);
   return std::move(options).finish();
 }
 

@@ -256,6 +256,8 @@ class ProxyServer {
   RouteTable routes_;
   std::unique_ptr<StatePolicy> policy_;
   ProxyConfig config_;
+  /// config_.host, interned once: per-call Vias and URIs copy it.
+  sip::Token host_token_;
 
   sim::CpuQueue cpu_;
   txn::TransactionManager txns_;

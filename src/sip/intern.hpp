@@ -1,11 +1,13 @@
 // Interned header strings.
 //
-// Via protocol ("SIP/2.0/UDP") and sent-by host values come from tiny,
-// bounded vocabularies — one transport token, one host string per simulated
-// node. Storing them as std::string made every copy-on-forward clone pay a
-// string copy (and usually a malloc) per Via per hop. A Token instead holds
-// a pointer into a process-lifetime intern table: copying a Via copies two
-// pointers, and equality is usually a pointer compare.
+// Some SIP values come from tiny, bounded vocabularies: the Via protocol
+// ("SIP/2.0/UDP"), Via sent-by and URI hosts (one host string per
+// simulated node or domain), URI schemes ("sip", "sips"), reason phrases
+// (one per status code) and extension-header names. Storing them as
+// std::string made every copy-on-forward clone pay a string copy (and
+// usually a malloc) per value per hop. A Token instead holds a pointer into
+// a process-lifetime intern table: copying a Via or Uri copies pointers,
+// and equality is usually a pointer compare.
 //
 // The table is global, guarded by a shared_mutex (read-mostly: every value
 // is interned once per process, then every further lookup takes the shared
@@ -13,9 +15,13 @@
 // life of the process — Tokens may be copied freely across threads and
 // outlive the thread that created them.
 //
-// Only bounded value sets belong here. Branch parameters and Call-IDs are
-// per-transaction unique and must stay plain std::string — interning them
-// would grow the table without bound.
+// Only bounded value sets belong here. URI users, tags, Call-IDs, branch
+// parameters and header values are per-call or per-transaction and must
+// stay plain std::string — interning them would grow the table without
+// bound. Per-call code builds from Tokens interned once (a node's host, a
+// static header name), so the run path does not take the lock per call.
+// The parser interns whatever hosts and header names it reads; it is not on
+// the run path.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,8 @@
 #include "sip/message.hpp"
 
+#include <array>
 #include <cstdio>
+#include <new>
 #include <utility>
 
 namespace svk::sip {
@@ -25,18 +27,63 @@ void append_name_addr(std::string& out, std::string_view name,
   out += "\r\n";
 }
 
+/// The default reason phrase as a Token, interned once per status code so
+/// building a response never takes the intern lock.
+Token default_reason(int status_code) {
+  constexpr int kFirst = 100;
+  static const auto tokens = [] {
+    std::array<Token, 600> t;
+    for (int code = kFirst; code < kFirst + 600; ++code) {
+      t[code - kFirst] = reason_phrase(code);
+    }
+    return t;
+  }();
+  if (status_code < kFirst || status_code >= kFirst + 600) {
+    return Token(reason_phrase(status_code));
+  }
+  return tokens[status_code - kFirst];
+}
+
 }  // namespace
+
+namespace detail {
+
+Identity& SharedIdentity::mut() {
+  if (node_ == nullptr) {
+    node_ = make(Identity{});
+  } else if (node_->refs != 1) {
+    Node* own = make(node_->value);
+    release(std::exchange(node_, own));
+  }
+  return node_->value;
+}
+
+SharedIdentity::Node* SharedIdentity::make(Identity value) {
+  void* block = pool_allocate(sizeof(Node), PoolKind::kIdentity);
+  return ::new (block) Node{std::move(value)};
+}
+
+void SharedIdentity::release(Node* node) noexcept {
+  if (node == nullptr || --node->refs != 0) return;
+  node->~Node();
+  pool_deallocate(node, sizeof(Node), PoolKind::kIdentity);
+}
+
+const Identity& SharedIdentity::empty() noexcept {
+  static const Identity none;
+  return none;
+}
+
+}  // namespace detail
 
 Message Message::request(Method method, Uri request_uri, NameAddr from,
                          NameAddr to, std::string call_id, CSeq cseq) {
   Message msg;
   msg.is_request_ = true;
   msg.method_ = method;
-  msg.request_uri_ = std::move(request_uri);
-  msg.from_ = std::move(from);
-  msg.to_ = std::move(to);
-  msg.call_id_ = std::move(call_id);
-  msg.cseq_ = cseq;
+  msg.id_ = detail::SharedIdentity(
+      detail::Identity{std::move(request_uri), std::move(from), std::move(to),
+                       std::move(call_id), cseq, std::nullopt, {}});
   return msg;
 }
 
@@ -45,13 +92,13 @@ Message Message::response(const Message& req, int status_code,
   Message msg;
   msg.is_request_ = false;
   msg.status_code_ = status_code;
-  msg.reason_ =
-      std::string(reason.empty() ? reason_phrase(status_code) : reason);
+  msg.reason_ = reason.empty() ? default_reason(status_code) : Token(reason);
   msg.vias_ = req.vias_;
-  msg.from_ = req.from_;
-  msg.to_ = req.to_;
-  msg.call_id_ = req.call_id_;
-  msg.cseq_ = req.cseq_;
+  // A response keeps the request's From, To, Call-ID and CSeq, but not its
+  // request-URI, Contact or body, so it gets a block of its own.
+  const detail::Identity& ids = req.id_.get();
+  msg.id_ = detail::SharedIdentity(detail::Identity{
+      {}, ids.from, ids.to, ids.call_id, ids.cseq, std::nullopt, {}});
   // Record-Route is mirrored into responses so the caller learns the
   // dialog route set (RFC 3261 16.7/12.1.1).
   msg.record_routes_ = req.record_routes_;
@@ -66,14 +113,14 @@ std::optional<std::string_view> Message::header(
   return std::nullopt;
 }
 
-void Message::set_header(std::string name, std::string value) {
+void Message::set_header(Token name, std::string value) {
   for (auto& [key, existing] : extra_) {
     if (key == name) {
       existing = std::move(value);
       return;
     }
   }
-  extra_.emplace_back(std::move(name), std::move(value));
+  extra_.emplace_back(name, std::move(value));
 }
 
 void Message::remove_header(std::string_view name) {
@@ -90,16 +137,17 @@ void Message::remove_header(std::string_view name) {
 std::size_t Message::header_count() const {
   std::size_t n = vias_.size() + 4;  // From, To, Call-ID, CSeq
   n += routes_.size() + record_routes_.size() + extra_.size();
-  if (contact_) ++n;
+  if (contact()) ++n;
   return n;
 }
 
 std::string Message::to_wire() const {
+  const detail::Identity& ids = id_.get();
   // Size the buffer once: per-header constants cover the literal parts
   // ("Via: ", ";branch=", CRLFs...), variable parts are summed exactly for
   // the repeated headers and estimated generously for the name-addr lines.
-  std::size_t estimate = 192 + body_.size() + call_id_.size() +
-                         reason_.size() + 96 * (2 + (contact_ ? 1 : 0));
+  std::size_t estimate = 192 + ids.body.size() + ids.call_id.size() +
+                         reason_.size() + 96 * (2 + (ids.contact ? 1 : 0));
   for (const Via& via : vias_) {
     estimate += 16 + via.protocol.size() + via.sent_by.size() +
                 via.branch.size() + (via.oc_rate >= 0.0 ? 24 : 0);
@@ -114,13 +162,13 @@ std::string Message::to_wire() const {
   if (is_request_) {
     out += to_string(method_);
     out += ' ';
-    out += request_uri_.to_string();
+    out += ids.request_uri.to_string();
     out += " SIP/2.0\r\n";
   } else {
     out += "SIP/2.0 ";
     out += std::to_string(status_code_);
     out += ' ';
-    out += reason_;
+    out += reason_.view();
     out += "\r\n";
   }
 
@@ -152,18 +200,18 @@ std::string Message::to_wire() const {
     out += route.to_string();
     out += ">\r\n";
   }
-  append_name_addr(out, "From", from_);
-  append_name_addr(out, "To", to_);
+  append_name_addr(out, "From", ids.from);
+  append_name_addr(out, "To", ids.to);
   out += "Call-ID: ";
-  out += call_id_;
+  out += ids.call_id;
   out += "\r\n";
   out += "CSeq: ";
-  out += std::to_string(cseq_.seq);
+  out += std::to_string(ids.cseq.seq);
   out += ' ';
-  out += to_string(cseq_.method);
+  out += to_string(ids.cseq.method);
   out += "\r\n";
-  if (contact_) {
-    append_name_addr(out, "Contact", *contact_);
+  if (ids.contact) {
+    append_name_addr(out, "Contact", *ids.contact);
   }
   if (is_request_) {
     out += "Max-Forwards: ";
@@ -171,15 +219,15 @@ std::string Message::to_wire() const {
     out += "\r\n";
   }
   for (const auto& [key, value] : extra_) {
-    out += key;
+    out += key.view();
     out += ": ";
     out += value;
     out += "\r\n";
   }
   out += "Content-Length: ";
-  out += std::to_string(body_.size());
+  out += std::to_string(ids.body.size());
   out += "\r\n\r\n";
-  out += body_;
+  out += ids.body;
   return out;
 }
 

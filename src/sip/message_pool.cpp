@@ -42,19 +42,25 @@ struct Pool {
   }
 };
 
-Pool& local_pool() {
-  thread_local Pool pool;
-  return pool;
+Pool& local_pool(detail::PoolKind kind) {
+  thread_local Pool pools[2];
+  return pools[static_cast<int>(kind)];
 }
 
 }  // namespace
 
-const MessagePoolStats& message_pool_stats() { return local_pool().stats; }
+const MessagePoolStats& message_pool_stats() {
+  return local_pool(detail::PoolKind::kMessage).stats;
+}
+
+const MessagePoolStats& identity_pool_stats() {
+  return local_pool(detail::PoolKind::kIdentity).stats;
+}
 
 namespace detail {
 
-void* pool_allocate(std::size_t bytes) {
-  Pool& pool = local_pool();
+void* pool_allocate(std::size_t bytes, PoolKind kind) {
+  Pool& pool = local_pool(kind);
   Bin* bin = pool.find(bytes);
   if (bin != nullptr && !bin->free.empty()) {
     void* p = bin->free.back();
@@ -66,8 +72,8 @@ void* pool_allocate(std::size_t bytes) {
   return ::operator new(bytes);
 }
 
-void pool_deallocate(void* p, std::size_t bytes) noexcept {
-  Pool& pool = local_pool();
+void pool_deallocate(void* p, std::size_t bytes, PoolKind kind) noexcept {
+  Pool& pool = local_pool(kind);
   Bin* bin = pool.find(bytes);
   if (bin != nullptr && bin->free.size() < kMaxParked) {
     bin->free.push_back(p);

@@ -7,6 +7,10 @@
 // allocation) through a thread-local freelist binned by size class: after
 // warmup, finish() and the final MessagePtr release touch no allocator.
 //
+// A second, separate thread-local pool holds the call-identity blocks that
+// clones of a message share (message.hpp). Its counters are kept apart so
+// `message_pool_stats()` keeps counting messages, one block per finish().
+//
 // Thread notes: the freelist is thread-local and never shared, so no locks.
 // A block freed on a different thread than it was allocated on simply joins
 // that thread's freelist — all blocks come from (and, past the per-bin cap
@@ -30,10 +34,14 @@ struct MessagePoolStats {
 
 /// This thread's pool counters.
 const MessagePoolStats& message_pool_stats();
+/// This thread's counters for the shared call-identity blocks.
+const MessagePoolStats& identity_pool_stats();
 
 namespace detail {
-void* pool_allocate(std::size_t bytes);
-void pool_deallocate(void* p, std::size_t bytes) noexcept;
+enum class PoolKind { kMessage, kIdentity };
+void* pool_allocate(std::size_t bytes, PoolKind kind = PoolKind::kMessage);
+void pool_deallocate(void* p, std::size_t bytes,
+                     PoolKind kind = PoolKind::kMessage) noexcept;
 }  // namespace detail
 
 /// Minimal std allocator over the thread-local message pool. Stateless;

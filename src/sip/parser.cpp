@@ -193,6 +193,7 @@ Result<Message> Parser::parse(std::string_view wire) {
   if (start_line.empty()) return make_error("parse: empty start line");
 
   Message msg;
+  detail::Identity& ids = msg.id_.mut();
   if (start_line.starts_with("SIP/2.0 ")) {
     msg.is_request_ = false;
     std::string_view status_part = start_line.substr(8);
@@ -203,8 +204,8 @@ Result<Message> Parser::parse(std::string_view wire) {
       return make_error("parse: bad status code");
     }
     msg.reason_ = space == std::string_view::npos
-                      ? std::string()
-                      : std::string(trim(status_part.substr(space + 1)));
+                      ? std::string_view()
+                      : trim(status_part.substr(space + 1));
   } else {
     msg.is_request_ = true;
     const auto sp1 = start_line.find(' ');
@@ -218,7 +219,7 @@ Result<Message> Parser::parse(std::string_view wire) {
     msg.method_ = parse_method(start_line.substr(0, sp1));
     auto uri = Uri::parse(trim(start_line.substr(sp1 + 1, sp2 - sp1 - 1)));
     if (!uri) return uri.error();
-    msg.request_uri_ = std::move(uri).value();
+    ids.request_uri = std::move(uri).value();
   }
 
   bool saw_call_id = false;
@@ -265,30 +266,30 @@ Result<Message> Parser::parse(std::string_view wire) {
     } else if (name == "From" || name == "f") {
       auto na = parse_name_addr(value);
       if (!na) return na.error();
-      msg.from_ = std::move(na).value();
+      ids.from = std::move(na).value();
       saw_from = true;
     } else if (name == "To" || name == "t") {
       auto na = parse_name_addr(value);
       if (!na) return na.error();
-      msg.to_ = std::move(na).value();
+      ids.to = std::move(na).value();
       saw_to = true;
     } else if (name == "Call-ID" || name == "i") {
-      msg.call_id_ = std::string(value);
+      ids.call_id = std::string(value);
       saw_call_id = true;
     } else if (name == "CSeq") {
       const auto space = value.find(' ');
       if (space == std::string_view::npos) {
         return make_error("parse: malformed CSeq");
       }
-      if (!parse_u32(trim(value.substr(0, space)), msg.cseq_.seq)) {
+      if (!parse_u32(trim(value.substr(0, space)), ids.cseq.seq)) {
         return make_error("parse: bad CSeq number");
       }
-      msg.cseq_.method = parse_method(trim(value.substr(space + 1)));
+      ids.cseq.method = parse_method(trim(value.substr(space + 1)));
       saw_cseq = true;
     } else if (name == "Contact" || name == "m") {
       auto na = parse_name_addr(value);
       if (!na) return na.error();
-      msg.contact_ = std::move(na).value();
+      ids.contact = std::move(na).value();
     } else if (name == "Max-Forwards") {
       if (!parse_int(value, msg.max_forwards_)) {
         return make_error("parse: bad Max-Forwards");
@@ -316,7 +317,7 @@ Result<Message> Parser::parse(std::string_view wire) {
       }
       content_length = static_cast<std::size_t>(length);
     } else {
-      msg.extra_.emplace_back(std::string(name), std::string(value));
+      msg.extra_.emplace_back(Token(name), std::string(value));
     }
   }
 
@@ -331,7 +332,7 @@ Result<Message> Parser::parse(std::string_view wire) {
   if (content_length > rest.size()) {
     return make_error("parse: truncated body");
   }
-  msg.body_ = std::string(rest.substr(0, content_length));
+  ids.body = std::string(rest.substr(0, content_length));
   return msg;
 }
 

@@ -1,5 +1,10 @@
 // SIP URI (RFC 3261 19.1), the subset needed for proxy routing and location
 // lookup: scheme, user, host, port and ;name=value parameters.
+//
+// Scheme and host come from bounded vocabularies (two schemes, one host per
+// simulated node) and are interned Tokens: copying a Uri copies two
+// pointers plus the user part, and a per-call URI built from a pre-interned
+// host Token never touches the intern table.
 #pragma once
 
 #include <optional>
@@ -9,6 +14,7 @@
 #include <vector>
 
 #include "common/result.hpp"
+#include "sip/intern.hpp"
 
 namespace svk::sip {
 
@@ -16,19 +22,22 @@ namespace svk::sip {
 class Uri {
  public:
   Uri() = default;
-  Uri(std::string user, std::string host, int port = 0)
-      : user_(std::move(user)), host_(std::move(host)), port_(port) {}
+  Uri(std::string user, Token host, int port = 0)
+      : user_(std::move(user)), host_(host), port_(port) {}
+  /// Interns `host`; per-call sites should pass a pre-interned Token.
+  Uri(std::string user, std::string_view host, int port = 0)
+      : Uri(std::move(user), Token(host), port) {}
 
   /// Parses the textual form. Accepts an empty user part ("sip:host").
   [[nodiscard]] static Result<Uri> parse(std::string_view text);
 
-  [[nodiscard]] const std::string& scheme() const { return scheme_; }
+  [[nodiscard]] const std::string& scheme() const { return scheme_.str(); }
   [[nodiscard]] const std::string& user() const { return user_; }
-  [[nodiscard]] const std::string& host() const { return host_; }
+  [[nodiscard]] const std::string& host() const { return host_.str(); }
   /// 0 when the URI carries no explicit port.
   [[nodiscard]] int port() const { return port_; }
 
-  void set_host(std::string host) { host_ = std::move(host); }
+  void set_host(std::string_view host) { host_ = host; }
   void set_user(std::string user) { user_ = std::move(user); }
   void set_port(int port) { port_ = port; }
 
@@ -59,9 +68,15 @@ class Uri {
   }
 
  private:
-  std::string scheme_ = "sip";
+  /// "sip", interned once per process.
+  static Token sip_scheme() {
+    static const Token scheme{"sip"};
+    return scheme;
+  }
+
+  Token scheme_ = sip_scheme();
   std::string user_;
-  std::string host_;
+  Token host_;
   int port_ = 0;
   std::vector<std::pair<std::string, std::string>> params_;
 };

@@ -16,6 +16,8 @@ Uac::Uac(sim::Simulator& sim, proxy::SipNetwork& network, Rng rng,
       network_(network),
       rng_(rng),
       config_(std::move(config)),
+      host_token_(config_.host),
+      domain_token_(config_.target_domain),
       txns_(sim, config_.timers),
       branches_(config_.address.value() | (1ULL << 32)) {
   network_.attach(config_.address,
@@ -99,8 +101,9 @@ txn::SendFn Uac::counting_sender(sip::Method method) {
 
 void Uac::maybe_attach_credentials(sip::Message& request) const {
   if (!config_.attach_credentials) return;
+  static const sip::Token name{proxy::kProxyAuthorizationHeader};
   request.set_header(
-      std::string(proxy::kProxyAuthorizationHeader),
+      name,
       proxy::DigestAuthenticator::make_authorization(
           config_.auth_user, config_.auth_realm, config_.auth_password,
           config_.auth_nonce,
@@ -119,15 +122,15 @@ void Uac::place_call() {
       config_.host + "-" + std::to_string(n);
   const std::string from_tag = "uac" + std::to_string(n);
 
-  sip::Uri request_uri(callee, config_.target_domain);
+  sip::Uri request_uri(callee, domain_token_);
   sip::Message invite = sip::Message::request(
       sip::Method::kInvite, request_uri,
-      sip::NameAddr{"", sip::Uri("caller", config_.host), from_tag},
+      sip::NameAddr{"", sip::Uri("caller", host_token_), from_tag},
       sip::NameAddr{"", request_uri, ""}, call_id,
       sip::CSeq{1, sip::Method::kInvite});
-  invite.push_via(sip::Via{"SIP/2.0/UDP", config_.host, branches_.next()});
+  invite.push_via(sip::Via{sip::Via::udp(), host_token_, branches_.next()});
   invite.set_max_forwards(config_.max_forwards);
-  invite.set_contact(sip::NameAddr{"", sip::Uri("caller", config_.host), ""});
+  invite.set_contact(sip::NameAddr{"", sip::Uri("caller", host_token_), ""});
   invite.set_body("v=0 o=sim c=IN IP4 0.0.0.0 m=audio 49170 RTP/AVP 0");
   maybe_attach_credentials(invite);
   auto invite_ptr = std::move(invite).finish();
@@ -234,9 +237,9 @@ void Uac::on_invite_response(const std::string& call_id,
 void Uac::send_ack(Call& call, const sip::Message& ok) {
   sip::Message ack = sip::Message::request(
       sip::Method::kAck, call.remote_target,
-      sip::NameAddr{"", sip::Uri("caller", config_.host), call.from_tag},
+      sip::NameAddr{"", sip::Uri("caller", host_token_), call.from_tag},
       ok.to(), call.call_id, sip::CSeq{1, sip::Method::kAck});
-  ack.push_via(sip::Via{"SIP/2.0/UDP", config_.host, branches_.next()});
+  ack.push_via(sip::Via{sip::Via::udp(), host_token_, branches_.next()});
   ack.routes() = call.route_set;
   auto ack_ptr = std::move(ack).finish();
   call.ack = ack_ptr;
@@ -250,12 +253,12 @@ void Uac::send_bye(const std::string& call_id) {
 
   sip::Message bye = sip::Message::request(
       sip::Method::kBye, call.remote_target,
-      sip::NameAddr{"", sip::Uri("caller", config_.host), call.from_tag},
+      sip::NameAddr{"", sip::Uri("caller", host_token_), call.from_tag},
       sip::NameAddr{"", sip::Uri(call.invite->request_uri().user(),
-                                 config_.target_domain),
+                                 domain_token_),
                     call.to_tag},
       call.call_id, sip::CSeq{2, sip::Method::kBye});
-  bye.push_via(sip::Via{"SIP/2.0/UDP", config_.host, branches_.next()});
+  bye.push_via(sip::Via{sip::Via::udp(), host_token_, branches_.next()});
   bye.set_max_forwards(config_.max_forwards);
   bye.routes() = call.route_set;
   maybe_attach_credentials(bye);

@@ -107,6 +107,10 @@ class Uac {
   proxy::SipNetwork& network_;
   Rng rng_;
   UacConfig config_;
+  /// config_.host and config_.target_domain, interned once: per-call Vias
+  /// and URIs copy them.
+  sip::Token host_token_;
+  sip::Token domain_token_;
   txn::TransactionManager txns_;
   sip::BranchGenerator branches_;
   UacMetrics metrics_;

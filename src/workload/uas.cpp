@@ -9,6 +9,7 @@ Uas::Uas(sim::Simulator& sim, proxy::SipNetwork& network, UasConfig config)
     : sim_(sim),
       network_(network),
       config_(std::move(config)),
+      host_token_(config_.host),
       txns_(sim, config_.timers) {
   network_.attach(config_.address,
                   [this](Address from, const sip::MessagePtr& msg) {

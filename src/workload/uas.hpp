@@ -41,7 +41,7 @@ class Uas {
   [[nodiscard]] const UasConfig& config() const { return config_; }
   /// The contact URI remote parties use to reach this UAS directly.
   [[nodiscard]] sip::Uri contact_uri() const {
-    return sip::Uri("", config_.host);
+    return sip::Uri("", host_token_);
   }
 
   /// Registers `aor` ("user@domain") with the given registrar proxy via a
@@ -73,6 +73,8 @@ class Uas {
   sim::Simulator& sim_;
   proxy::SipNetwork& network_;
   UasConfig config_;
+  /// config_.host, interned once: the per-call Contact URI copies it.
+  sip::Token host_token_;
   txn::TransactionManager txns_;
   UasMetrics metrics_;
   std::uint64_t tag_counter_{0};

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sip/branch.hpp"
@@ -254,11 +258,62 @@ TEST(MessageTest, MaxForwardsDecrement) {
 
 TEST(MessageTest, CloneIsIndependent) {
   Message original = make_invite();
+  original.set_body("v=0");
   Message copy = clone(original);
   copy.set_header("X-Test", "1");
   copy.pop_via();
   EXPECT_FALSE(original.header("X-Test").has_value());
   EXPECT_EQ(original.vias().size(), 1u);
+  // Neither change touched the call identity: the clone still shares it.
+  EXPECT_EQ(&copy.call_id(), &original.call_id());
+  EXPECT_EQ(&std::as_const(copy).from(), &std::as_const(original).from());
+
+  // Every mutating accessor detaches the clone before writing.
+  const std::string wire = original.to_wire();
+  const std::vector<std::function<void(Message&)>> mutations = {
+      [](Message& m) { m.to().tag = "tag-burdell"; },
+      [](Message& m) { m.from().display = "Mallory"; },
+      [](Message& m) { m.set_request_uri(Uri("bob", "elsewhere.test")); },
+      [](Message& m) {
+        m.set_contact(NameAddr{"", Uri("bob", "contact.test"), ""});
+      },
+      [](Message& m) { m.set_body("v=1"); },
+  };
+  for (const auto& mutate : mutations) {
+    Message mutated = clone(original);
+    ASSERT_EQ(&mutated.call_id(), &original.call_id());
+    mutate(mutated);
+    EXPECT_NE(&mutated.call_id(), &original.call_id());
+    EXPECT_EQ(mutated.call_id(), original.call_id());
+    EXPECT_NE(mutated.to_wire(), wire);
+    EXPECT_EQ(original.to_wire(), wire);
+  }
+
+  // Detaching works in the other direction too.
+  const Message kept = clone(original);
+  original.to().tag = "tag-burdell";
+  EXPECT_TRUE(kept.to().tag.empty());
+  EXPECT_EQ(kept.to_wire(), wire);
+}
+
+TEST(MessageTest, SharedIdentityIsReleasedOnAnyThread) {
+  // Clones that share one identity block are dropped on other threads; the
+  // last release frees it exactly once (checked under the sanitizers).
+  const MessagePtr original = make_invite().finish();
+  std::vector<MessagePtr> clones;
+  for (int i = 0; i < 64; ++i) clones.push_back(clone(*original).finish());
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&clones, t] {
+      for (std::size_t i = static_cast<std::size_t>(t); i < clones.size();
+           i += 4) {
+        EXPECT_EQ(clones[i]->call_id(), "call-1");
+        clones[i].reset();
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(original->call_id(), "call-1");
 }
 
 TEST(MessageTest, HeaderCountReflectsContents) {

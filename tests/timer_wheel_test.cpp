@@ -6,7 +6,9 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -371,6 +373,9 @@ TEST(MessagePoolTest, ForwardPathReusesSharedBlocks) {
   const auto& stats = message_pool_stats();
   std::uint64_t fresh_after_warmup = 0;
   std::uint64_t reuses_after_warmup = 0;
+  // Forwarding never touches the call identity, so no clone copies it.
+  const auto& identity = identity_pool_stats();
+  const std::uint64_t identity_blocks = identity.fresh_allocs + identity.reuses;
 
   for (int i = 0; i < kWarmup + kMeasured; ++i) {
     Message fwd = clone(*shared);
@@ -388,6 +393,16 @@ TEST(MessagePoolTest, ForwardPathReusesSharedBlocks) {
   // Steady state: every finish() was served from the freelist.
   EXPECT_EQ(stats.fresh_allocs, fresh_after_warmup);
   EXPECT_GE(stats.reuses, reuses_after_warmup + kMeasured);
+  EXPECT_EQ(identity.fresh_allocs + identity.reuses, identity_blocks);
+}
+
+TEST(MessagePoolTest, MessageLayoutStaysWithinBudget) {
+  // Transactions hold requests and final responses for Timer J/K, so the
+  // by-value part of a message is what a stateful run's memory scales
+  // with. The call identity lives in a shared block; Uri is two Tokens, the
+  // user, the port and an (empty) parameter vector.
+  EXPECT_LE(sizeof(svk::sip::Message), 512u);
+  EXPECT_LE(sizeof(svk::sip::Uri), 80u);
 }
 
 // ---------------------------------------------------------------------------
@@ -405,6 +420,45 @@ TEST(InternTest, RepeatedViaStringsDoNotGrowTheTable) {
   // One new host (plus possibly the protocol on the very first run): the
   // 10k distinct branches must not intern anything.
   EXPECT_LE(intern_table_size(), before + 2);
+
+  // Whole calls: per-call users, tags, Call-IDs, branches and header values
+  // stay strings. Only hosts, reason phrases and header names are interned,
+  // and all of them by the first call.
+  const Token caller_host{"intern-caller.test"};
+  const Token callee_host{"intern-callee.test"};
+  const Token proxy_host{"intern-proxy.test"};
+  const Token mark{"X-Intern-Mark"};
+  const auto call = [&](int i) {
+    const std::string n = std::to_string(i);
+    Message invite = Message::request(
+        Method::kInvite, Uri("user" + n, callee_host),
+        NameAddr{"", Uri("caller" + n, caller_host), "from-" + n},
+        NameAddr{"", Uri("user" + n, callee_host), ""}, "call-" + n,
+        CSeq{1, Method::kInvite});
+    invite.push_via(Via{Via::udp(), caller_host, "z9hG4bK-c-" + n});
+    invite.set_contact(NameAddr{"", Uri("caller" + n, caller_host), ""});
+    const MessagePtr sent = std::move(invite).finish();
+
+    Message fwd = clone(*sent);
+    fwd.push_via(Via{Via::udp(), proxy_host, "z9hG4bK-p-" + n});
+    fwd.set_header(mark, "proxy-" + n);
+    fwd.set_request_uri(Uri("contact" + n, callee_host));
+    const MessagePtr forwarded = std::move(fwd).finish();
+
+    for (const int code : {100, 180, 200}) {
+      Message response = Message::response(*forwarded, code);
+      response.to().tag = "to-" + n;
+      ASSERT_EQ(response.call_id(), "call-" + n);
+    }
+  };
+  const std::size_t before_calls = intern_table_size();
+  call(0);
+  const std::size_t after_first = intern_table_size();
+  std::set<std::string_view> reasons;
+  for (int code = 100; code < 700; ++code) reasons.insert(reason_phrase(code));
+  EXPECT_LE(after_first - before_calls, reasons.size() + 1);  // + "sip"
+  for (int i = 1; i < 5'000; ++i) call(i);
+  EXPECT_EQ(intern_table_size(), after_first);
 
   const Token a{"intern-host.test"};
   const Token b{std::string_view("intern-host.test")};
