@@ -353,7 +353,7 @@ inline void run_traced_smoke(BenchReport& report,
   JsonValue smoke = JsonValue::object();
   smoke["offered_cps"] = offered_full;
   smoke["point"] = full_record(observed.point, "traced_smoke").to_json();
-  if (obs != nullptr && obs->tracer() != nullptr && !g_trace_path.empty()) {
+  if (obs != nullptr && !g_trace_path.empty()) {
     if (obs->tracer()->write_chrome_trace(g_trace_path)) {
       std::printf("trace written to %s (%zu events, %llu dropped)\n",
                   g_trace_path.c_str(), obs->tracer()->events().size(),
@@ -364,9 +364,8 @@ inline void run_traced_smoke(BenchReport& report,
                    g_trace_path.c_str());
     }
   }
-  if (obs != nullptr && obs->metrics() != nullptr &&
-      !g_metrics_path.empty()) {
-    if (obs->metrics()->to_json().write_file(g_metrics_path)) {
+  if (!g_metrics_path.empty()) {
+    if (observed.bed->metrics_json().write_file(g_metrics_path)) {
       std::printf("metrics written to %s\n", g_metrics_path.c_str());
       smoke["metrics_file"] = g_metrics_path;
     } else {

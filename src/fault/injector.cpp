@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
 
@@ -76,7 +75,6 @@ void FaultInjector::record(const FaultEvent& event, bool revert,
                         sim_.now(), tid, "value", event.value,
                         "duration_s", event.duration.to_seconds());
   }
-  if (obs.metrics != nullptr) obs.metrics->counter("fault.applied").inc();
 }
 
 void FaultInjector::apply(const FaultEvent& event, bool revert) {

@@ -5,8 +5,8 @@
 // network's NetworkFaultState overlay plus per-node hooks (CPU capacity).
 // It is entirely deterministic: the plan fixes what happens and when; any
 // randomness lives in the plan *generator* (tests/generators.hpp), never
-// in the execution. Applied faults are recorded in the observability layer
-// (trace instants in the "fault" category, fault.applied counter).
+// in the execution. Applied faults are counted by applied() (dumped as
+// fault.applied) and traced as instants in the "fault" category.
 #pragma once
 
 #include <functional>

@@ -2,21 +2,13 @@
 
 namespace svk::obs {
 
-Observability::Observability(Options options) {
-  if (options.metrics) metrics_ = std::make_unique<MetricRegistry>();
-  if (options.trace) {
-    tracer_ = std::make_unique<Tracer>(options.trace_capacity);
-  }
-  if (options.audit) {
-    audit_ = std::make_unique<ControllerAuditLog>(options.audit_capacity);
-    overload_audit_ =
-        std::make_unique<OverloadAuditLog>(options.audit_capacity);
-  }
-}
+Observability::Observability()
+    : tracer_(std::make_unique<Tracer>()),
+      audit_(std::make_unique<ControllerAuditLog>()),
+      overload_audit_(std::make_unique<OverloadAuditLog>()) {}
 
 Sinks Observability::sinks() {
   Sinks s;
-  s.metrics = metrics_.get();
   s.tracer = tracer_.get();
   s.audit = audit_.get();
   s.overload_audit = overload_audit_.get();

@@ -1,38 +1,26 @@
 // Observability — the owning bundle behind a Sinks handle.
 //
-// One Observability instance per observed run: it owns the metric
-// registry, the tracer, and the controller audit log, and hands out a
-// Sinks value pointing at whichever backends are enabled. The TestBed
-// installs the sinks on its simulator; everything downstream records
-// through them without knowing who owns what.
+// One Observability instance per observed run: it owns the tracer and the
+// controller/overload audit logs, and hands out a Sinks value pointing at
+// them. The TestBed installs the sinks on its simulator; everything
+// downstream records through them without knowing who owns what.
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "obs/audit.hpp"
-#include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
 
 namespace svk::obs {
 
-struct Options {
-  bool metrics = true;
-  bool trace = true;
-  bool audit = true;
-  std::size_t trace_capacity = Tracer::kDefaultCapacity;
-  std::size_t audit_capacity = ControllerAuditLog::kDefaultCapacity;
-};
-
 class Observability {
  public:
-  explicit Observability(Options options = {});
+  Observability();
 
-  /// Handles to the enabled backends (null for disabled ones).
+  /// Handles to the backends.
   [[nodiscard]] Sinks sinks();
 
-  [[nodiscard]] MetricRegistry* metrics() { return metrics_.get(); }
   [[nodiscard]] Tracer* tracer() { return tracer_.get(); }
   [[nodiscard]] ControllerAuditLog* audit() { return audit_.get(); }
   [[nodiscard]] OverloadAuditLog* overload_audit() {
@@ -40,7 +28,6 @@ class Observability {
   }
 
  private:
-  std::unique_ptr<MetricRegistry> metrics_;
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<ControllerAuditLog> audit_;
   std::unique_ptr<OverloadAuditLog> overload_audit_;

@@ -1,32 +1,27 @@
 // Observability sink handles.
 //
-// A Sinks struct is a bundle of non-owning pointers to the three
-// observability backends (metric registry, event tracer, controller audit
-// log). The simulator owns one Sinks value; every component that can reach
-// the simulator — or that is handed a pointer to the simulator's struct —
-// reads its sinks through it. All pointers default to null: with
-// observability disabled every instrumentation site reduces to a null check,
-// and the simulated results are bit-identical to a build without any
-// instrumentation at all (asserted by ObsDeterminismTest).
+// A Sinks struct is a bundle of non-owning pointers to the observability
+// backends (event tracer, controller and overload audit logs). The
+// simulator owns one Sinks value; every component that can reach the
+// simulator — or that is handed a pointer to the simulator's struct — reads
+// its sinks through it. All pointers default to null: with observability
+// disabled every instrumentation site reduces to a null check, and the
+// simulated results are bit-identical to a build without any
+// instrumentation at all (asserted by ObsDeterminismTest). Event counts are
+// not a sink: they live in the components' stats structs, always on (see
+// common/stat_table.hpp).
 #pragma once
 
 namespace svk::obs {
 
-class MetricRegistry;
 class Tracer;
 class ControllerAuditLog;
 class OverloadAuditLog;
 
 struct Sinks {
-  MetricRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
   ControllerAuditLog* audit = nullptr;
   OverloadAuditLog* overload_audit = nullptr;
-
-  [[nodiscard]] bool any() const {
-    return metrics != nullptr || tracer != nullptr || audit != nullptr ||
-           overload_audit != nullptr;
-  }
 };
 
 }  // namespace svk::obs

@@ -48,13 +48,9 @@ class LocalOccupancyPolicy : public OverloadPolicy {
 
   double advertised_rate() const override { return -1.0; }
 
-  void on_rate_advertisement(std::size_t, double, SimTime) override {
-    ++stats_.advertisements_received;  // counted but unused by this control
-  }
+  void on_rate_advertisement(std::size_t, double, SimTime) override {}
 
-  void on_downstream_503(std::size_t, SimTime) override {
-    ++stats_.downstream_503;
-  }
+  void on_downstream_503(std::size_t, SimTime) override {}
 
   std::string_view name() const override { return "local"; }
 
@@ -68,7 +64,6 @@ class LocalOccupancyPolicy : public OverloadPolicy {
     shed_acc_ += 1.0 - accept;
     if (shed_acc_ >= 1.0) {
       shed_acc_ -= 1.0;
-      ++stats_.local_rejects;
       return AdmitDecision::kRejectLocal;
     }
     return AdmitDecision::kAdmit;
@@ -116,7 +111,6 @@ class HopByHopPolicy : public LocalOccupancyPolicy {
       bucket.tokens -= 1.0;
       return AdmitDecision::kAdmit;
     }
-    ++stats_.throttled_rejects;
     return AdmitDecision::kRejectThrottled;
   }
 
@@ -170,7 +164,6 @@ class HopByHopPolicy : public LocalOccupancyPolicy {
 
   void on_rate_advertisement(std::size_t path_index, double rate_rps,
                              SimTime now) override {
-    ++stats_.advertisements_received;
     if (path_index >= buckets_.size() || rate_rps < 0.0) return;
     Bucket& bucket = buckets_[path_index];
     if (bucket.active(now, config_.advert_validity) &&
@@ -193,7 +186,6 @@ class HopByHopPolicy : public LocalOccupancyPolicy {
   }
 
   void on_downstream_503(std::size_t path_index, SimTime now) override {
-    ++stats_.downstream_503;
     // A bare 503 (no oc param — e.g. a legacy hop) is a one-shot overload
     // hint: tax the bucket if one is active, otherwise nothing to do — the
     // UAC-facing Retry-After already slows the source.

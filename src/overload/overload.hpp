@@ -81,13 +81,11 @@ struct OverloadConfig {
   int release_periods = 5;
 };
 
+/// Controller state. The events the policy reacts to (rejections, adverts,
+/// downstream 503s) are counted once, by the proxy, in ProxyStats.
 struct OverloadStats {
-  std::uint64_t local_rejects = 0;      // shed by the local occupancy gate
-  std::uint64_t throttled_rejects = 0;  // shed on a neighbor's behalf
   std::uint64_t occupancy_samples = 0;
   std::uint64_t rate_updates = 0;       // restrictor recomputations
-  std::uint64_t advertisements_received = 0;
-  std::uint64_t downstream_503 = 0;     // 503s seen from downstream
   double smoothed_occupancy = 0.0;
   /// Current advertised upstream rate (cps); negative = unrestricted.
   double advertised_rate_rps = -1.0;

@@ -6,7 +6,6 @@
 
 #include "common/logging.hpp"
 #include "obs/audit.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace svk::proxy {
@@ -55,8 +54,7 @@ ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
       auth_(config_.auth_realm.empty() ? config_.host : config_.auth_realm,
             config_.auth_nonce.empty() ? "nonce-" + config_.host
                                        : config_.auth_nonce),
-      branches_(config_.address.value()),
-      dialogs_live_gauge_("dialogs_live." + config_.host) {
+      branches_(config_.address.value()) {
   assert(policy_ != nullptr);
   policy_->register_paths(routes_.paths());
   policy_->send_overload = [this](bool on, double rate) {
@@ -103,9 +101,6 @@ ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
         sim_, SimTime::nanos(config_.dialog_ttl.ns() / 2), [this] {
           stats_.dialogs_expired +=
               dialogs_.expire_early(sim_.now(), config_.dialog_ttl);
-          dialogs_live_gauge_.set(
-              sim_.obs().metrics,
-              static_cast<double>(dialogs_.active_count()));
         });
     dialog_sweep_->start();
   }
@@ -141,13 +136,11 @@ bool ProxyServer::is_control(const sip::Message& msg) const {
 }
 
 void ProxyServer::on_datagram(Address from, const sip::MessagePtr& msg) {
-  if (const obs::Sinks& obs = sim_.obs(); obs.any()) {
-    rx_counter_.inc(obs.metrics);
-    if (obs.tracer != nullptr) {
-      obs.tracer->instant("rx", "msg", sim_.now(), config_.address.value(),
-                          "from", static_cast<double>(from.value()),
-                          "request", msg->is_request() ? 1.0 : 0.0);
-    }
+  ++stats_.rx;
+  if (const obs::Sinks& obs = sim_.obs(); obs.tracer != nullptr) {
+    obs.tracer->instant("rx", "msg", sim_.now(), config_.address.value(),
+                        "from", static_cast<double>(from.value()),
+                        "request", msg->is_request() ? 1.0 : 0.0);
   }
   if (msg->is_request()) {
     if (is_control(*msg)) {
@@ -306,15 +299,12 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
       } else {
         ++stats_.throttled_503;
       }
-      if (const obs::Sinks& obs = sim_.obs(); obs.any()) {
-        rejected_503_counter_.inc(obs.metrics);
-        if (obs.tracer != nullptr) {
-          obs.tracer->instant(
-              "overload_503", "overload", sim_.now(),
-              config_.address.value(), "throttled",
-              verdict == overload::AdmitDecision::kRejectThrottled ? 1.0
-                                                                   : 0.0);
-        }
+      if (const obs::Sinks& obs = sim_.obs(); obs.tracer != nullptr) {
+        obs.tracer->instant(
+            "overload_503", "overload", sim_.now(), config_.address.value(),
+            "throttled",
+            verdict == overload::AdmitDecision::kRejectThrottled ? 1.0
+                                                                 : 0.0);
       }
       respond_overload_503(
           *msg, from,
@@ -332,15 +322,11 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
 
   CostVector cost = CpuCostModel::forward(mode_for(decision), kind);
   const bool stateful = decision == StateDecision::kStateful;
-  if (const obs::Sinks& obs = sim_.obs(); obs.any()) {
-    (stateful ? decision_stateful_counter_ : decision_stateless_counter_)
-        .inc(obs.metrics);
-    if (obs.tracer != nullptr) {
-      obs.tracer->instant("state_decision", "policy", sim_.now(),
-                          config_.address.value(), "stateful",
-                          stateful ? 1.0 : 0.0, "path",
-                          static_cast<double>(path_index));
-    }
+  if (const obs::Sinks& obs = sim_.obs(); obs.tracer != nullptr) {
+    obs.tracer->instant("state_decision", "policy", sim_.now(),
+                        config_.address.value(), "stateful",
+                        stateful ? 1.0 : 0.0, "path",
+                        static_cast<double>(path_index));
   }
 
   // --- Authentication -----------------------------------------------------
@@ -405,7 +391,6 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
   if (msg->method() == sip::Method::kInvite && overload_ == nullptr) {
     if (!cpu_.submit(cost.total(), std::move(action))) {
       ++stats_.rejected_busy;
-      rejected_busy_counter_.inc(sim_.obs().metrics);
       respond_urgent(*msg, sip::status::kServerError, from);
       return;
     }
@@ -661,8 +646,8 @@ void ProxyServer::overload_tick() {
     record.at = sim_.now();
     record.occupancy = ostats.smoothed_occupancy;
     record.advertised_rate = overload_->advertised_rate();
-    record.local_rejects = ostats.local_rejects;
-    record.throttled_rejects = ostats.throttled_rejects;
+    record.local_rejects = stats_.rejected_503;
+    record.throttled_rejects = stats_.throttled_503;
     obs.overload_audit->append(record);
   }
 }
@@ -900,7 +885,7 @@ void ProxyServer::send_charged(Address to, const sip::MessagePtr& msg) {
   const CostVector cost = CpuCostModel::transport_send();
   charge(cost);
   cpu_.submit_urgent(cost.total(), nullptr);
-  tx_counter_.inc(sim_.obs().metrics);
+  ++stats_.tx;
   network_.send(config_.address, to, msg);
 }
 

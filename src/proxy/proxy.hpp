@@ -25,9 +25,9 @@
 #include <vector>
 
 #include "common/flat_table.hpp"
+#include "common/stat_table.hpp"
 #include "common/types.hpp"
 #include "dialog/dialog.hpp"
-#include "obs/metrics.hpp"
 #include "overload/overload.hpp"
 #include "profile/cost_model.hpp"
 #include "profile/profiler.hpp"
@@ -105,6 +105,8 @@ struct ProxyConfig {
 };
 
 struct ProxyStats {
+  std::uint64_t rx = 0;                  // datagrams received
+  std::uint64_t tx = 0;                  // datagrams sent
   std::uint64_t requests_in = 0;
   std::uint64_t responses_in = 0;
   std::uint64_t absorbed_retransmits = 0;
@@ -113,7 +115,6 @@ struct ProxyStats {
   std::uint64_t responses_forwarded = 0;
   std::uint64_t generated_100 = 0;
   std::uint64_t rejected_busy = 0;       // 500 Server Busy sent
-  std::uint64_t dropped = 0;             // silently dropped at overload
   std::uint64_t auth_failures = 0;
   std::uint64_t route_failures = 0;
   std::uint64_t proxy_timeouts = 0;      // client transactions timed out
@@ -135,6 +136,39 @@ struct ProxyStats {
   /// (Algorithm 1 forwards marked traffic statelessly) — the chaos
   /// harness's exactly-one-stateful invariant.
   std::uint64_t double_stateful = 0;
+
+  static constexpr StatField<ProxyStats> kFields[] = {
+      {"proxy.rx", &ProxyStats::rx},
+      {"proxy.tx", &ProxyStats::tx},
+      {"proxy.requests_in", &ProxyStats::requests_in},
+      {"proxy.responses_in", &ProxyStats::responses_in},
+      {"proxy.absorbed_retransmits", &ProxyStats::absorbed_retransmits},
+      {"proxy.forwarded_stateful", &ProxyStats::forwarded_stateful},
+      {"proxy.forwarded_stateless", &ProxyStats::forwarded_stateless},
+      {"proxy.responses_forwarded", &ProxyStats::responses_forwarded},
+      {"proxy.generated_100", &ProxyStats::generated_100},
+      {"proxy.rejected_busy", &ProxyStats::rejected_busy},
+      {"proxy.auth_failures", &ProxyStats::auth_failures},
+      {"proxy.route_failures", &ProxyStats::route_failures},
+      {"proxy.proxy_timeouts", &ProxyStats::proxy_timeouts},
+      {"proxy.rejected_483", &ProxyStats::rejected_483},
+      {"proxy.dialogs_expired", &ProxyStats::dialogs_expired},
+      {"proxy.dialogs_abandoned", &ProxyStats::dialogs_abandoned},
+      {"proxy.registrations", &ProxyStats::registrations},
+      {"proxy.overload_signals_sent", &ProxyStats::overload_signals_sent},
+      {"proxy.overload_signals_received",
+       &ProxyStats::overload_signals_received},
+      {"proxy.overload_signals_dropped",
+       &ProxyStats::overload_signals_dropped},
+      {"proxy.overload_probes_sent", &ProxyStats::overload_probes_sent},
+      {"proxy.overload_probes_received",
+       &ProxyStats::overload_probes_received},
+      {"proxy.rejected_503", &ProxyStats::rejected_503},
+      {"proxy.throttled_503", &ProxyStats::throttled_503},
+      {"proxy.downstream_503", &ProxyStats::downstream_503},
+      {"proxy.oc_advertisements", &ProxyStats::oc_advertisements},
+      {"proxy.double_stateful", &ProxyStats::double_stateful},
+  };
 };
 
 class ProxyServer {
@@ -292,15 +326,6 @@ class ProxyServer {
   /// Last advertised overload status, restated when a probe arrives.
   bool last_overload_on_{false};
   double last_overload_rate_{0.0};
-  /// Pre-resolved hot-path instruments (one pointer compare per event
-  /// instead of a name hash + map probe; see obs::CounterHandle).
-  obs::CounterHandle rx_counter_{"proxy.rx"};
-  obs::CounterHandle tx_counter_{"proxy.tx"};
-  obs::CounterHandle rejected_503_counter_{"overload.rejected_503"};
-  obs::CounterHandle rejected_busy_counter_{"proxy.rejected_busy"};
-  obs::CounterHandle decision_stateful_counter_{"decision.stateful"};
-  obs::CounterHandle decision_stateless_counter_{"decision.stateless"};
-  obs::GaugeHandle dialogs_live_gauge_;  // name carries the host; see ctor
   ProxyStats stats_;
 };
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace svk::sim {
@@ -22,7 +21,6 @@ bool CpuQueue::submit(double cost, Completion done) {
       obs.tracer->instant("cpu_reject", "cpu", sim_.now(), trace_tid_,
                           "backlog_ms", backlog().to_millis());
     }
-    rejected_counter_.inc(obs.metrics);
     return false;
   }
   enqueue(cost, std::move(done));
@@ -49,7 +47,6 @@ void CpuQueue::enqueue(double cost, Completion done) {
     obs.tracer->complete("service", "cpu", start, service, trace_tid_,
                          "cost", cost);
   }
-  admitted_counter_.inc(obs.metrics);
   if (done) {
     sim_.schedule_at(busy_until_, std::move(done));
   }

@@ -12,7 +12,7 @@
 #include <functional>
 
 #include "common/sim_time.hpp"
-#include "obs/metrics.hpp"
+#include "common/stat_table.hpp"
 #include "sim/simulator.hpp"
 
 namespace svk::sim {
@@ -29,6 +29,11 @@ struct CpuStats {
   std::uint64_t admitted = 0;
   std::uint64_t rejected = 0;
   double total_cost = 0.0;  // admitted cost units
+
+  static constexpr StatField<CpuStats> kFields[] = {
+      {"cpu.admitted", &CpuStats::admitted},
+      {"cpu.rejected", &CpuStats::rejected},
+  };
 };
 
 /// FIFO CPU with admission control and utilization accounting.
@@ -83,9 +88,6 @@ class CpuQueue {
   SimTime total_service_;     // sum of all admitted service times
   CpuStats stats_;
   std::uint32_t trace_tid_{0};
-  // Pre-resolved instruments: enqueue runs once per message per node.
-  obs::CounterHandle admitted_counter_{"cpu.admitted"};
-  obs::CounterHandle rejected_counter_{"cpu.rejected"};
 };
 
 /// Measures mean CPU utilization over an interval by snapshotting

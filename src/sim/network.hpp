@@ -31,6 +31,7 @@
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
+#include "common/stat_table.hpp"
 #include "common/types.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
@@ -54,6 +55,16 @@ struct NetworkStats {
   std::uint64_t dropped_host_down = 0;  // sender crashed (fault injection)
   std::uint64_t dropped_link_down = 0;  // link forced down / partition
   std::uint64_t dropped_burst = 0;      // fault-injected extra loss
+
+  static constexpr StatField<NetworkStats> kFields[] = {
+      {"net.sent", &NetworkStats::sent},
+      {"net.delivered", &NetworkStats::delivered},
+      {"net.dropped_loss", &NetworkStats::dropped_loss},
+      {"net.dropped_no_route", &NetworkStats::dropped_no_route},
+      {"net.dropped_host_down", &NetworkStats::dropped_host_down},
+      {"net.dropped_link_down", &NetworkStats::dropped_link_down},
+      {"net.dropped_burst", &NetworkStats::dropped_burst},
+  };
 };
 
 /// Mutable fault overlay consulted by Network::send. Non-templated so the

@@ -2,16 +2,9 @@
 
 #include <utility>
 
-#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace svk::sim {
-
-void Simulator::set_obs(const obs::Sinks& sinks) {
-  obs_ = sinks;
-  depth_series_ =
-      obs_.metrics != nullptr ? &obs_.metrics->series("sim.pending_events")
-                              : nullptr;
-}
 
 OrderKey Simulator::allocate_order_key() {
   if (ambient_locus_ >= locus_seq_.size()) {
@@ -57,9 +50,10 @@ bool Simulator::step_until(SimTime limit) {
   now_ = at;
   ++executed_;
   // Event-queue depth sampled every 1024 events: cheap enough for the hot
-  // loop, dense enough to see a runaway schedule in the metrics dump.
-  if (depth_series_ != nullptr && (executed_ & 1023u) == 0) {
-    depth_series_->sample(now_, static_cast<double>(wheel_.size()));
+  // loop, dense enough to see a runaway schedule on the harness track.
+  if (obs_.tracer != nullptr && (executed_ & 1023u) == 0) {
+    obs_.tracer->counter("pending_events", now_, 0, "events",
+                         static_cast<double>(wheel_.size()));
   }
   // The executing event's locus is ambient for its duration, so follow-on
   // schedules carry the host's identity; the harness locus is restored

@@ -27,10 +27,6 @@
 #include "sim/event_action.hpp"
 #include "sim/timer_wheel.hpp"
 
-namespace svk::obs {
-class TimeSeries;
-}  // namespace svk::obs
-
 namespace svk::sim {
 
 /// The event loop. Not thread-safe by design (CP: the simulation is
@@ -104,7 +100,7 @@ class Simulator {
   /// stable address for the simulator's lifetime, so components may cache
   /// `&sim.obs()` and observe late enablement. Purely passive: attaching
   /// sinks never changes simulated results.
-  void set_obs(const obs::Sinks& sinks);
+  void set_obs(const obs::Sinks& sinks) { obs_ = sinks; }
   [[nodiscard]] const obs::Sinks& obs() const { return obs_; }
 
  private:
@@ -119,7 +115,6 @@ class Simulator {
   /// Per-locus sequence counters, indexed by rank (grown on demand).
   std::vector<std::uint64_t> locus_seq_;
   obs::Sinks obs_;
-  obs::TimeSeries* depth_series_{nullptr};  // cached metrics series
   TimerWheel wheel_;
 };
 

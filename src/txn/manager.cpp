@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace svk::txn {
@@ -67,9 +66,8 @@ ClientTransaction& TransactionManager::create_client(
         if (user_terminated) user_terminated();
         schedule_client_removal(handle);
       });
-  ++created_;
+  ++stats_.client_created;
   clients_.insert(handle.hash, handle.slot);
-  client_created_.inc(sim_.obs().metrics);
   note_active();
   if (tap_ != nullptr) {
     ref.set_tap(tap_);
@@ -98,9 +96,8 @@ ServerTransaction& TransactionManager::create_server(
         if (user_terminated) user_terminated();
         schedule_server_removal(handle);
       });
-  ++created_;
+  ++stats_.server_created;
   servers_.insert(handle.hash, handle.slot);
-  server_created_.inc(sim_.obs().metrics);
   note_active();
   if (tap_ != nullptr) {
     ref.set_tap(tap_);

@@ -15,7 +15,7 @@
 
 #include "common/flat_table.hpp"
 #include "common/slab.hpp"
-#include "obs/metrics.hpp"
+#include "common/stat_table.hpp"
 #include "sim/simulator.hpp"
 #include "sip/branch.hpp"
 #include "sip/message.hpp"
@@ -47,6 +47,17 @@ struct TxnHandle {
   common::SlabHandle slot;
 
   [[nodiscard]] bool null() const { return slot.null(); }
+};
+
+/// Transactions created per side, per manager.
+struct TxnStats {
+  std::uint64_t client_created = 0;
+  std::uint64_t server_created = 0;
+
+  static constexpr StatField<TxnStats> kFields[] = {
+      {"txn.client_created", &TxnStats::client_created},
+      {"txn.server_created", &TxnStats::server_created},
+  };
 };
 
 /// Owns all transactions of one element (proxy or user agent).
@@ -88,7 +99,11 @@ class TransactionManager {
   [[nodiscard]] std::size_t active_count() const {
     return client_slab_.size() + server_slab_.size();
   }
-  [[nodiscard]] std::uint64_t created_count() const { return created_; }
+  [[nodiscard]] const TxnStats& stats() const { return stats_; }
+  /// Transactions created on both sides.
+  [[nodiscard]] std::uint64_t created_count() const {
+    return stats_.client_created + stats_.server_created;
+  }
 
   /// State-store allocation counters, aggregated over both sides (perf
   /// tests pin that these stop moving once the pool is warm).
@@ -131,13 +146,11 @@ class TransactionManager {
   TimerConfig timers_;
   ConformanceTap* tap_{nullptr};
   std::uint32_t trace_tid_{0};
-  std::uint64_t created_{0};
+  TxnStats stats_;
   common::Slab<ClientTransaction> client_slab_;
   common::Slab<ServerTransaction> server_slab_;
   common::FlatTable<common::SlabHandle> clients_;
   common::FlatTable<common::SlabHandle> servers_;
-  obs::CounterHandle client_created_{"txn.client_created"};
-  obs::CounterHandle server_created_{"txn.server_created"};
   /// Create-after-miss probe cache: the dispatch/find that reported "no
   /// transaction" already hashed the key; create_server reuses it when the
   /// same message is handed straight back.

@@ -4,13 +4,15 @@
 
 #include <cstdint>
 
+#include "common/stat_table.hpp"
 #include "common/stats.hpp"
 
 namespace svk::workload {
 
 /// Counters kept by a UAC (SIPp client role). Snapshot-diff friendly: all
 /// members are monotonically increasing except the setup-time histogram,
-/// which the runner resets at the measurement boundary.
+/// which the runner resets at the measurement boundary (and which kFields,
+/// covering only the counters, leaves out of sums and diffs).
 struct UacMetrics {
   std::uint64_t calls_attempted = 0;
   std::uint64_t calls_established = 0;   // 200 to INVITE received
@@ -32,6 +34,22 @@ struct UacMetrics {
   std::uint64_t retransmissions = 0;     // request retransmits we performed
   /// INVITE-sent to 200-received latency, milliseconds.
   Histogram setup_time_ms{10000.0, 2000};
+
+  static constexpr StatField<UacMetrics> kFields[] = {
+      {"uac.calls_attempted", &UacMetrics::calls_attempted},
+      {"uac.calls_established", &UacMetrics::calls_established},
+      {"uac.calls_completed", &UacMetrics::calls_completed},
+      {"uac.calls_failed", &UacMetrics::calls_failed},
+      {"uac.calls_cancelled", &UacMetrics::calls_cancelled},
+      {"uac.trying_received", &UacMetrics::trying_received},
+      {"uac.ringing_received", &UacMetrics::ringing_received},
+      {"uac.busy_500_received", &UacMetrics::busy_500_received},
+      {"uac.busy_503_received", &UacMetrics::busy_503_received},
+      {"uac.calls_rejected", &UacMetrics::calls_rejected},
+      {"uac.calls_timed_out", &UacMetrics::calls_timed_out},
+      {"uac.backoff_pauses", &UacMetrics::backoff_pauses},
+      {"uac.retransmissions", &UacMetrics::retransmissions},
+  };
 };
 
 /// Counters kept by a UAS (SIPp server role).
@@ -46,6 +64,16 @@ struct UasMetrics {
   /// path took transaction state. Must stay 0 under any policy that
   /// guarantees at-least-one-stateful (the chaos-harness safety invariant).
   std::uint64_t unmarked_invites = 0;
+
+  static constexpr StatField<UasMetrics> kFields[] = {
+      {"uas.invites_received", &UasMetrics::invites_received},
+      {"uas.calls_established", &UasMetrics::calls_established},
+      {"uas.calls_completed", &UasMetrics::calls_completed},
+      {"uas.byes_received", &UasMetrics::byes_received},
+      {"uas.cancels_received", &UasMetrics::cancels_received},
+      {"uas.retransmitted_200", &UasMetrics::retransmitted_200},
+      {"uas.unmarked_invites", &UasMetrics::unmarked_invites},
+  };
 };
 
 }  // namespace svk::workload

@@ -5,51 +5,24 @@
 #include <cmath>
 #include <utility>
 
+#include "common/stat_table.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/cpu_queue.hpp"
 
 namespace svk::workload {
 namespace {
 
-/// Snapshot of every monotone counter we diff across the measurement window.
+/// The bed's counters at one instant: its summed stats plus each proxy's
+/// own, which the per-node columns are diffed from.
 struct Snapshot {
-  std::uint64_t completed = 0;
-  std::uint64_t attempted = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t busy_500 = 0;
-  std::uint64_t busy_503 = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t trying = 0;
-  std::uint64_t established = 0;
-  std::vector<std::uint64_t> proxy_rejected;
-  std::vector<std::uint64_t> proxy_rejected_503;
-  std::vector<std::uint64_t> proxy_stateful;
-  std::vector<std::uint64_t> proxy_stateless;
+  BedStats bed;
+  std::vector<proxy::ProxyStats> proxies;
 };
 
 Snapshot take_snapshot(TestBed& bed) {
-  Snapshot s;
-  s.completed = bed.total_completed_calls();
-  s.attempted = bed.total_attempted_calls();
-  for (const auto& uac : bed.uacs()) {
-    const UacMetrics& m = uac->metrics();
-    s.failed += m.calls_failed;
-    s.busy_500 += m.busy_500_received;
-    s.busy_503 += m.busy_503_received;
-    s.rejected += m.calls_rejected;
-    s.timed_out += m.calls_timed_out;
-    s.retransmissions += m.retransmissions;
-    s.trying += m.trying_received;
-    s.established += m.calls_established;
-  }
+  Snapshot s{bed.stats(), {}};
   for (const auto& proxy : bed.proxies()) {
-    const proxy::ProxyStats& p = proxy->stats();
-    s.proxy_rejected.push_back(p.rejected_busy);
-    s.proxy_rejected_503.push_back(p.rejected_503 + p.throttled_503);
-    s.proxy_stateful.push_back(p.forwarded_stateful);
-    s.proxy_stateless.push_back(p.forwarded_stateless);
+    s.proxies.push_back(proxy->stats());
   }
   return s;
 }
@@ -138,25 +111,25 @@ ObservedPoint measure_point_retained(const BedFactory& factory,
   bed->run_until(options.warmup + options.measure);
   const Snapshot after = take_snapshot(*bed);
   const double secs = options.measure.to_seconds();
+  const UacMetrics uac = diff_stats(after.bed.uac, before.bed.uac);
+  const UasMetrics uas = diff_stats(after.bed.uas, before.bed.uas);
 
   PointResult result;
   result.offered_cps = offered_cps;
-  result.throughput_cps =
-      static_cast<double>(after.completed - before.completed) / secs;
-  result.attempted_cps =
-      static_cast<double>(after.attempted - before.attempted) / secs;
+  result.throughput_cps = static_cast<double>(uas.calls_completed) / secs;
+  result.attempted_cps = static_cast<double>(uac.calls_attempted) / secs;
   result.goodput_ratio =
       result.attempted_cps > 0.0
           ? result.throughput_cps / result.attempted_cps
           : 0.0;
-  result.calls_failed = after.failed - before.failed;
-  result.busy_500 = after.busy_500 - before.busy_500;
-  result.busy_503 = after.busy_503 - before.busy_503;
-  result.calls_rejected = after.rejected - before.rejected;
-  result.calls_timed_out = after.timed_out - before.timed_out;
-  result.retransmissions = after.retransmissions - before.retransmissions;
-  result.trying_received = after.trying - before.trying;
-  result.calls_established_uac = after.established - before.established;
+  result.calls_failed = uac.calls_failed;
+  result.busy_500 = uac.busy_500_received;
+  result.busy_503 = uac.busy_503_received;
+  result.calls_rejected = uac.calls_rejected;
+  result.calls_timed_out = uac.calls_timed_out;
+  result.retransmissions = uac.retransmissions;
+  result.trying_received = uac.trying_received;
+  result.calls_established_uac = uac.calls_established;
 
   // Setup-time distribution: aggregate across UACs (histograms were reset
   // at the window start).
@@ -185,18 +158,15 @@ ObservedPoint measure_point_retained(const BedFactory& factory,
   }
 
   for (std::size_t i = 0; i < probes.size(); ++i) {
+    const proxy::ProxyStats p =
+        diff_stats(after.proxies[i], before.proxies[i]);
     result.proxy_utilization.push_back(probes[i].utilization());
-    result.proxy_rejected.push_back(after.proxy_rejected[i] -
-                                    before.proxy_rejected[i]);
-    result.proxy_rejected_503.push_back(after.proxy_rejected_503[i] -
-                                        before.proxy_rejected_503[i]);
-    result.proxy_stateful.push_back(after.proxy_stateful[i] -
-                                    before.proxy_stateful[i]);
-    result.proxy_stateless.push_back(after.proxy_stateless[i] -
-                                     before.proxy_stateless[i]);
+    result.proxy_rejected.push_back(p.rejected_busy);
+    result.proxy_rejected_503.push_back(p.rejected_503 + p.throttled_503);
+    result.proxy_stateful.push_back(p.forwarded_stateful);
+    result.proxy_stateless.push_back(p.forwarded_stateless);
   }
-  if (obs::Observability* obs = bed->observability();
-      obs != nullptr && obs->audit() != nullptr) {
+  if (obs::Observability* obs = bed->observability(); obs != nullptr) {
     result.controller_windows = obs->audit()->snapshot();
   }
   if (check::RunChecker* checker = bed->checker(); checker != nullptr) {

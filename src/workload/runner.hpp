@@ -19,10 +19,10 @@ namespace svk::workload {
 struct MeasureOptions {
   SimTime warmup = SimTime::seconds(2.0);
   SimTime measure = SimTime::seconds(5.0);
-  /// Enables the observability layer (metrics/trace/audit) on the measured
-  /// bed. Purely passive: simulated results are bit-identical either way
+  /// Enables the observability layer (trace/audit) on the measured bed.
+  /// Purely passive: simulated results are bit-identical either way
   /// (asserted by ObsDeterminismTest); only PointResult::controller_windows
-  /// and the retained bed's trace/metric contents change.
+  /// and the retained bed's trace contents change.
   bool observe = false;
   /// Runs the conformance oracle + invariant checker (src/check) in
   /// lockstep with the measured bed. Read-only like observe: simulated
@@ -95,14 +95,14 @@ using BedFactory =
                                         const MeasureOptions& options = {});
 
 /// A measured point together with its (finished) TestBed, kept alive so
-/// callers can export traces/metrics accumulated during the run.
+/// callers can export its trace and metrics_json() after the run.
 struct ObservedPoint {
   PointResult point;
   std::unique_ptr<TestBed> bed;
 };
 
 /// Like measure_point, but hands back the bed as well. Use with
-/// `options.observe = true` to export the trace/metrics afterwards.
+/// `options.observe = true` to export the trace afterwards.
 [[nodiscard]] ObservedPoint measure_point_retained(
     const BedFactory& factory, double offered_cps,
     const MeasureOptions& options = {});

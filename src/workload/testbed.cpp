@@ -20,20 +20,16 @@ Address TestBed::declare_host(const std::string& host) {
   const Address addr{next_address_++};
   registry_.add(host, addr);
   host_names_.emplace_back(addr.value(), host);
-  if (obs_ != nullptr && obs_->tracer() != nullptr) {
-    obs_->tracer()->set_thread_name(addr.value(), host);
-  }
+  if (obs_ != nullptr) obs_->tracer()->set_thread_name(addr.value(), host);
   return addr;
 }
 
-obs::Observability& TestBed::enable_observability(obs::Options options) {
+obs::Observability& TestBed::enable_observability() {
   if (obs_ == nullptr) {
-    obs_ = std::make_unique<obs::Observability>(options);
+    obs_ = std::make_unique<obs::Observability>();
     sim_.set_obs(obs_->sinks());
-    if (obs_->tracer() != nullptr) {
-      for (const auto& [addr, host] : host_names_) {
-        obs_->tracer()->set_thread_name(addr, host);
-      }
+    for (const auto& [addr, host] : host_names_) {
+      obs_->tracer()->set_thread_name(addr, host);
     }
   }
   return *obs_;
@@ -115,22 +111,18 @@ check::RunChecker& TestBed::enable_checking(check::CheckOptions options) {
         wire->on_deliver(from, to, msg);
       });
   checker_->set_totals_source([this] {
+    const BedStats s = stats();
     check::RunTotals totals;
+    totals.double_stateful = s.proxy.double_stateful;
+    totals.unmarked_invites = s.uas.unmarked_invites;
+    totals.calls_attempted = s.uac.calls_attempted;
+    totals.calls_terminal = s.uac.calls_completed + s.uac.calls_failed +
+                            s.uac.calls_cancelled;
     for (const auto& proxy : proxies_) {
-      totals.double_stateful += proxy->stats().double_stateful;
       totals.active_transactions += proxy->transactions().active_count();
       totals.active_dialogs += proxy->dialogs().active_count();
     }
-    for (const auto& uas : uases_) {
-      totals.unmarked_invites += uas->metrics().unmarked_invites;
-    }
-    for (const auto& uac : uacs_) {
-      const UacMetrics& m = uac->metrics();
-      totals.open_uac_calls += uac->open_calls();
-      totals.calls_attempted += m.calls_attempted;
-      totals.calls_terminal +=
-          m.calls_completed + m.calls_failed + m.calls_cancelled;
-    }
+    for (const auto& uac : uacs_) totals.open_uac_calls += uac->open_calls();
     return totals;
   });
   checker_->start();
@@ -159,6 +151,47 @@ std::uint64_t TestBed::total_attempted_calls() const {
   std::uint64_t total = 0;
   for (const auto& uac : uacs_) total += uac->metrics().calls_attempted;
   return total;
+}
+
+BedStats TestBed::stats() const {
+  BedStats s;
+  s.net = network_.stats();
+  for (const auto& proxy : proxies_) {
+    add_stats(s.proxy, proxy->stats());
+    add_stats(s.cpu, proxy->cpu().stats());
+    add_stats(s.txn, proxy->transactions().stats());
+  }
+  for (const auto& uac : uacs_) {
+    add_stats(s.uac, uac->metrics());
+    add_stats(s.txn, uac->transactions().stats());
+  }
+  for (const auto& uas : uases_) {
+    add_stats(s.uas, uas->metrics());
+    add_stats(s.txn, uas->transactions().stats());
+  }
+  return s;
+}
+
+JsonValue TestBed::metrics_json() const {
+  const BedStats s = stats();
+  JsonValue root = JsonValue::object();
+  JsonValue& counters = root["counters"];
+  counters = JsonValue::object();
+  write_stats(counters, s.proxy);
+  write_stats(counters, s.cpu);
+  write_stats(counters, s.net);
+  write_stats(counters, s.txn);
+  write_stats(counters, s.uac);
+  write_stats(counters, s.uas);
+  counters["fault.applied"] =
+      injector_ != nullptr ? injector_->applied() : std::uint64_t{0};
+  JsonValue& gauges = root["gauges"];
+  gauges = JsonValue::object();
+  for (const auto& proxy : proxies_) {
+    gauges["dialogs_live." + proxy->config().host] =
+        static_cast<std::uint64_t>(proxy->dialogs().active_count());
+  }
+  return root;
 }
 
 }  // namespace svk::workload

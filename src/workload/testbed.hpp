@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "check/run_checker.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "fault/injector.hpp"
@@ -29,6 +30,16 @@ namespace svk::workload {
 /// Factory for the per-proxy state policy, invoked once per proxy.
 using PolicyFactory =
     std::function<std::unique_ptr<proxy::StatePolicy>(std::size_t proxy_idx)>;
+
+/// Fieldwise sums (common/stat_table.hpp) of a bed's component stats.
+struct BedStats {
+  proxy::ProxyStats proxy;
+  sim::CpuStats cpu;
+  sim::NetworkStats net;
+  txn::TxnStats txn;  // every manager: proxies, UACs and UASes
+  UacMetrics uac;     // counters only; setup_time_ms stays empty
+  UasMetrics uas;
+};
 
 class TestBed {
  public:
@@ -87,6 +98,15 @@ class TestBed {
   /// Sum of UAC attempted calls.
   [[nodiscard]] std::uint64_t total_attempted_calls() const;
 
+  /// Every component's stats, summed over the bed.
+  [[nodiscard]] BedStats stats() const;
+
+  /// The metrics dump: {"counters": {name: count}, "gauges": {name: value}}.
+  /// Counters are stats() written through the stats structs' name tables
+  /// plus fault.applied; gauges are the live dialogs per proxy
+  /// (dialogs_live.<host>) at the time of the call. Needs no observability.
+  [[nodiscard]] JsonValue metrics_json() const;
+
   [[nodiscard]] Rng split_rng(std::uint64_t salt) {
     return rng_.split(salt);
   }
@@ -95,7 +115,7 @@ class TestBed {
   /// bundle, installs its sinks on the simulator, and names each declared
   /// host's trace timeline. Works before or after elements are added —
   /// components read the simulator's Sinks struct by stable address.
-  obs::Observability& enable_observability(obs::Options options = {});
+  obs::Observability& enable_observability();
 
   /// Null when observability was never enabled.
   [[nodiscard]] obs::Observability* observability() { return obs_.get(); }

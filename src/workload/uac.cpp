@@ -5,7 +5,7 @@
 #include <memory>
 #include <utility>
 
-#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "proxy/auth.hpp"
 
 namespace svk::workload {
@@ -198,9 +198,9 @@ void Uac::on_invite_response(const std::string& call_id,
     ++metrics_.calls_established;
     const double setup_ms = (sim_.now() - call.invite_sent).to_millis();
     metrics_.setup_time_ms.add(setup_ms);
-    if (const obs::Sinks& obs = sim_.obs(); obs.metrics != nullptr) {
-      established_counter_.inc(obs.metrics);
-      setup_series_.sample(obs.metrics, sim_.now(), setup_ms);
+    if (const obs::Sinks& obs = sim_.obs(); obs.tracer != nullptr) {
+      obs.tracer->counter("setup_ms", sim_.now(), config_.address.value(),
+                          "ms", setup_ms);
     }
 
     call.to_tag = msg->to().tag;
@@ -229,7 +229,6 @@ void Uac::on_invite_response(const std::string& call_id,
   } else {
     ++metrics_.calls_failed;
     if (code == sip::status::kServiceUnavailable) ++metrics_.calls_rejected;
-    failed_counter_.inc(sim_.obs().metrics);
   }
   calls_.erase(it);
 }

@@ -12,7 +12,6 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "obs/metrics.hpp"
 #include "proxy/proxy.hpp"
 #include "sim/simulator.hpp"
 #include "sip/branch.hpp"
@@ -69,6 +68,9 @@ class Uac {
   [[nodiscard]] const UacConfig& config() const { return config_; }
   /// Calls currently in flight (diagnostics).
   [[nodiscard]] std::size_t open_calls() const { return calls_.size(); }
+  [[nodiscard]] const txn::TransactionManager& transactions() const {
+    return txns_;
+  }
   /// Installs a conformance tap on this UAC's transactions (txn/tap.hpp).
   void set_conformance_tap(txn::ConformanceTap* tap) {
     txns_.set_conformance_tap(tap);
@@ -120,10 +122,6 @@ class Uac {
   /// No new calls before this time (503 Retry-After backoff).
   SimTime backoff_until_;
   std::uint64_t call_counter_{0};
-  // Pre-resolved per-call instruments (hot under fig5-scale call volumes).
-  obs::CounterHandle established_counter_{"uac.calls_established"};
-  obs::CounterHandle failed_counter_{"uac.calls_failed"};
-  obs::SeriesHandle setup_series_{"uac.setup_ms"};
 };
 
 }  // namespace svk::workload

@@ -39,6 +39,9 @@ class Uas {
 
   [[nodiscard]] const UasMetrics& metrics() const { return metrics_; }
   [[nodiscard]] const UasConfig& config() const { return config_; }
+  [[nodiscard]] const txn::TransactionManager& transactions() const {
+    return txns_;
+  }
   /// The contact URI remote parties use to reach this UAS directly.
   [[nodiscard]] sip::Uri contact_uri() const {
     return sip::Uri("", host_token_);

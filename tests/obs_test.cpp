@@ -1,14 +1,14 @@
-// Observability-layer tests: metric registry, tracer, controller audit
-// log, Chrome trace export — and the determinism guarantee that enabling
+// Observability-layer tests: tracer, controller audit log, Chrome trace
+// export, the metrics dump — and the determinism guarantee that enabling
 // observability never changes simulated results.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <string>
 
 #include "obs/audit.hpp"
-#include "obs/metrics.hpp"
 #include "obs/observability.hpp"
 #include "obs/trace.hpp"
 #include "workload/runner.hpp"
@@ -16,49 +16,6 @@
 
 namespace svk::obs {
 namespace {
-
-// ---------------------------------------------------------------------------
-// MetricRegistry
-// ---------------------------------------------------------------------------
-
-TEST(TimeSeriesTest, RingKeepsNewestAndCountsDropped) {
-  TimeSeries series(4);
-  for (int i = 0; i < 6; ++i) {
-    series.sample(SimTime::seconds(static_cast<double>(i)),
-                  static_cast<double>(i * 10));
-  }
-  EXPECT_EQ(series.size(), 4u);
-  EXPECT_EQ(series.capacity(), 4u);
-  EXPECT_EQ(series.dropped(), 2u);
-  const auto samples = series.samples();
-  ASSERT_EQ(samples.size(), 4u);
-  // Oldest-first, the two earliest observations gone.
-  EXPECT_DOUBLE_EQ(samples.front().value, 20.0);
-  EXPECT_DOUBLE_EQ(samples.back().value, 50.0);
-}
-
-TEST(MetricRegistryTest, InstrumentsAreCreatedOnFirstUseAndStable) {
-  MetricRegistry registry;
-  Counter& c = registry.counter("a.count");
-  c.inc();
-  Gauge& g = registry.gauge("a.gauge");
-  g.set(2.5);
-  TimeSeries& s = registry.series("a.series", 8);
-  s.sample(SimTime::seconds(1.0), 7.0);
-  // Creating more instruments must not invalidate earlier references.
-  for (int i = 0; i < 100; ++i) {
-    registry.counter("other." + std::to_string(i)).inc();
-  }
-  c.inc();
-  EXPECT_EQ(registry.counter("a.count").value(), 2u);
-  EXPECT_DOUBLE_EQ(registry.gauge("a.gauge").value(), 2.5);
-  EXPECT_EQ(registry.series("a.series").size(), 1u);
-
-  const std::string json = registry.to_json().dump();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"a.count\""), std::string::npos);
-  EXPECT_NE(json.find("\"series\""), std::string::npos);
-}
 
 // ---------------------------------------------------------------------------
 // Tracer
@@ -168,8 +125,20 @@ TEST(ObsEndToEndTest, ObservedRunCapturesTraceMetricsAndAudit) {
   ASSERT_NE(obs, nullptr);
 
   EXPECT_GT(obs->tracer()->events().size(), 100u);
-  EXPECT_GT(obs->metrics()->counter("proxy.rx").value(), 100u);
-  EXPECT_GT(obs->metrics()->counter("decision.stateful").value(), 0u);
+  const JsonValue metrics = observed.bed->metrics_json();
+  const JsonValue& counters = *metrics.find("counters");
+  EXPECT_GT(*counters.find("proxy.rx")->as_number(), 100.0);
+  EXPECT_GT(*counters.find("proxy.forwarded_stateful")->as_number(), 0.0);
+  // The event-queue depth and the setup times are sampled counter tracks.
+  bool pending_track = false;
+  bool setup_track = false;
+  for (const TraceEvent& e : obs->tracer()->events()) {
+    if (e.phase != 'C') continue;
+    if (e.name == "pending_events") pending_track = true;
+    if (e.name == "setup_ms") setup_track = true;
+  }
+  EXPECT_TRUE(pending_track);
+  EXPECT_TRUE(setup_track);
   EXPECT_FALSE(obs->audit()->windows().empty());
   EXPECT_FALSE(observed.point.controller_windows.empty());
   // Both proxies' controllers reported windows.
@@ -206,9 +175,18 @@ TEST(ObsEndToEndTest, ObservedRunCapturesTraceMetricsAndAudit) {
   EXPECT_NE(record_json.find("\"sf_fraction\""), std::string::npos);
 }
 
+/// A point's serialized RunRecord without its host-time and audit parts,
+/// the only parts allowed to differ between observed and unobserved runs.
+std::string simulated_record(workload::PointResult point) {
+  point.wall_seconds = 0.0;
+  point.controller_windows.clear();
+  return workload::to_run_record(point).to_json().dump();
+}
+
 TEST(ObsDeterminismTest, ObservedRunIsBitIdenticalToUnobserved) {
   // The observability layer only reads simulation state; switching it on
-  // must not change a single measured value.
+  // must not change a single measured value. Comparing the whole record
+  // covers every field, including ones added later.
   const workload::PointResult off =
       workload::measure_point(small_servartuka_chain(), 120.0,
                               short_run(false));
@@ -216,25 +194,55 @@ TEST(ObsDeterminismTest, ObservedRunIsBitIdenticalToUnobserved) {
       workload::measure_point(small_servartuka_chain(), 120.0,
                               short_run(true));
 
-  EXPECT_EQ(off.throughput_cps, on.throughput_cps);
-  EXPECT_EQ(off.attempted_cps, on.attempted_cps);
-  EXPECT_EQ(off.goodput_ratio, on.goodput_ratio);
-  EXPECT_EQ(off.setup_ms_mean, on.setup_ms_mean);
-  EXPECT_EQ(off.setup_ms_p50, on.setup_ms_p50);
-  EXPECT_EQ(off.setup_ms_p90, on.setup_ms_p90);
-  EXPECT_EQ(off.setup_ms_p99, on.setup_ms_p99);
-  EXPECT_EQ(off.calls_failed, on.calls_failed);
-  EXPECT_EQ(off.busy_500, on.busy_500);
-  EXPECT_EQ(off.retransmissions, on.retransmissions);
+  EXPECT_EQ(simulated_record(off), simulated_record(on));
   EXPECT_EQ(off.trying_received, on.trying_received);
   EXPECT_EQ(off.calls_established_uac, on.calls_established_uac);
-  EXPECT_EQ(off.proxy_utilization, on.proxy_utilization);
-  EXPECT_EQ(off.proxy_rejected, on.proxy_rejected);
   EXPECT_EQ(off.proxy_stateful, on.proxy_stateful);
   EXPECT_EQ(off.proxy_stateless, on.proxy_stateless);
   // And the observed run did actually record something.
   EXPECT_TRUE(off.controller_windows.empty());
   EXPECT_FALSE(on.controller_windows.empty());
+}
+
+TEST(ObsMetricsTest, MetricsDumpIsTheComponentStats) {
+  // The dump reads the components' always-on stats: it needs no
+  // observability, and observing the run changes none of it.
+  workload::ObservedPoint plain = workload::measure_point_retained(
+      small_servartuka_chain(), 120.0, short_run(false));
+  ASSERT_EQ(plain.bed->observability(), nullptr);
+  const JsonValue metrics = plain.bed->metrics_json();
+  const JsonValue* counters = metrics.find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_TRUE(counters->is_object());
+
+  std::uint64_t rx = 0;
+  std::uint64_t admitted = 0;
+  for (const auto& proxy : plain.bed->proxies()) {
+    rx += proxy->stats().rx;
+    admitted += proxy->cpu().stats().admitted;
+  }
+  EXPECT_GT(rx, 0u);
+  EXPECT_EQ(*counters->find("proxy.rx")->as_number(),
+            static_cast<double>(rx));
+  EXPECT_EQ(*counters->find("cpu.admitted")->as_number(),
+            static_cast<double>(admitted));
+
+  // Names are unique: one member per name-table entry (plus
+  // fault.applied), where a name shared by two entries would have merged
+  // them into one member.
+  EXPECT_EQ(counters->size(),
+            std::size(proxy::ProxyStats::kFields) +
+                std::size(sim::CpuStats::kFields) +
+                std::size(sim::NetworkStats::kFields) +
+                std::size(txn::TxnStats::kFields) +
+                std::size(workload::UacMetrics::kFields) +
+                std::size(workload::UasMetrics::kFields) + 1);
+
+  workload::ObservedPoint observed = workload::measure_point_retained(
+      small_servartuka_chain(), 120.0, short_run(true));
+  ASSERT_NE(observed.bed->observability(), nullptr);
+  EXPECT_EQ(counters->dump(),
+            observed.bed->metrics_json().find("counters")->dump());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // be bit-deterministic — the policies use no wall clock and no RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -44,7 +45,6 @@ TEST(LocalOccupancyTest, AdmitsEverythingBelowTarget) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(policy->admit(0, at(0.3)), AdmitDecision::kAdmit);
   }
-  EXPECT_EQ(policy->stats().local_rejects, 0u);
 }
 
 TEST(LocalOccupancyTest, ShedsExactFractionAboveTarget) {
@@ -57,7 +57,6 @@ TEST(LocalOccupancyTest, ShedsExactFractionAboveTarget) {
     if (policy->admit(0, at(0.3)) == AdmitDecision::kRejectLocal) ++rejects;
   }
   EXPECT_EQ(rejects, 25);
-  EXPECT_EQ(policy->stats().local_rejects, 25u);
 }
 
 TEST(LocalOccupancyTest, EwmaSmoothsSamples) {
@@ -89,7 +88,6 @@ TEST(HopByHopTest, BucketEnforcesAdvertisedRate) {
   EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kAdmit);
   EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kAdmit);
   EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kRejectThrottled);
-  EXPECT_EQ(policy->stats().throttled_rejects, 1u);
 
   // 0.5s later the lazy refill has accrued 5 tokens, capped at depth 2.
   policy->on_rate_advertisement(0, 10.0, at(1.5));  // refresh, same rate
@@ -106,7 +104,6 @@ TEST(HopByHopTest, AdvertExpiryLiftsThrottle) {
   EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kAdmit);
   EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kRejectThrottled);
   EXPECT_EQ(policy->admit(0, at(3.0)), AdmitDecision::kAdmit);  // expired
-  EXPECT_EQ(policy->stats().throttled_rejects, 1u);
 }
 
 TEST(HopByHopTest, UnadvertisedPathRunsUnrestricted) {
@@ -123,7 +120,6 @@ TEST(HopByHopTest, Downstream503TaxesActiveBucket) {
   policy->on_downstream_503(0, at(1.0));            // -> 1 token
   EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kAdmit);
   EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kRejectThrottled);
-  EXPECT_EQ(policy->stats().downstream_503, 1u);
 }
 
 TEST(HopByHopTest, RestrictorEntersAndLeavesControlledMode) {
@@ -161,8 +157,10 @@ TEST(HopByHopTest, IdenticalCallSequencesGiveIdenticalDecisions) {
     }
   }
   EXPECT_EQ(da, db);
-  EXPECT_EQ(a->stats().local_rejects, b->stats().local_rejects);
-  EXPECT_EQ(a->stats().throttled_rejects, b->stats().throttled_rejects);
+  // The run sheds both ways, so the comparison covers both reject paths.
+  EXPECT_NE(std::count(da.begin(), da.end(), AdmitDecision::kRejectLocal), 0);
+  EXPECT_NE(
+      std::count(da.begin(), da.end(), AdmitDecision::kRejectThrottled), 0);
 }
 
 }  // namespace
