@@ -25,7 +25,7 @@ UtilSeries run_utilization(const char* name, PolicyKind policy) {
   series.name = name;
   const auto factory = workload::single_proxy(scenario(policy, 1));
   // The paper sweeps 20..14000 cps in even steps.
-  const auto sweep = workload::run_sweep_parallel(
+  const auto sweep = workload::sweep(
       factory, scaled(1000.0), scaled(14000.0), scaled(1000.0),
       measure_options(), g_threads);
   for (const auto& point : sweep.points) {

@@ -29,7 +29,7 @@ RtSeries run_rt(const char* name, PolicyKind policy) {
   RtSeries series;
   series.name = name;
   const auto factory = workload::series_chain(2, scenario(policy));
-  const auto sweep = workload::run_sweep_parallel(
+  const auto sweep = workload::sweep(
       factory, scaled(7000.0), scaled(13500.0), scaled(500.0),
       measure_options(), g_threads);
   for (const auto& point : sweep.points) {

@@ -150,15 +150,14 @@ struct Series {
   return workload::to_run_record(point, 1.0 / kScale, std::move(label));
 }
 
-/// Runs a load sweep through the parallel runner and extracts the
-/// throughput series (full-scale). The measured values are bit-identical
-/// to the serial runner's; only wall-clock changes.
+/// Runs a load sweep on g_threads workers and extracts the throughput
+/// series (full-scale). The thread count changes wall-clock time only.
 [[nodiscard]] inline Series run_throughput_series(
     const std::string& name, const workload::BedFactory& factory,
     double lo_full, double hi_full, double step_full) {
   Series series;
   series.name = name;
-  const auto sweep = workload::run_sweep_parallel(
+  const auto sweep = workload::sweep(
       factory, scaled(lo_full), scaled(hi_full), scaled(step_full),
       measure_options(), g_threads);
   for (const auto& point : sweep.points) {
@@ -170,12 +169,12 @@ struct Series {
   return series;
 }
 
-/// Parallel saturation search in full-scale units.
+/// Saturation search (workload::find_saturation) in full-scale units.
 [[nodiscard]] inline double find_saturation_full(
     const workload::BedFactory& factory, double lo_full, double hi_full,
     double step_full,
     const workload::MeasureOptions& options = measure_options()) {
-  return full(workload::find_saturation_parallel(
+  return full(workload::find_saturation(
       factory, scaled(lo_full), scaled(hi_full), scaled(step_full), options,
       g_threads));
 }

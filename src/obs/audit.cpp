@@ -81,51 +81,4 @@ std::vector<AuditWindow> ControllerAuditLog::snapshot() const {
   return {windows_.begin(), windows_.end()};
 }
 
-JsonValue OverloadAuditRecord::to_json() const {
-  JsonValue r = JsonValue::object();
-  r["node"] = static_cast<std::uint64_t>(node_tid);
-  r["t"] = at.to_seconds();
-  r["occupancy"] = occupancy;
-  r["advertised_rate"] =
-      advertised_rate >= 0.0 ? JsonValue(advertised_rate) : JsonValue(nullptr);
-  r["local_rejects"] = local_rejects;
-  r["throttled_rejects"] = throttled_rejects;
-  return r;
-}
-
-OverloadAuditLog::OverloadAuditLog(std::size_t max_records)
-    : max_records_(max_records) {
-  assert(max_records_ > 0);
-}
-
-void OverloadAuditLog::append(OverloadAuditRecord record) {
-  if (records_.size() == max_records_) {
-    records_.pop_front();
-    ++dropped_;
-  }
-  records_.push_back(record);
-}
-
-std::vector<OverloadAuditRecord> OverloadAuditLog::records_for(
-    std::uint32_t node_tid) const {
-  std::vector<OverloadAuditRecord> out;
-  for (const OverloadAuditRecord& record : records_) {
-    if (record.node_tid == node_tid) out.push_back(record);
-  }
-  return out;
-}
-
-std::vector<OverloadAuditRecord> OverloadAuditLog::snapshot() const {
-  return {records_.begin(), records_.end()};
-}
-
-JsonValue overload_records_to_json(
-    const std::vector<OverloadAuditRecord>& records) {
-  JsonValue list = JsonValue::array();
-  for (const OverloadAuditRecord& record : records) {
-    list.push_back(record.to_json());
-  }
-  return list;
-}
-
 }  // namespace svk::obs

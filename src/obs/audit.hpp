@@ -84,47 +84,4 @@ class ControllerAuditLog {
   std::uint64_t dropped_{0};
 };
 
-/// One overload-control tick of one node: the occupancy the controller saw,
-/// the rate it advertises upstream, and the cumulative reject counters.
-/// Appended by the proxy each control period when the overload policy is
-/// active; the window-by-window series makes controller dynamics (ramp-in,
-/// release, throttle hand-off between hops) debuggable the same way the
-/// ControllerAuditLog does for delegation.
-struct OverloadAuditRecord {
-  std::uint32_t node_tid = 0;
-  SimTime at;
-  double occupancy = 0.0;        // smoothed estimate after this sample
-  double advertised_rate = -1.0; // cps; negative = unrestricted
-  std::uint64_t local_rejects = 0;      // cumulative
-  std::uint64_t throttled_rejects = 0;  // cumulative
-
-  [[nodiscard]] JsonValue to_json() const;
-};
-
-class OverloadAuditLog {
- public:
-  static constexpr std::size_t kDefaultCapacity = 1u << 16;
-
-  explicit OverloadAuditLog(std::size_t max_records = kDefaultCapacity);
-
-  void append(OverloadAuditRecord record);
-
-  [[nodiscard]] const std::deque<OverloadAuditRecord>& records() const {
-    return records_;
-  }
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-
-  [[nodiscard]] std::vector<OverloadAuditRecord> records_for(
-      std::uint32_t node_tid) const;
-  [[nodiscard]] std::vector<OverloadAuditRecord> snapshot() const;
-
- private:
-  std::size_t max_records_;
-  std::deque<OverloadAuditRecord> records_;
-  std::uint64_t dropped_{0};
-};
-
-[[nodiscard]] JsonValue overload_records_to_json(
-    const std::vector<OverloadAuditRecord>& records);
-
 }  // namespace svk::obs

@@ -4,14 +4,12 @@ namespace svk::obs {
 
 Observability::Observability()
     : tracer_(std::make_unique<Tracer>()),
-      audit_(std::make_unique<ControllerAuditLog>()),
-      overload_audit_(std::make_unique<OverloadAuditLog>()) {}
+      audit_(std::make_unique<ControllerAuditLog>()) {}
 
 Sinks Observability::sinks() {
   Sinks s;
   s.tracer = tracer_.get();
   s.audit = audit_.get();
-  s.overload_audit = overload_audit_.get();
   return s;
 }
 

@@ -1,7 +1,7 @@
 // Observability — the owning bundle behind a Sinks handle.
 //
 // One Observability instance per observed run: it owns the tracer and the
-// controller/overload audit logs, and hands out a Sinks value pointing at
+// controller audit log, and hands out a Sinks value pointing at
 // them. The TestBed installs the sinks on its simulator; everything
 // downstream records through them without knowing who owns what.
 #pragma once
@@ -23,14 +23,10 @@ class Observability {
 
   [[nodiscard]] Tracer* tracer() { return tracer_.get(); }
   [[nodiscard]] ControllerAuditLog* audit() { return audit_.get(); }
-  [[nodiscard]] OverloadAuditLog* overload_audit() {
-    return overload_audit_.get();
-  }
 
  private:
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<ControllerAuditLog> audit_;
-  std::unique_ptr<OverloadAuditLog> overload_audit_;
 };
 
 }  // namespace svk::obs

@@ -1,10 +1,10 @@
 // Observability sink handles.
 //
 // A Sinks struct is a bundle of non-owning pointers to the observability
-// backends (event tracer, controller and overload audit logs). The
-// simulator owns one Sinks value; every component that can reach the
-// simulator — or that is handed a pointer to the simulator's struct — reads
-// its sinks through it. All pointers default to null: with observability
+// backends: the event tracer and the controller audit log. The simulator
+// owns one Sinks value; every component that can reach the simulator — or
+// that is handed a pointer to the simulator's struct — reads its sinks
+// through it. All pointers default to null: with observability
 // disabled every instrumentation site reduces to a null check, and the
 // simulated results are bit-identical to a build without any
 // instrumentation at all (asserted by ObsDeterminismTest). Event counts are
@@ -16,12 +16,10 @@ namespace svk::obs {
 
 class Tracer;
 class ControllerAuditLog;
-class OverloadAuditLog;
 
 struct Sinks {
   Tracer* tracer = nullptr;
   ControllerAuditLog* audit = nullptr;
-  OverloadAuditLog* overload_audit = nullptr;
 };
 
 }  // namespace svk::obs

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "obs/audit.hpp"
 #include "obs/trace.hpp"
 
 namespace svk::proxy {
@@ -48,6 +47,9 @@ ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
       policy_(std::move(policy)),
       config_(std::move(config)),
       host_token_(config_.host),
+      dialog_mode_(config_.stateful_mode == HandlingMode::kDialogStateful ||
+                   config_.stateful_mode ==
+                       HandlingMode::kDialogStatefulAuth),
       cpu_(sim, sim::CpuQueueConfig{config_.cpu_capacity,
                                     config_.max_queue_delay}),
       txns_(sim, config_.timers),
@@ -91,10 +93,7 @@ ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
         });
     policy_timer_->start();
   }
-  const bool dialog_mode =
-      config_.stateful_mode == HandlingMode::kDialogStateful ||
-      config_.stateful_mode == HandlingMode::kDialogStatefulAuth;
-  if (dialog_mode && config_.dialog_ttl > SimTime{}) {
+  if (dialog_mode_ && config_.dialog_ttl > SimTime{}) {
     // Reap early dialogs nothing will ever confirm (lost finals, crashed
     // endpoints). Sweeping at ttl/2 bounds residency at 1.5*ttl.
     dialog_sweep_ = std::make_unique<sim::PeriodicTimer>(
@@ -268,8 +267,7 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
     const HandlingMode mode =
         mode_for(policy_->static_decision().value_or(StateDecision::kStateless));
     CostVector cost = CpuCostModel::forward(mode, kind);
-    if (config_.stateful_mode == HandlingMode::kDialogStateful ||
-        config_.stateful_mode == HandlingMode::kDialogStatefulAuth) {
+    if (dialog_mode_) {
       (void)dialogs_.match(*msg);  // dialog accounting for in-dialog ACK
     }
     fwd.push_via(sip::Via{sip::Via::udp(), host_token_,
@@ -351,15 +349,11 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
     cost += CpuCostModel::generate_100(config_.stateful_mode);
   }
 
-  const bool dialog_mode =
-      config_.stateful_mode == HandlingMode::kDialogStateful ||
-      config_.stateful_mode == HandlingMode::kDialogStatefulAuth;
-
   if (stateful) {
     if (ctx.already_stateful) ++stats_.double_stateful;
     fwd.push_via(sip::Via{sip::Via::udp(), host_token_, branches_.next()});
     fwd.set_header(header_names().stateful_mark, config_.host);
-    if (dialog_mode) {
+    if (dialog_mode_) {
       if (msg->method() == sip::Method::kInvite) {
         dialogs_.create_early(fwd, sim_.now());
         fwd.record_routes().insert(fwd.record_routes().begin(),
@@ -388,6 +382,16 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
   // policy installed the occupancy gate above has already made the shedding
   // decision and replaces the raw queue-delay bound (which only reacts once
   // the backlog — and thus the damage — has fully built up).
+  //
+  // Why the queue-delay bound is tested here, after policy_->decide(), and
+  // not at the occupancy gate above: the delegation controller's per-path
+  // window counts must include INVITEs that this bound then rejects with
+  // 500, so the controller sees offered load rather than admitted load.
+  // Moving the same backlog() > max_queue_delay test ahead of decide()
+  // leaves every golden digest unchanged but starves the controller's
+  // overload detection: at 140 cps the exit proxy of
+  // ServartukaIntegrationTest.OverloadSignalsFlowUpstreamPastSaturation
+  // sends no overload signal at all.
   if (msg->method() == sip::Method::kInvite && overload_ == nullptr) {
     if (!cpu_.submit(cost.total(), std::move(action))) {
       ++stats_.rejected_busy;
@@ -440,31 +444,15 @@ void ProxyServer::execute_stateful_forward(Address from, sip::MessagePtr msg,
     ++stats_.generated_100;
   }
 
-  const bool dialog_mode =
-      config_.stateful_mode == HandlingMode::kDialogStateful ||
-      config_.stateful_mode == HandlingMode::kDialogStatefulAuth;
-
   txn::ClientCallbacks callbacks;
-  callbacks.on_response = [this, server_handle, dialog_mode](
-                              const sip::MessagePtr& response) {
+  callbacks.on_response = [this,
+                           server_handle](const sip::MessagePtr& response) {
     sip::Message up = sip::clone(*response);
     if (up.vias().empty() || up.top_via().sent_by != host_token_) {
       return;  // malformed; drop
     }
     up.pop_via();
-    if (dialog_mode && sip::is_success(response->status_code())) {
-      if (response->cseq().method == sip::Method::kInvite) {
-        dialogs_.confirm(*response);
-      } else if (response->cseq().method == sip::Method::kBye) {
-        dialogs_.terminate(dialog::DialogProbe::make(
-            response->call_id(), response->from().tag, response->to().tag));
-      }
-    } else if (dialog_mode && sip::is_final(response->status_code()) &&
-               response->cseq().method == sip::Method::kInvite) {
-      // The INVITE failed: its early dialog will never confirm and must
-      // not linger in the table (PR7 leak fix).
-      if (dialogs_.abandon_early(*response)) ++stats_.dialogs_abandoned;
-    }
+    track_relayed_response(*response);
     stamp_oc(up);
     auto up_ptr = std::move(up).finish();
     if (auto* srv = txns_.find_server(server_handle)) {
@@ -474,9 +462,9 @@ void ProxyServer::execute_stateful_forward(Address from, sip::MessagePtr msg,
     }
     ++stats_.responses_forwarded;
   };
-  callbacks.on_timeout = [this, server_handle, msg, dialog_mode] {
+  callbacks.on_timeout = [this, server_handle, msg] {
     ++stats_.proxy_timeouts;
-    if (dialog_mode && msg->method() == sip::Method::kInvite) {
+    if (dialog_mode_ && msg->method() == sip::Method::kInvite) {
       // Downstream never answered: the early dialog is dead.
       if (dialogs_.abandon_early(*msg)) ++stats_.dialogs_abandoned;
     }
@@ -539,20 +527,7 @@ void ProxyServer::admit_response(Address from, const sip::MessagePtr& msg) {
     }
     // No transaction here (we were stateless for it, or it is a
     // retransmitted 2xx after the transaction ended): relay by Via.
-    const bool dialog_mode =
-        config_.stateful_mode == HandlingMode::kDialogStateful ||
-        config_.stateful_mode == HandlingMode::kDialogStatefulAuth;
-    if (dialog_mode && sip::is_success(msg->status_code())) {
-      if (msg->cseq().method == sip::Method::kInvite) {
-        dialogs_.confirm(*msg);
-      } else if (msg->cseq().method == sip::Method::kBye) {
-        dialogs_.terminate(dialog::DialogProbe::make(
-            msg->call_id(), msg->from().tag, msg->to().tag));
-      }
-    } else if (dialog_mode && sip::is_final(msg->status_code()) &&
-               msg->cseq().method == sip::Method::kInvite) {
-      if (dialogs_.abandon_early(*msg)) ++stats_.dialogs_abandoned;
-    }
+    track_relayed_response(*msg);
     sip::Message up = sip::clone(*msg);
     if (up.vias().empty() || up.top_via().sent_by != host_token_) {
       return;  // not ours; drop
@@ -562,6 +537,23 @@ void ProxyServer::admit_response(Address from, const sip::MessagePtr& msg) {
     forward_response_stateless(std::move(up).finish());
     ++stats_.responses_forwarded;
   });
+}
+
+void ProxyServer::track_relayed_response(const sip::Message& response) {
+  if (!dialog_mode_) return;
+  if (sip::is_success(response.status_code())) {
+    if (response.cseq().method == sip::Method::kInvite) {
+      dialogs_.confirm(response);
+    } else if (response.cseq().method == sip::Method::kBye) {
+      dialogs_.terminate(dialog::DialogProbe::make(
+          response.call_id(), response.from().tag, response.to().tag));
+    }
+  } else if (sip::is_final(response.status_code()) &&
+             response.cseq().method == sip::Method::kInvite) {
+    // The INVITE failed: its early dialog will never confirm and must not
+    // linger in the table.
+    if (dialogs_.abandon_early(response)) ++stats_.dialogs_abandoned;
+  }
 }
 
 void ProxyServer::forward_response_stateless(const sip::MessagePtr& msg) {
@@ -631,24 +623,12 @@ void ProxyServer::overload_tick() {
       period_s > 0.0 ? cpu_.backlog().to_seconds() / period_s : 0.0;
   overload_->on_occupancy_sample(util + backlog_growth, sim_.now());
 
-  const overload::OverloadStats& ostats = overload_->stats();
-  const obs::Sinks& obs = sim_.obs();
-  if (obs.tracer != nullptr) {
+  if (const obs::Sinks& obs = sim_.obs(); obs.tracer != nullptr) {
     obs.tracer->counter("occupancy", sim_.now(), config_.address.value(),
-                        "occ", ostats.smoothed_occupancy);
+                        "occ", overload_->stats().smoothed_occupancy);
     obs.tracer->counter("advertised_rate", sim_.now(),
                         config_.address.value(), "cps",
                         overload_->advertised_rate());
-  }
-  if (obs.overload_audit != nullptr) {
-    obs::OverloadAuditRecord record;
-    record.node_tid = config_.address.value();
-    record.at = sim_.now();
-    record.occupancy = ostats.smoothed_occupancy;
-    record.advertised_rate = overload_->advertised_rate();
-    record.local_rejects = stats_.rejected_503;
-    record.throttled_rejects = stats_.throttled_503;
-    obs.overload_audit->append(record);
   }
 }
 

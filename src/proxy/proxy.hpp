@@ -255,8 +255,13 @@ class ProxyServer {
   /// off its own Via on receipt). No-op when no policy or no restriction.
   void stamp_oc(sip::Message& response) const;
 
-  /// Overload control tick: occupancy sample -> policy, audit, trace.
+  /// Overload control tick: occupancy sample -> policy, trace.
   void overload_tick();
+
+  /// Dialog bookkeeping for a response this node relays upstream: a 2xx
+  /// confirms (INVITE) or terminates (BYE) its dialog, a failed INVITE
+  /// abandons its early dialog. No-op outside the dialog-stateful modes.
+  void track_relayed_response(const sip::Message& response);
 
   /// Forwards a response (our Via already popped) toward the previous hop.
   void forward_response_stateless(const sip::MessagePtr& msg);
@@ -292,6 +297,8 @@ class ProxyServer {
   ProxyConfig config_;
   /// config_.host, interned once: per-call Vias and URIs copy it.
   sip::Token host_token_;
+  /// Whether stateful handling keeps dialog state (kDialogStateful*).
+  const bool dialog_mode_;
 
   sim::CpuQueue cpu_;
   txn::TransactionManager txns_;

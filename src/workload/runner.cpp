@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "common/stat_table.hpp"
@@ -27,9 +26,8 @@ Snapshot take_snapshot(TestBed& bed) {
   return s;
 }
 
-/// The load grid of a sweep. Accumulates exactly like the serial loop
-/// always did (`offered += step`), so serial and parallel sweeps measure
-/// bit-identical offered loads.
+/// The load grid of a sweep. Accumulates `offered += step`, so every
+/// figure's offered loads stay bit-identical to the grid it was pinned on.
 std::vector<double> load_grid(double lo, double hi, double step) {
   std::vector<double> grid;
   for (double offered = lo; offered <= hi + 1e-9; offered += step) {
@@ -38,8 +36,8 @@ std::vector<double> load_grid(double lo, double hi, double step) {
   return grid;
 }
 
-/// Folds measured points into a SweepResult with the serial max-tracking
-/// semantics (strictly-greater updates, in grid order).
+/// Folds measured points into a SweepResult: the maximum is the first point
+/// (in grid order) with the highest throughput.
 SweepResult fold_points(std::vector<PointResult> points) {
   SweepResult result;
   for (PointResult& point : points) {
@@ -48,6 +46,31 @@ SweepResult fold_points(std::vector<PointResult> points) {
       result.offered_at_max = point.offered_cps;
     }
     result.points.push_back(std::move(point));
+  }
+  return result;
+}
+
+/// Coarse grid steps per `step` in find_saturation's bracketing scan.
+constexpr double kCoarseSteps = 4.0;
+
+/// Serial scan of the load grid that stops once two points have fallen
+/// below 98% of the maximum so far: past the knee nothing higher follows.
+/// Returns the maximum and its offered load (no points).
+SweepResult scan_to_knee(const BedFactory& factory, double lo, double hi,
+                         double step, const MeasureOptions& options) {
+  SweepResult result;
+  int declining = 0;
+  for (const double offered : load_grid(lo, hi, step)) {
+    const double throughput =
+        measure_point(factory, offered, options).throughput_cps;
+    if (throughput > result.max_throughput_cps) {
+      result.max_throughput_cps = throughput;
+      result.offered_at_max = offered;
+      declining = 0;
+    } else if (throughput < 0.98 * result.max_throughput_cps &&
+               ++declining >= 2) {
+      break;
+    }
   }
   return result;
 }
@@ -181,34 +204,7 @@ ObservedPoint measure_point_retained(const BedFactory& factory,
 
 SweepResult sweep(const BedFactory& factory, double lo, double hi,
                   double step, const MeasureOptions& options,
-                  bool early_stop) {
-  SweepResult result;
-  int declining = 0;
-  for (const double offered : load_grid(lo, hi, step)) {
-    PointResult point = measure_point(factory, offered, options);
-    if (point.throughput_cps > result.max_throughput_cps) {
-      result.max_throughput_cps = point.throughput_cps;
-      result.offered_at_max = offered;
-      declining = 0;
-    } else if (point.throughput_cps < 0.98 * result.max_throughput_cps) {
-      ++declining;
-    }
-    result.points.push_back(std::move(point));
-    if (early_stop && declining >= 2) break;
-  }
-  return result;
-}
-
-double find_saturation(const BedFactory& factory, double lo, double hi,
-                       double step, const MeasureOptions& options) {
-  return sweep(factory, lo, hi, step, options, /*early_stop=*/true)
-      .max_throughput_cps;
-}
-
-SweepResult run_sweep_parallel(const BedFactory& factory, double lo,
-                               double hi, double step,
-                               const MeasureOptions& options,
-                               std::size_t threads) {
+                  std::size_t threads) {
   const std::vector<double> grid = load_grid(lo, hi, step);
   std::vector<PointResult> points(grid.size());
   parallel_for_index(threads, grid.size(), [&](std::size_t i) {
@@ -226,20 +222,17 @@ std::vector<PointResult> run_points_parallel(
   return results;
 }
 
-double find_saturation_parallel(const BedFactory& factory, double lo,
-                                double hi, double step,
-                                const MeasureOptions& options,
-                                std::size_t threads, double coarse_mult) {
+double find_saturation(const BedFactory& factory, double lo, double hi,
+                       double step, const MeasureOptions& options,
+                       std::size_t threads) {
   if (hi < lo) return 0.0;
-  const double coarse =
-      std::min(std::max(step * std::max(coarse_mult, 1.0), step), hi - lo);
+  const double coarse = std::min(step * kCoarseSteps, hi - lo);
   if (coarse <= 0.0) {  // degenerate range: a single point
     return measure_point(factory, lo, options).throughput_cps;
   }
 
   // Phase 1 — serial coarse bracket around the knee.
-  const SweepResult bracket =
-      sweep(factory, lo, hi, coarse, options, /*early_stop=*/true);
+  const SweepResult bracket = scan_to_knee(factory, lo, hi, coarse, options);
   double best = bracket.max_throughput_cps;
   double center = bracket.offered_at_max;
 

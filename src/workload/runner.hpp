@@ -113,46 +113,29 @@ struct SweepResult {
   double offered_at_max = 0.0;
 };
 
-/// Sweeps offered load from `lo` to `hi` in steps of `step`. When
-/// `early_stop` is set, stops after the throughput curve has clearly
-/// flattened past its maximum (saves time in saturation searches).
+// Every load point builds its own TestBed/Simulator, so points are
+// independent, deterministic simulations: fanning them across `threads`
+// workers (0 = hardware concurrency) changes wall-clock time only, never
+// the measured values.
+
+/// Measures every offered load from `lo` to `hi` in steps of `step`.
 [[nodiscard]] SweepResult sweep(const BedFactory& factory, double lo,
                                 double hi, double step,
                                 const MeasureOptions& options = {},
-                                bool early_stop = false);
+                                std::size_t threads = 0);
 
-/// Convenience: the maximum sustained throughput of the topology.
+/// The maximum sustained throughput of the topology: brackets the knee with
+/// a serial coarse scan at 4 x `step` that stops once throughput has
+/// clearly fallen past its maximum, then bisects the bracket down to `step`
+/// resolution, measuring both probe points of each level concurrently.
 [[nodiscard]] double find_saturation(const BedFactory& factory, double lo,
                                      double hi, double step,
-                                     const MeasureOptions& options = {});
-
-// ---------------------------------------------------------------------------
-// Parallel measurement. Every load point builds its own TestBed/Simulator,
-// so points are independent, deterministic simulations; fanning them across
-// threads changes wall-clock time only, never the measured values.
-// ---------------------------------------------------------------------------
-
-/// Same grid and same per-point simulations as `sweep` (without early
-/// stopping), with the points fanned across `threads` workers (0 = hardware
-/// concurrency). The result is bit-identical to the serial sweep.
-[[nodiscard]] SweepResult run_sweep_parallel(const BedFactory& factory,
-                                             double lo, double hi,
-                                             double step,
-                                             const MeasureOptions& options = {},
-                                             std::size_t threads = 0);
-
-/// Parallel saturation search: brackets the knee serially at a coarse step
-/// (early-stopping, as `find_saturation` does), then repeatedly bisects the
-/// bracket down to `step` resolution with the probe points of each level
-/// measured concurrently. Returns the maximum sustained throughput found.
-[[nodiscard]] double find_saturation_parallel(
-    const BedFactory& factory, double lo, double hi, double step,
-    const MeasureOptions& options = {}, std::size_t threads = 0,
-    double coarse_mult = 4.0);
+                                     const MeasureOptions& options = {},
+                                     std::size_t threads = 0);
 
 /// Runs arbitrary independent measurement jobs across `threads` workers,
 /// returning results in job order. For heterogeneous sweeps (per-point
-/// scenario options) that cannot go through run_sweep_parallel.
+/// scenario options) that cannot go through `sweep`.
 [[nodiscard]] std::vector<PointResult> run_points_parallel(
     const std::vector<std::function<PointResult()>>& jobs,
     std::size_t threads = 0);

@@ -379,7 +379,7 @@ TEST(StateStore, SteadyChurnMakesNoAllocations) {
 
   // Steady state: live count plateaus, every erase is matched by an
   // insert. The slab serves from its freelist and the table stays at its
-  // settled capacity — the exact contract bench_perf_core gates on.
+  // settled capacity: zero allocations (CI also runs this in Release).
   Lcg rng(0xabcdULL);
   for (std::size_t round = 0; round < 50'000; ++round) {
     const std::string& key = keys[rng.next() % kPopulation];

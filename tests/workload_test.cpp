@@ -212,12 +212,13 @@ TEST(RunnerTest, StatelessSaturatesHigherThanStateful) {
 }
 
 TEST(RunnerTest, EarlyStopDoesNotUnderestimate) {
+  // The coarse scan stops early past the knee; the bisection must still
+  // land on the full sweep's maximum.
   const BedFactory factory =
       single_proxy(scaled_options(PolicyKind::kStaticAllStateful));
   const SweepResult full = sweep(factory, 60.0, 160.0, 20.0);
-  const SweepResult stopped =
-      sweep(factory, 60.0, 160.0, 20.0, MeasureOptions{}, true);
-  EXPECT_NEAR(stopped.max_throughput_cps, full.max_throughput_cps, 2.0);
+  const double stopped = find_saturation(factory, 60.0, 160.0, 20.0);
+  EXPECT_NEAR(stopped, full.max_throughput_cps, 2.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -246,40 +247,41 @@ void expect_points_identical(const PointResult& a, const PointResult& b) {
   EXPECT_EQ(a.proxy_stateless, b.proxy_stateless);
 }
 
+/// Every `sweep` point, at 1 and at 4 threads, equals `measure_point` at
+/// that load.
+void expect_sweep_matches_points(const BedFactory& factory, double lo,
+                                 double hi, double step,
+                                 const MeasureOptions& options) {
+  const SweepResult one = sweep(factory, lo, hi, step, options, 1);
+  const SweepResult four = sweep(factory, lo, hi, step, options, 4);
+  ASSERT_EQ(one.points.size(), four.points.size());
+  for (std::size_t i = 0; i < one.points.size(); ++i) {
+    SCOPED_TRACE(i);
+    const PointResult serial =
+        measure_point(factory, one.points[i].offered_cps, options);
+    expect_points_identical(one.points[i], serial);
+    expect_points_identical(four.points[i], serial);
+  }
+  EXPECT_EQ(one.max_throughput_cps, four.max_throughput_cps);
+  EXPECT_EQ(one.offered_at_max, four.offered_at_max);
+}
+
 TEST(ParallelRunnerTest, SweepMatchesSerialBitForBit) {
-  const BedFactory factory =
-      single_proxy(scaled_options(PolicyKind::kStaticAllStateful));
   MeasureOptions options;
   options.warmup = SimTime::seconds(1.0);
   options.measure = SimTime::seconds(2.0);
-
-  const SweepResult serial = sweep(factory, 40.0, 130.0, 15.0, options);
-  const SweepResult parallel =
-      run_sweep_parallel(factory, 40.0, 130.0, 15.0, options, 4);
-
-  ASSERT_EQ(parallel.points.size(), serial.points.size());
-  for (std::size_t i = 0; i < serial.points.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_points_identical(serial.points[i], parallel.points[i]);
-  }
-  EXPECT_EQ(parallel.max_throughput_cps, serial.max_throughput_cps);
-  EXPECT_EQ(parallel.offered_at_max, serial.offered_at_max);
+  expect_sweep_matches_points(
+      single_proxy(scaled_options(PolicyKind::kStaticAllStateful)), 40.0,
+      130.0, 15.0, options);
 }
 
 TEST(ParallelRunnerTest, SingleThreadSweepAlsoMatches) {
-  const BedFactory factory =
-      single_proxy(scaled_options(PolicyKind::kStaticAllStateless));
   MeasureOptions options;
   options.warmup = SimTime::seconds(1.0);
   options.measure = SimTime::seconds(2.0);
-  const SweepResult serial = sweep(factory, 100.0, 140.0, 10.0, options);
-  const SweepResult parallel =
-      run_sweep_parallel(factory, 100.0, 140.0, 10.0, options, 1);
-  ASSERT_EQ(parallel.points.size(), serial.points.size());
-  for (std::size_t i = 0; i < serial.points.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_points_identical(serial.points[i], parallel.points[i]);
-  }
+  expect_sweep_matches_points(
+      single_proxy(scaled_options(PolicyKind::kStaticAllStateless)), 100.0,
+      140.0, 10.0, options);
 }
 
 TEST(ParallelRunnerTest, FindSaturationParallelNearSerial) {
@@ -288,13 +290,14 @@ TEST(ParallelRunnerTest, FindSaturationParallelNearSerial) {
   MeasureOptions options;
   options.warmup = SimTime::seconds(1.0);
   options.measure = SimTime::seconds(2.0);
-  const double serial = find_saturation(factory, 60.0, 160.0, 10.0, options);
-  const double parallel =
-      find_saturation_parallel(factory, 60.0, 160.0, 10.0, options, 4);
-  // Bisection probes a subset of the serial grid; both must land at the
-  // same saturation plateau (~103.6 cps at this scale).
-  EXPECT_NEAR(parallel, serial, 6.0);
-  EXPECT_NEAR(parallel, 103.6, 8.0);
+  const SweepResult full = sweep(factory, 60.0, 160.0, 10.0, options);
+  const double one = find_saturation(factory, 60.0, 160.0, 10.0, options, 1);
+  const double four = find_saturation(factory, 60.0, 160.0, 10.0, options, 4);
+  // Bisection probes off the sweep grid; it must land on the same
+  // saturation plateau (~103.6 cps at this scale) at any thread count.
+  EXPECT_EQ(one, four);
+  EXPECT_NEAR(four, full.max_throughput_cps, 6.0);
+  EXPECT_NEAR(four, 103.6, 8.0);
 }
 
 TEST(ParallelRunnerTest, RunPointsParallelKeepsJobOrder) {
