@@ -17,10 +17,6 @@ using namespace svk;
 using namespace svk::bench;
 using workload::PolicyKind;
 
-double g_static_all = 0.0;
-double g_static_entry = 0.0;
-double g_dynamic = 0.0;
-
 workload::ScenarioOptions auth_options(PolicyKind policy) {
   auto options = scenario(policy);
   options.stateful_mode = profile::HandlingMode::kDialogStatefulAuth;
@@ -38,55 +34,37 @@ double find_sat(PolicyKind policy) {
   return find_saturation_full(factory, 6500.0, 13000.0, 500.0);
 }
 
-void BM_Auth_StaticAll(benchmark::State& state) {
-  for (auto _ : state) g_static_all = find_sat(PolicyKind::kStaticAllStateful);
-  state.counters["saturation_cps"] = g_static_all;
-}
-BENCHMARK(BM_Auth_StaticAll)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void BM_Auth_StaticEntry(benchmark::State& state) {
-  for (auto _ : state) {
-    g_static_entry = find_sat(PolicyKind::kStaticChainFirstStateful);
-  }
-  state.counters["saturation_cps"] = g_static_entry;
-}
-BENCHMARK(BM_Auth_StaticEntry)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void BM_Auth_Servartuka(benchmark::State& state) {
-  for (auto _ : state) g_dynamic = find_sat(PolicyKind::kServartuka);
-  state.counters["saturation_cps"] = g_dynamic;
-}
-BENCHMARK(BM_Auth_Servartuka)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void print_summary() {
+void print_summary(double static_all, double static_entry,
+                   double dynamic) {
   print_header("Ablation: distributing authentication (Sections 6.2/8)",
                "two-server chain, Digest auth + dialog state");
   std::printf("\nmeasured (saturation, cps):\n");
   std::printf("  static, both nodes auth+stateful:   %10.0f\n",
-              g_static_all);
+              static_all);
   std::printf("  static, entry auth+stateful:        %10.0f\n",
-              g_static_entry);
-  std::printf("  SERvartuka (auth follows state):    %10.0f\n", g_dynamic);
+              static_entry);
+  std::printf("  SERvartuka (auth follows state):    %10.0f\n", dynamic);
   std::printf("\nimprovement over the static default: %+.0f%%"
               " (paper: 'significantly larger'\n than the ~15-20%% state-only"
               " gains)\n",
-              100.0 * (g_dynamic / g_static_all - 1.0));
+              100.0 * (dynamic / static_all - 1.0));
 }
 
-void write_json() {
+bool write_json(double static_all, double static_entry, double dynamic) {
   BenchReport report("abl_auth_distribution");
-  report.add_metric("static_all_saturation_cps", g_static_all);
-  report.add_metric("static_entry_saturation_cps", g_static_entry);
-  report.add_metric("servartuka_saturation_cps", g_dynamic);
-  report.write();
+  report.add_metric("static_all_saturation_cps", static_all);
+  report.add_metric("static_entry_saturation_cps", static_entry);
+  report.add_metric("servartuka_saturation_cps", dynamic);
+  return report.write();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  svk::bench::initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_summary();
-  write_json();
-  return 0;
+  svk::bench::initialize(argc, argv);
+  const double static_all = find_sat(PolicyKind::kStaticAllStateful);
+  const double static_entry = find_sat(PolicyKind::kStaticChainFirstStateful);
+  const double dynamic = find_sat(PolicyKind::kServartuka);
+  print_summary(static_all, static_entry, dynamic);
+  return write_json(static_all, static_entry, dynamic) ? 0 : 1;
 }

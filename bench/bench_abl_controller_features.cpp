@@ -26,83 +26,76 @@ constexpr double kOffered = 10700.0;
 struct Variant {
   const char* name;
   std::function<void(core::ControllerConfig&)> tweak;
-  double throughput = 0.0;
 };
 
-std::vector<Variant> g_variants = {
-    {"full controller", [](core::ControllerConfig&) {}, 0.0},
+const Variant kVariants[] = {
+    {"full controller", [](core::ControllerConfig&) {}},
     {"no utilization feedback",
-     [](core::ControllerConfig& c) { c.utilization_feedback = false; }, 0.0},
+     [](core::ControllerConfig& c) { c.utilization_feedback = false; }},
     {"no share smoothing",
-     [](core::ControllerConfig& c) { c.share_smoothing_gain = 1.0; }, 0.0},
+     [](core::ControllerConfig& c) { c.share_smoothing_gain = 1.0; }},
     {"no headroom (target util 1.0)",
-     [](core::ControllerConfig& c) { c.target_utilization = 1.0; }, 0.0},
+     [](core::ControllerConfig& c) { c.target_utilization = 1.0; }},
     {"paper-literal (all off)",
      [](core::ControllerConfig& c) {
        c.utilization_feedback = false;
        c.share_smoothing_gain = 1.0;
        c.target_utilization = 1.0;
-     },
-     0.0},
+     }},
 };
 
 /// The variants are independent single-point simulations; fan them across
-/// the runner's worker threads in one benchmark iteration.
-void BM_ControllerVariants(benchmark::State& state) {
-  for (auto _ : state) {
-    std::vector<std::function<workload::PointResult()>> jobs;
-    for (const Variant& variant : g_variants) {
-      jobs.emplace_back([&variant] {
-        auto options = scenario(PolicyKind::kServartuka);
-        options.controller_tweak = variant.tweak;
-        auto mo = measure_options();
-        mo.measure = SimTime::seconds(15.0);
-        return workload::measure_point(workload::series_chain(2, options),
-                                       scaled(kOffered), mo);
-      });
-    }
-    const auto results = workload::run_points_parallel(jobs, g_threads);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      g_variants[i].throughput = full(results[i].throughput_cps);
-    }
+/// the runner's worker threads. Returns full-scale throughput per variant.
+std::vector<double> run_variants() {
+  std::vector<std::function<workload::PointResult()>> jobs;
+  for (const Variant& variant : kVariants) {
+    jobs.emplace_back([&variant] {
+      auto options = scenario(PolicyKind::kServartuka);
+      options.controller_tweak = variant.tweak;
+      auto mo = measure_options();
+      mo.measure = SimTime::seconds(15.0);
+      return workload::measure_point(workload::series_chain(2, options),
+                                     scaled(kOffered), mo);
+    });
   }
-  state.counters["variants"] = static_cast<double>(g_variants.size());
+  std::vector<double> throughput;
+  for (const auto& point : workload::run_points_parallel(jobs, g_threads)) {
+    throughput.push_back(full(point.throughput_cps));
+  }
+  return throughput;
 }
-BENCHMARK(BM_ControllerVariants)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
-void print_summary() {
+void print_summary(const std::vector<double>& throughput) {
   print_header("Ablation: controller stabilizations",
                "two-chain throughput at 10700 cps offered");
   std::printf("%-34s %18s\n", "variant", "throughput (cps)");
-  for (const Variant& v : g_variants) {
-    std::printf("%-34s %18.0f\n", v.name, v.throughput);
+  for (std::size_t i = 0; i < throughput.size(); ++i) {
+    std::printf("%-34s %18.0f\n", kVariants[i].name, throughput[i]);
   }
   std::printf("\n(the paper's algorithms assume the open-loop thresholds"
               " are exact; inside a\n closed loop each stabilization"
               " recovers throughput the verbatim version loses)\n");
 }
 
-void write_json() {
+bool write_json(const std::vector<double>& throughput) {
   BenchReport report("abl_controller_features");
   JsonValue& variants = report.root()["variants"];
   variants = JsonValue::array();
-  for (const Variant& v : g_variants) {
+  for (std::size_t i = 0; i < throughput.size(); ++i) {
     JsonValue entry = JsonValue::object();
-    entry["name"] = v.name;
-    entry["throughput_cps"] = v.throughput;
+    entry["name"] = kVariants[i].name;
+    entry["throughput_cps"] = throughput[i];
     variants.push_back(std::move(entry));
   }
   report.add_metric("offered_cps", kOffered);
-  report.write();
+  return report.write();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  svk::bench::initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_summary();
-  write_json();
-  return 0;
+  svk::bench::initialize(argc, argv);
+  const std::vector<double> throughput = run_variants();
+  print_summary(throughput);
+  return write_json(throughput) ? 0 : 1;
 }

@@ -36,8 +36,11 @@ struct AxisPoint {
   double static_tput;  // full-scale cps
   double dynamic_tput;
 };
-std::vector<AxisPoint> g_loss_points;
-std::vector<AxisPoint> g_crash_points;
+
+struct Axes {
+  std::vector<AxisPoint> loss;
+  std::vector<AxisPoint> crash;
+};
 
 std::function<workload::PointResult()> make_loss_job(PolicyKind policy,
                                                      double loss) {
@@ -78,47 +81,41 @@ std::function<workload::PointResult()> make_crash_job(PolicyKind policy,
   };
 }
 
-void BM_FaultRecoverySweep(benchmark::State& state) {
-  for (auto _ : state) {
-    std::vector<std::function<workload::PointResult()>> jobs;
-    for (const double loss : kLossRates) {
-      jobs.push_back(make_loss_job(PolicyKind::kStaticAllStateful, loss));
-      jobs.push_back(make_loss_job(PolicyKind::kServartuka, loss));
-    }
-    for (const double outage : kOutagesS) {
-      jobs.push_back(make_crash_job(PolicyKind::kStaticAllStateful, outage));
-      jobs.push_back(make_crash_job(PolicyKind::kServartuka, outage));
-    }
-    const auto results = workload::run_points_parallel(jobs, g_threads);
-
-    g_loss_points.clear();
-    g_crash_points.clear();
-    std::size_t j = 0;
-    for (const double loss : kLossRates) {
-      const double s = full(results[j++].throughput_cps);
-      const double d = full(results[j++].throughput_cps);
-      g_loss_points.push_back(AxisPoint{loss, s, d});
-    }
-    for (const double outage : kOutagesS) {
-      const double s = full(results[j++].throughput_cps);
-      const double d = full(results[j++].throughput_cps);
-      g_crash_points.push_back(AxisPoint{outage, s, d});
-    }
+Axes run_axes() {
+  std::vector<std::function<workload::PointResult()>> jobs;
+  for (const double loss : kLossRates) {
+    jobs.push_back(make_loss_job(PolicyKind::kStaticAllStateful, loss));
+    jobs.push_back(make_loss_job(PolicyKind::kServartuka, loss));
   }
-  state.counters["points"] =
-      static_cast<double>(g_loss_points.size() + g_crash_points.size());
-}
-BENCHMARK(BM_FaultRecoverySweep)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+  for (const double outage : kOutagesS) {
+    jobs.push_back(make_crash_job(PolicyKind::kStaticAllStateful, outage));
+    jobs.push_back(make_crash_job(PolicyKind::kServartuka, outage));
+  }
+  const auto results = workload::run_points_parallel(jobs, g_threads);
 
-void print_summary() {
+  Axes axes;
+  std::size_t j = 0;
+  for (const double loss : kLossRates) {
+    const double s = full(results[j++].throughput_cps);
+    const double d = full(results[j++].throughput_cps);
+    axes.loss.push_back(AxisPoint{loss, s, d});
+  }
+  for (const double outage : kOutagesS) {
+    const double s = full(results[j++].throughput_cps);
+    const double d = full(results[j++].throughput_cps);
+    axes.crash.push_back(AxisPoint{outage, s, d});
+  }
+  return axes;
+}
+
+void print_summary(const Axes& axes) {
   print_header("Ablation: fault recovery",
                "two-series throughput at 11000 cps offered");
 
   std::printf("\noverload-signal loss (series chain):\n");
   std::printf("%-14s %16s %16s\n", "loss", "static (cps)",
               "SERvartuka (cps)");
-  for (const AxisPoint& p : g_loss_points) {
+  for (const AxisPoint& p : axes.loss) {
     std::printf("%-14.2f %16.0f %16.0f\n", p.x, p.static_tput,
                 p.dynamic_tput);
   }
@@ -126,7 +123,7 @@ void print_summary() {
   std::printf("\nproxy1 crash/restart (two-series with 30%% internal):\n");
   std::printf("%-14s %16s %16s\n", "outage (s)", "static (cps)",
               "SERvartuka (cps)");
-  for (const AxisPoint& p : g_crash_points) {
+  for (const AxisPoint& p : axes.crash) {
     std::printf("%-14.1f %16.0f %16.0f\n", p.x, p.static_tput,
                 p.dynamic_tput);
   }
@@ -136,12 +133,12 @@ void print_summary() {
               " shed stale overload state after the restart)\n");
 }
 
-void write_json() {
+bool write_json(const Axes& axes) {
   BenchReport report("abl_fault_recovery");
 
   JsonValue& loss = report.root()["signal_loss"];
   loss = JsonValue::array();
-  for (const AxisPoint& p : g_loss_points) {
+  for (const AxisPoint& p : axes.loss) {
     JsonValue entry = JsonValue::object();
     entry["loss"] = p.x;
     entry["static_throughput_cps"] = p.static_tput;
@@ -151,7 +148,7 @@ void write_json() {
 
   JsonValue& crash = report.root()["crash_outage"];
   crash = JsonValue::array();
-  for (const AxisPoint& p : g_crash_points) {
+  for (const AxisPoint& p : axes.crash) {
     JsonValue entry = JsonValue::object();
     entry["outage_s"] = p.x;
     entry["static_throughput_cps"] = p.static_tput;
@@ -160,15 +157,14 @@ void write_json() {
   }
 
   report.add_metric("offered_cps", kOffered);
-  report.write();
+  return report.write();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  svk::bench::initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_summary();
-  write_json();
-  return 0;
+  svk::bench::initialize(argc, argv);
+  const Axes axes = run_axes();
+  print_summary(axes);
+  return write_json(axes) ? 0 : 1;
 }

@@ -13,10 +13,6 @@ using workload::PolicyKind;
 
 constexpr double kEntryScale = 3.0;  // entry is 3x the exits
 
-double g_static = 0.0;
-double g_dynamic = 0.0;
-double g_entry_stateful_share = 0.0;
-
 workload::ScenarioOptions hetero_options(PolicyKind policy) {
   auto options = scenario(policy);
   options.capacity_scale = {kScale * kEntryScale, kScale, kScale};
@@ -28,39 +24,24 @@ double find_sat(PolicyKind policy) {
   return find_saturation_full(factory, 12000.0, 26000.0, 1000.0);
 }
 
-void BM_Hetero_StaticFork(benchmark::State& state) {
-  for (auto _ : state) {
-    g_static = find_sat(PolicyKind::kStaticChainLastStateful);
-  }
-  state.counters["saturation_cps"] = g_static;
+/// Share of all stateful forwards done by the entry proxy in a SERvartuka
+/// fork offered `offered_full` cps: where the state ends up at high load.
+double entry_stateful_share(double offered_full) {
+  auto bed = workload::parallel_fork(
+      hetero_options(PolicyKind::kServartuka))(scaled(offered_full));
+  bed->start_load();
+  bed->sim().run_until(SimTime::seconds(15.0));
+  const auto& p0 = bed->proxies()[0]->stats();
+  const auto& pa = bed->proxies()[1]->stats();
+  const auto& pb = bed->proxies()[2]->stats();
+  const double total = static_cast<double>(
+      p0.forwarded_stateful + pa.forwarded_stateful + pb.forwarded_stateful);
+  return total > 0.0 ? static_cast<double>(p0.forwarded_stateful) / total
+                     : 0.0;
 }
-BENCHMARK(BM_Hetero_StaticFork)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
-void BM_Hetero_Servartuka(benchmark::State& state) {
-  for (auto _ : state) {
-    g_dynamic = find_sat(PolicyKind::kServartuka);
-    // Inspect where the state ends up at high load.
-    auto bed = workload::parallel_fork(
-        hetero_options(PolicyKind::kServartuka))(scaled(g_dynamic));
-    bed->start_load();
-    bed->sim().run_until(SimTime::seconds(15.0));
-    const auto& p0 = bed->proxies()[0]->stats();
-    const auto& pa = bed->proxies()[1]->stats();
-    const auto& pb = bed->proxies()[2]->stats();
-    const double total = static_cast<double>(
-        p0.forwarded_stateful + pa.forwarded_stateful + pb.forwarded_stateful);
-    g_entry_stateful_share =
-        total > 0.0 ? static_cast<double>(p0.forwarded_stateful) / total
-                    : 0.0;
-  }
-  state.counters["saturation_cps"] = g_dynamic;
-  state.counters["entry_state_share"] = g_entry_stateful_share;
-}
-BENCHMARK(BM_Hetero_Servartuka)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void print_summary() {
+void print_summary(double static_sat, double dynamic_sat,
+                   double entry_share) {
   print_header("Ablation: heterogeneous fork (Section 6.2)",
                "entry 3x the exits, 50/50 split");
 
@@ -80,35 +61,36 @@ void print_summary() {
 
   std::printf("\nmeasured (saturation, cps):\n");
   std::printf("  static standard fork (entry stateless):   %10.0f\n",
-              g_static);
+              static_sat);
   std::printf("  SERvartuka:                               %10.0f\n",
-              g_dynamic);
+              dynamic_sat);
   std::printf("  LP bound:                                 %10.0f"
               " (entry keeps %.0f cps of state)\n",
               lp_result.max_throughput, lp_result.node_stateful[0]);
   std::printf("  SERvartuka entry share of stateful calls: %10.2f\n",
-              g_entry_stateful_share);
+              entry_share);
   std::printf("\n(Section 6.2: with a larger first server it is beneficial"
               " for the entry to\n maintain some or all state; SERvartuka"
               " adapts while the static standard cannot.)\n");
 }
 
-void write_json() {
+bool write_json(double static_sat, double dynamic_sat,
+                double entry_share) {
   BenchReport report("abl_heterogeneous");
   report.add_metric("entry_capacity_scale", kEntryScale);
-  report.add_metric("static_saturation_cps", g_static);
-  report.add_metric("servartuka_saturation_cps", g_dynamic);
-  report.add_metric("servartuka_entry_stateful_share",
-                    g_entry_stateful_share);
-  report.write();
+  report.add_metric("static_saturation_cps", static_sat);
+  report.add_metric("servartuka_saturation_cps", dynamic_sat);
+  report.add_metric("servartuka_entry_stateful_share", entry_share);
+  return report.write();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  svk::bench::initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_summary();
-  write_json();
-  return 0;
+  svk::bench::initialize(argc, argv);
+  const double static_sat = find_sat(PolicyKind::kStaticChainLastStateful);
+  const double dynamic_sat = find_sat(PolicyKind::kServartuka);
+  const double entry_share = entry_stateful_share(dynamic_sat);
+  print_summary(static_sat, dynamic_sat, entry_share);
+  return write_json(static_sat, dynamic_sat, entry_share) ? 0 : 1;
 }

@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
       break;
     }
   }
-  svk::bench::initialize(&argc, argv);
+  svk::bench::initialize(argc, argv);
 
   print_header("abl_overload_algorithms",
                "overload controls {none, local, hop-by-hop} x state "

@@ -19,7 +19,6 @@ struct BoundPoint {
   double static_tput;
   double dynamic_tput;
 };
-std::vector<BoundPoint> g_points;
 
 // Offered load just past the static chain's knee.
 constexpr double kOffered = 9600.0;
@@ -41,32 +40,28 @@ std::function<workload::PointResult()> make_job(PolicyKind policy,
 
 /// Every (bound, policy) combination is an independent simulation; fan all
 /// of them across the runner's worker threads at once.
-void BM_OverloadBoundSweep(benchmark::State& state) {
-  for (auto _ : state) {
-    std::vector<std::function<workload::PointResult()>> jobs;
-    for (const double bound_ms : kBoundsMs) {
-      jobs.push_back(make_job(PolicyKind::kStaticAllStateful, bound_ms));
-      jobs.push_back(make_job(PolicyKind::kServartuka, bound_ms));
-    }
-    const auto results = workload::run_points_parallel(jobs, g_threads);
-    g_points.clear();
-    for (std::size_t i = 0; i < std::size(kBoundsMs); ++i) {
-      g_points.push_back(
-          BoundPoint{kBoundsMs[i], full(results[2 * i].throughput_cps),
-                     full(results[2 * i + 1].throughput_cps)});
-    }
+std::vector<BoundPoint> run_bounds() {
+  std::vector<std::function<workload::PointResult()>> jobs;
+  for (const double bound_ms : kBoundsMs) {
+    jobs.push_back(make_job(PolicyKind::kStaticAllStateful, bound_ms));
+    jobs.push_back(make_job(PolicyKind::kServartuka, bound_ms));
   }
-  state.counters["points"] = static_cast<double>(g_points.size());
+  const auto results = workload::run_points_parallel(jobs, g_threads);
+  std::vector<BoundPoint> points;
+  for (std::size_t i = 0; i < std::size(kBoundsMs); ++i) {
+    points.push_back(BoundPoint{kBoundsMs[i],
+                                full(results[2 * i].throughput_cps),
+                                full(results[2 * i + 1].throughput_cps)});
+  }
+  return points;
 }
-BENCHMARK(BM_OverloadBoundSweep)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
-void print_summary() {
+void print_summary(const std::vector<BoundPoint>& bounds) {
   print_header("Ablation: overload-control queue bound",
                "two-chain throughput at 9600 cps offered");
   std::printf("%-14s %16s %16s\n", "bound (ms)", "static (cps)",
               "SERvartuka (cps)");
-  for (const BoundPoint& p : g_points) {
+  for (const BoundPoint& p : bounds) {
     std::printf("%-14.0f %16.0f %16.0f\n", p.bound_ms, p.static_tput,
                 p.dynamic_tput);
   }
@@ -75,11 +70,11 @@ void print_summary() {
               " queues — throughput collapses)\n");
 }
 
-void write_json() {
+bool write_json(const std::vector<BoundPoint>& bounds) {
   BenchReport report("abl_overload_control");
   JsonValue& points = report.root()["bounds"];
   points = JsonValue::array();
-  for (const BoundPoint& p : g_points) {
+  for (const BoundPoint& p : bounds) {
     JsonValue entry = JsonValue::object();
     entry["bound_ms"] = p.bound_ms;
     entry["static_throughput_cps"] = p.static_tput;
@@ -87,15 +82,14 @@ void write_json() {
     points.push_back(std::move(entry));
   }
   report.add_metric("offered_cps", kOffered);
-  report.write();
+  return report.write();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  svk::bench::initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_summary();
-  write_json();
-  return 0;
+  svk::bench::initialize(argc, argv);
+  const std::vector<BoundPoint> bounds = run_bounds();
+  print_summary(bounds);
+  return write_json(bounds) ? 0 : 1;
 }

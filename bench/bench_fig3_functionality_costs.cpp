@@ -45,53 +45,54 @@ struct ModeResult {
   std::uint64_t calls = 0;
   profile::CostVector breakdown;
 };
-std::array<ModeResult, kNumModes> g_results;
+using ModeResults = std::array<ModeResult, kNumModes>;
+
+constexpr CostBlock kOrder[] = {
+    CostBlock::kParsing, CostBlock::kMemory,  CostBlock::kLumping,
+    CostBlock::kRouting, CostBlock::kHashing, CostBlock::kLookup,
+    CostBlock::kState,   CostBlock::kAuth,    CostBlock::kOther,
+};
+
+/// CPU events per completed call spent in `block`.
+double per_call(const ModeResult& result, CostBlock block) {
+  return result.calls ? result.breakdown[block] /
+                            static_cast<double>(result.calls)
+                      : 0.0;
+}
 
 /// Runs one mode at 1 cps for the paper's 10 minutes and profiles the proxy.
-void BM_Fig3_Mode(benchmark::State& state) {
-  const ModeSpec& spec = kModes[static_cast<std::size_t>(state.range(0))];
+ModeResult run_mode(const ModeSpec& spec) {
+  ScenarioOptions options;  // full calibrated capacity: load is trivial
+  options.policy = spec.policy;
+  options.stateful_mode = spec.stateful_mode;
+  // The stateless policy must also run in the scenario's *stateless*
+  // mode under measurement; the no-lookup case turns lookups off.
+  options.stateless_mode =
+      spec.stateful_mode == HandlingMode::kStatelessNoLookup
+          ? HandlingMode::kStatelessNoLookup
+          : HandlingMode::kStateless;
+  options.authenticate = spec.authenticate;
+  options.num_uacs = 2;  // the paper: two SIPp clients at 1 cps total
+
+  auto bed = workload::single_proxy(options)(1.0);
+  bed->start_load();
+  bed->sim().run_until(SimTime::seconds(600.0));  // 10 minutes
+  bed->stop_load();
+  bed->sim().run_until(SimTime::seconds(605.0));
+
+  const auto& proxy = *bed->proxies()[0];
   ModeResult result;
-  for (auto _ : state) {
-    ScenarioOptions options;  // full calibrated capacity: load is trivial
-    options.policy = spec.policy;
-    options.stateful_mode = spec.stateful_mode;
-    // The stateless policy must also run in the scenario's *stateless*
-    // mode under measurement; the no-lookup case turns lookups off.
-    options.stateless_mode =
-        spec.stateful_mode == HandlingMode::kStatelessNoLookup
-            ? HandlingMode::kStatelessNoLookup
-            : HandlingMode::kStateless;
-    options.authenticate = spec.authenticate;
-    options.num_uacs = 2;  // the paper: two SIPp clients at 1 cps total
-
-    auto bed = workload::single_proxy(options)(1.0);
-    bed->start_load();
-    bed->sim().run_until(SimTime::seconds(600.0));  // 10 minutes
-    bed->stop_load();
-    bed->sim().run_until(SimTime::seconds(605.0));
-
-    const auto& proxy = *bed->proxies()[0];
-    result.calls = bed->total_completed_calls();
-    result.breakdown = proxy.profiler().snapshot();
-    result.events_per_call =
-        proxy.profiler().application_events() /
-        static_cast<double>(result.calls);
-  }
-  g_results[static_cast<std::size_t>(state.range(0))] = result;
-  state.counters["events_per_call"] = result.events_per_call;
-  state.counters["calls"] = static_cast<double>(result.calls);
+  result.calls = bed->total_completed_calls();
+  result.breakdown = proxy.profiler().snapshot();
+  result.events_per_call =
+      proxy.profiler().application_events() /
+      static_cast<double>(result.calls);
+  return result;
 }
-BENCHMARK(BM_Fig3_Mode)->DenseRange(0, kNumModes - 1)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
-void print_summary() {
+void print_summary(const ModeResults& results) {
   print_header("Figure 3", "per-call CPU events by server functionality");
 
-  static constexpr CostBlock kOrder[] = {
-      CostBlock::kParsing, CostBlock::kMemory,  CostBlock::kLumping,
-      CostBlock::kRouting, CostBlock::kHashing, CostBlock::kLookup,
-      CostBlock::kState,   CostBlock::kAuth,    CostBlock::kOther,
-  };
   std::printf("%-16s", "block");
   for (const ModeSpec& spec : kModes) {
     std::printf(" %14s", std::string(to_string(spec.stateful_mode)).c_str());
@@ -100,61 +101,46 @@ void print_summary() {
   for (const CostBlock block : kOrder) {
     std::printf("%-16s", std::string(to_string(block)).c_str());
     for (std::size_t m = 0; m < kNumModes; ++m) {
-      const double per_call =
-          g_results[m].calls
-              ? g_results[m].breakdown[block] /
-                    static_cast<double>(g_results[m].calls)
-              : 0.0;
-      std::printf(" %14.1f", per_call);
+      std::printf(" %14.1f", per_call(results[m], block));
     }
     std::printf("\n");
   }
   std::printf("%-16s", "TOTAL");
   for (std::size_t m = 0; m < kNumModes; ++m) {
-    std::printf(" %14.1f", g_results[m].events_per_call);
+    std::printf(" %14.1f", results[m].events_per_call);
   }
   std::printf("\n\npaper vs measured (application CPU events per call):\n");
   for (std::size_t m = 0; m < kNumModes; ++m) {
     print_paper_row(std::string(to_string(kModes[m].stateful_mode)).c_str(),
-                    kModes[m].paper_events, g_results[m].events_per_call);
+                    kModes[m].paper_events, results[m].events_per_call);
   }
 }
 
-void write_json() {
+bool write_json(const ModeResults& results) {
   BenchReport report("fig3_functionality_costs");
   JsonValue& modes = report.root()["modes"];
   modes = JsonValue::array();
-  static constexpr CostBlock kOrder[] = {
-      CostBlock::kParsing, CostBlock::kMemory,  CostBlock::kLumping,
-      CostBlock::kRouting, CostBlock::kHashing, CostBlock::kLookup,
-      CostBlock::kState,   CostBlock::kAuth,    CostBlock::kOther,
-  };
   for (std::size_t m = 0; m < kNumModes; ++m) {
     JsonValue entry = JsonValue::object();
     entry["mode"] = std::string(to_string(kModes[m].stateful_mode));
-    entry["events_per_call"] = g_results[m].events_per_call;
+    entry["events_per_call"] = results[m].events_per_call;
     entry["paper_events_per_call"] = kModes[m].paper_events;
-    entry["calls"] = g_results[m].calls;
+    entry["calls"] = results[m].calls;
     JsonValue& blocks = entry["blocks"];
     for (const CostBlock block : kOrder) {
-      const double per_call =
-          g_results[m].calls
-              ? g_results[m].breakdown[block] /
-                    static_cast<double>(g_results[m].calls)
-              : 0.0;
-      blocks[std::string(to_string(block))] = per_call;
+      blocks[std::string(to_string(block))] = per_call(results[m], block);
     }
     modes.push_back(std::move(entry));
   }
-  report.write();
+  return report.write();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  svk::bench::initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_summary();
-  write_json();
-  return 0;
+  svk::bench::initialize(argc, argv);
+  ModeResults results;
+  for (std::size_t m = 0; m < kNumModes; ++m) results[m] = run_mode(kModes[m]);
+  print_summary(results);
+  return write_json(results) ? 0 : 1;
 }

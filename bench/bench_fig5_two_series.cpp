@@ -14,56 +14,23 @@ using namespace svk;
 using namespace svk::bench;
 using workload::PolicyKind;
 
-Series g_static;
-Series g_best_static;
-Series g_dynamic;
-
 constexpr double kLo = 7000.0;
 constexpr double kHi = 13000.0;
 constexpr double kStep = 500.0;
 
-void BM_Fig5_StaticConfiguration(benchmark::State& state) {
-  for (auto _ : state) {
-    g_static = run_throughput_series(
-        "static(all-SF)",
-        workload::series_chain(2, scenario(PolicyKind::kStaticAllStateful)),
-        kLo, kHi, kStep);
-  }
-  state.counters["saturation_cps"] = g_static.max_value;
+Series run_chain(const char* name, PolicyKind policy) {
+  return run_throughput_series(
+      name, workload::series_chain(2, scenario(policy)), kLo, kHi, kStep);
 }
-BENCHMARK(BM_Fig5_StaticConfiguration)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
-void BM_Fig5_BestStatic(benchmark::State& state) {
-  for (auto _ : state) {
-    g_best_static = run_throughput_series(
-        "static(one-SF)",
-        workload::series_chain(
-            2, scenario(PolicyKind::kStaticChainFirstStateful)),
-        kLo, kHi, kStep);
-  }
-  state.counters["saturation_cps"] = g_best_static.max_value;
-}
-BENCHMARK(BM_Fig5_BestStatic)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void BM_Fig5_Servartuka(benchmark::State& state) {
-  for (auto _ : state) {
-    g_dynamic = run_throughput_series(
-        "SERvartuka",
-        workload::series_chain(2, scenario(PolicyKind::kServartuka)), kLo,
-        kHi, kStep);
-  }
-  state.counters["saturation_cps"] = g_dynamic.max_value;
-}
-BENCHMARK(BM_Fig5_Servartuka)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void print_summary() {
+void print_summary(const Series& static_sf, const Series& best_static,
+                   const Series& dynamic) {
   print_header("Figure 5", "two servers in series — throughput");
   print_series_table("throughput vs offered load",
                      "calls/second, full-scale equivalents",
-                     {g_static, g_best_static, g_dynamic});
+                     {static_sf, best_static, dynamic});
   print_ascii_chart("throughput (cps) vs offered load (cps)",
-                    {g_static, g_best_static, g_dynamic});
+                    {static_sf, best_static, dynamic});
 
   lp::StateDistributionModel model;
   const auto s1 = model.add_node("s1", 10360.0, 12300.0);
@@ -74,40 +41,46 @@ void print_summary() {
   const auto lp_result = model.solve();
 
   std::printf("\npaper vs measured (saturation, cps):\n");
-  print_paper_row("static configuration", 8540.0, g_static.max_value);
-  print_paper_row("SERvartuka", 9790.0, g_dynamic.max_value);
+  print_paper_row("static configuration", 8540.0, static_sf.max_value);
+  print_paper_row("SERvartuka", 9790.0, dynamic.max_value);
   print_paper_row("LP optimum (upper bound)", 11240.0,
                   lp_result.max_throughput);
   std::printf("\nimprovement: paper +15%%, measured %+.0f%%"
               " (best hand-tuned static: %.0f cps)\n",
-              100.0 * (g_dynamic.max_value / g_static.max_value - 1.0),
-              g_best_static.max_value);
+              100.0 * (dynamic.max_value / static_sf.max_value - 1.0),
+              best_static.max_value);
 }
 
-void write_json() {
+bool write_json(const Series& static_sf, const Series& best_static,
+                const Series& dynamic) {
   BenchReport report("fig5_two_series");
-  // With --trace= / --metrics=: one observed SERvartuka run near the
-  // paper's saturation point, exporting trace + controller audit series.
-  run_traced_smoke(report,
-                   workload::series_chain(2, scenario(PolicyKind::kServartuka)),
-                   9500.0);
-  report.add_series(g_static);
-  report.add_series(g_best_static);
-  report.add_series(g_dynamic);
-  report.add_metric("static_saturation_cps", g_static.max_value);
-  report.add_metric("best_static_saturation_cps", g_best_static.max_value);
-  report.add_metric("servartuka_saturation_cps", g_dynamic.max_value);
+  report.add_series(static_sf);
+  report.add_series(best_static);
+  report.add_series(dynamic);
+  report.add_metric("static_saturation_cps", static_sf.max_value);
+  report.add_metric("best_static_saturation_cps", best_static.max_value);
+  report.add_metric("servartuka_saturation_cps", dynamic.max_value);
   report.add_metric("paper_static_saturation_cps", 8540.0);
   report.add_metric("paper_servartuka_saturation_cps", 9790.0);
-  report.write();
+  return report.write();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  svk::bench::initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_summary();
-  write_json();
-  return 0;
+  svk::bench::initialize(argc, argv, /*has_smoke_point=*/true);
+  if (observability_requested()) {
+    // One observed SERvartuka run near the paper's saturation point,
+    // exporting trace + controller audit series.
+    return run_traced_smoke(
+        "fig5_two_series",
+        workload::series_chain(2, scenario(PolicyKind::kServartuka)), 9500.0);
+  }
+  const Series static_sf =
+      run_chain("static(all-SF)", PolicyKind::kStaticAllStateful);
+  const Series best_static =
+      run_chain("static(one-SF)", PolicyKind::kStaticChainFirstStateful);
+  const Series dynamic = run_chain("SERvartuka", PolicyKind::kServartuka);
+  print_summary(static_sf, best_static, dynamic);
+  return write_json(static_sf, best_static, dynamic) ? 0 : 1;
 }

@@ -21,9 +21,6 @@ struct RtSeries {
   std::vector<std::tuple<double, double, double, double>> points;
   std::vector<RunRecord> records;
 };
-RtSeries g_stateful;
-RtSeries g_dynamic;
-RtSeries g_stateless;
 
 RtSeries run_rt(const char* name, PolicyKind policy) {
   RtSeries series;
@@ -41,61 +38,37 @@ RtSeries run_rt(const char* name, PolicyKind policy) {
   return series;
 }
 
-void BM_Fig6_StaticStateful(benchmark::State& state) {
-  for (auto _ : state) {
-    g_stateful = run_rt("stateful", PolicyKind::kStaticAllStateful);
+/// The plotted series: mean setup time (ms) vs offered load.
+Series mean_rt_series(const RtSeries& rt) {
+  Series series{rt.name, {}, 0.0, rt.records};
+  for (const auto& [offered, mean, p90, tput] : rt.points) {
+    series.points.emplace_back(offered, mean);
   }
+  return series;
 }
-BENCHMARK(BM_Fig6_StaticStateful)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
-void BM_Fig6_Servartuka(benchmark::State& state) {
-  for (auto _ : state) {
-    g_dynamic = run_rt("SERvartuka", PolicyKind::kServartuka);
-  }
-}
-BENCHMARK(BM_Fig6_Servartuka)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void BM_Fig6_Stateless(benchmark::State& state) {
-  for (auto _ : state) {
-    g_stateless = run_rt("stateless", PolicyKind::kStaticAllStateless);
-  }
-}
-BENCHMARK(BM_Fig6_Stateless)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void print_summary() {
+void print_summary(const RtSeries& stateful, const RtSeries& dynamic,
+                   const RtSeries& stateless) {
   print_header("Figure 6", "two servers in series — response times");
   std::printf("%-13s | %-21s | %-21s | %-21s\n", "", "stateful static",
               "SERvartuka", "stateless static");
   std::printf("%-13s | %10s %10s | %10s %10s | %10s %10s\n", "offered(cps)",
               "mean(ms)", "p90(ms)", "mean(ms)", "p90(ms)", "mean(ms)",
               "p90(ms)");
-  for (std::size_t i = 0; i < g_stateful.points.size(); ++i) {
+  for (std::size_t i = 0; i < stateful.points.size(); ++i) {
     std::printf("%-13.0f | %10.1f %10.1f | %10.1f %10.1f | %10.1f %10.1f\n",
-                std::get<0>(g_stateful.points[i]),
-                std::get<1>(g_stateful.points[i]),
-                std::get<2>(g_stateful.points[i]),
-                std::get<1>(g_dynamic.points[i]),
-                std::get<2>(g_dynamic.points[i]),
-                std::get<1>(g_stateless.points[i]),
-                std::get<2>(g_stateless.points[i]));
+                std::get<0>(stateful.points[i]),
+                std::get<1>(stateful.points[i]),
+                std::get<2>(stateful.points[i]),
+                std::get<1>(dynamic.points[i]),
+                std::get<2>(dynamic.points[i]),
+                std::get<1>(stateless.points[i]),
+                std::get<2>(stateless.points[i]));
   }
 
-  {
-    bench::Series sf{"stateful", {}, 0.0, {}}, dy{"SERvartuka", {}, 0.0, {}},
-        sl{"stateless", {}, 0.0, {}};
-    for (const auto& [offered, mean, p90, tput] : g_stateful.points) {
-      sf.points.emplace_back(offered, mean);
-    }
-    for (const auto& [offered, mean, p90, tput] : g_dynamic.points) {
-      dy.points.emplace_back(offered, mean);
-    }
-    for (const auto& [offered, mean, p90, tput] : g_stateless.points) {
-      sl.points.emplace_back(offered, mean);
-    }
-    print_ascii_chart("mean setup time (ms) vs offered load (cps)",
-                      {sf, dy, sl});
-  }
+  print_ascii_chart("mean setup time (ms) vs offered load (cps)",
+                    {mean_rt_series(stateful), mean_rt_series(dynamic),
+                     mean_rt_series(stateless)});
 
   // Shape checks the paper calls out: the stateful and SERvartuka
   // configurations bound response times (the paper: under ~200 ms) across
@@ -111,34 +84,33 @@ void print_summary() {
   std::printf("\nshape checks (paper: Figure 6):\n");
   std::printf("  stateful static worst mean RT over sweep:  %7.1f ms"
               "  (paper: bounded <~200)\n",
-              worst(g_stateful, 0.0, 1e9));
+              worst(stateful, 0.0, 1e9));
   std::printf("  SERvartuka worst mean RT up to 11500 cps:  %7.1f ms"
               "  (paper: stateful-like)\n",
-              worst(g_dynamic, 0.0, 11500.0));
+              worst(dynamic, 0.0, 11500.0));
   std::printf("  stateless mean RT at 12000 / 13000 cps:    %7.1f /"
               " %.1f ms  (paper: low, then spikes)\n",
-              worst(g_stateless, 12000.0, 12000.0),
-              worst(g_stateless, 13000.0, 13000.0));
+              worst(stateless, 12000.0, 12000.0),
+              worst(stateless, 13000.0, 13000.0));
 }
 
-void write_json() {
+bool write_json(const RtSeries& stateful, const RtSeries& dynamic,
+                const RtSeries& stateless) {
   BenchReport report("fig6_response_time");
-  for (const RtSeries* s : {&g_stateful, &g_dynamic, &g_stateless}) {
-    Series series{s->name, {}, 0.0, s->records};
-    for (const auto& [offered, mean, p90, tput] : s->points) {
-      series.points.emplace_back(offered, mean);
-    }
-    report.add_series(series);
+  for (const RtSeries* s : {&stateful, &dynamic, &stateless}) {
+    report.add_series(mean_rt_series(*s));
   }
-  report.write();
+  return report.write();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  svk::bench::initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_summary();
-  write_json();
-  return 0;
+  svk::bench::initialize(argc, argv);
+  const RtSeries stateful = run_rt("stateful", PolicyKind::kStaticAllStateful);
+  const RtSeries dynamic = run_rt("SERvartuka", PolicyKind::kServartuka);
+  const RtSeries stateless =
+      run_rt("stateless", PolicyKind::kStaticAllStateless);
+  print_summary(stateful, dynamic, stateless);
+  return write_json(stateful, dynamic, stateless) ? 0 : 1;
 }

@@ -19,7 +19,6 @@ struct FractionPoint {
   double dynamic_sat = 0.0;
   double lp_bound = 0.0;
 };
-std::vector<FractionPoint> g_points;
 
 double find_sat(PolicyKind policy, double fraction) {
   const auto factory =
@@ -41,35 +40,28 @@ double lp_bound(double fraction) {
   return result.optimal() ? result.max_throughput : 0.0;
 }
 
-void BM_Fig7_Fraction(benchmark::State& state) {
-  const double fraction = static_cast<double>(state.range(0)) / 10.0;
+FractionPoint run_fraction(double fraction) {
   FractionPoint point;
   point.fraction = fraction;
-  for (auto _ : state) {
-    point.static_sat = find_sat(PolicyKind::kStaticAllStateful, fraction);
-    point.dynamic_sat = find_sat(PolicyKind::kServartuka, fraction);
-    point.lp_bound = lp_bound(fraction);
-  }
-  g_points.push_back(point);
-  state.counters["static_cps"] = point.static_sat;
-  state.counters["servartuka_cps"] = point.dynamic_sat;
+  point.static_sat = find_sat(PolicyKind::kStaticAllStateful, fraction);
+  point.dynamic_sat = find_sat(PolicyKind::kServartuka, fraction);
+  point.lp_bound = lp_bound(fraction);
+  return point;
 }
-BENCHMARK(BM_Fig7_Fraction)->DenseRange(0, 10)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
-void print_summary() {
+void print_summary(const std::vector<FractionPoint>& points) {
   print_header("Figure 7", "maximal throughput vs external load fraction");
   std::printf("%-10s %14s %14s %14s\n", "fraction", "static", "SERvartuka",
               "LP bound");
   const FractionPoint* at80 = nullptr;
-  for (const FractionPoint& p : g_points) {
+  for (const FractionPoint& p : points) {
     std::printf("%-10.1f %14.0f %14.0f %14.0f\n", p.fraction, p.static_sat,
                 p.dynamic_sat, p.lp_bound);
     if (p.fraction > 0.75 && p.fraction < 0.85) at80 = &p;
   }
   Series st{"static", {}, 0.0, {}}, dy{"SERvartuka", {}, 0.0, {}},
       lp{"LP", {}, 0.0, {}};
-  for (const FractionPoint& p : g_points) {
+  for (const FractionPoint& p : points) {
     st.points.emplace_back(p.fraction, p.static_sat);
     dy.points.emplace_back(p.fraction, p.dynamic_sat);
     lp.points.emplace_back(p.fraction, p.lp_bound);
@@ -87,17 +79,11 @@ void print_summary() {
   }
 }
 
-void write_json() {
+bool write_json(const std::vector<FractionPoint>& fractions) {
   BenchReport report("fig7_changing_loads");
-  // With --trace= / --metrics=: one observed SERvartuka run at the paper's
-  // 80/20 split, exporting the Chrome trace and the controller audit series.
-  run_traced_smoke(report,
-                   workload::two_series_with_internal(
-                       0.8, scenario(PolicyKind::kServartuka)),
-                   10000.0);
   JsonValue& points = report.root()["fractions"];
   points = JsonValue::array();
-  for (const FractionPoint& p : g_points) {
+  for (const FractionPoint& p : fractions) {
     JsonValue entry = JsonValue::object();
     entry["external_fraction"] = p.fraction;
     entry["static_saturation_cps"] = p.static_sat;
@@ -108,15 +94,25 @@ void write_json() {
   report.add_metric("paper_static_at_80_cps", 9540.0);
   report.add_metric("paper_servartuka_at_80_cps", 11410.0);
   report.add_metric("paper_lp_at_80_cps", 11960.0);
-  report.write();
+  return report.write();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  svk::bench::initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_summary();
-  write_json();
-  return 0;
+  svk::bench::initialize(argc, argv, /*has_smoke_point=*/true);
+  if (observability_requested()) {
+    // One observed SERvartuka run at the paper's 80/20 split, exporting the
+    // Chrome trace and the controller audit series.
+    return run_traced_smoke("fig7_changing_loads",
+                            workload::two_series_with_internal(
+                                0.8, scenario(PolicyKind::kServartuka)),
+                            10000.0);
+  }
+  std::vector<FractionPoint> points;
+  for (int tenths = 0; tenths <= 10; ++tenths) {
+    points.push_back(run_fraction(tenths / 10.0));
+  }
+  print_summary(points);
+  return write_json(points) ? 0 : 1;
 }

@@ -16,43 +16,22 @@ using namespace svk;
 using namespace svk::bench;
 using workload::PolicyKind;
 
-Series g_static;
-Series g_dynamic;
-
 constexpr double kLo = 8000.0;
 constexpr double kHi = 13000.0;
 constexpr double kStep = 500.0;
 
-void BM_Fig8_StaticFork(benchmark::State& state) {
-  for (auto _ : state) {
-    g_static = run_throughput_series(
-        "static(exits-SF)",
-        workload::parallel_fork(
-            scenario(PolicyKind::kStaticChainLastStateful)),
-        kLo, kHi, kStep);
-  }
-  state.counters["saturation_cps"] = g_static.max_value;
+Series run_fork(const char* name, PolicyKind policy) {
+  return run_throughput_series(
+      name, workload::parallel_fork(scenario(policy)), kLo, kHi, kStep);
 }
-BENCHMARK(BM_Fig8_StaticFork)->Iterations(1)->Unit(benchmark::kMillisecond);
 
-void BM_Fig8_Servartuka(benchmark::State& state) {
-  for (auto _ : state) {
-    g_dynamic = run_throughput_series(
-        "SERvartuka",
-        workload::parallel_fork(scenario(PolicyKind::kServartuka)), kLo,
-        kHi, kStep);
-  }
-  state.counters["saturation_cps"] = g_dynamic.max_value;
-}
-BENCHMARK(BM_Fig8_Servartuka)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void print_summary() {
+void print_summary(const Series& static_fork, const Series& dynamic) {
   print_header("Figure 8", "three-server parallel (fork) configuration");
   print_series_table("throughput vs offered load",
                      "calls/second, full-scale equivalents",
-                     {g_static, g_dynamic});
+                     {static_fork, dynamic});
   print_ascii_chart("throughput (cps) vs offered load (cps)",
-                    {g_static, g_dynamic});
+                    {static_fork, dynamic});
 
   lp::StateDistributionModel model;
   const auto s0 = model.add_node("s0", 10360.0, 12300.0);
@@ -68,31 +47,32 @@ void print_summary() {
   const auto lp_result = model.solve();
 
   std::printf("\npaper vs measured (saturation, cps):\n");
-  print_paper_row("static fork", 11990.0, g_static.max_value);
-  print_paper_row("SERvartuka", 12830.0, g_dynamic.max_value);
+  print_paper_row("static fork", 11990.0, static_fork.max_value);
+  print_paper_row("SERvartuka", 12830.0, dynamic.max_value);
   print_paper_row("LP bound", lp_result.max_throughput,
                   lp_result.max_throughput);
   std::printf("\nratio SERvartuka/static: paper 1.07, measured %.2f\n",
-              g_dynamic.max_value / g_static.max_value);
+              dynamic.max_value / static_fork.max_value);
 }
 
-void write_json() {
+bool write_json(const Series& static_fork, const Series& dynamic) {
   BenchReport report("fig8_parallel");
-  report.add_series(g_static);
-  report.add_series(g_dynamic);
-  report.add_metric("static_saturation_cps", g_static.max_value);
-  report.add_metric("servartuka_saturation_cps", g_dynamic.max_value);
+  report.add_series(static_fork);
+  report.add_series(dynamic);
+  report.add_metric("static_saturation_cps", static_fork.max_value);
+  report.add_metric("servartuka_saturation_cps", dynamic.max_value);
   report.add_metric("paper_static_saturation_cps", 11990.0);
   report.add_metric("paper_servartuka_saturation_cps", 12830.0);
-  report.write();
+  return report.write();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  svk::bench::initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_summary();
-  write_json();
-  return 0;
+  svk::bench::initialize(argc, argv);
+  const Series static_fork =
+      run_fork("static(exits-SF)", PolicyKind::kStaticChainLastStateful);
+  const Series dynamic = run_fork("SERvartuka", PolicyKind::kServartuka);
+  print_summary(static_fork, dynamic);
+  return write_json(static_fork, dynamic) ? 0 : 1;
 }

@@ -1,6 +1,5 @@
 // Section 4.1 (text) — LP optima for the paper's topologies, solved with
-// the from-scratch simplex on the exact formulation. Also micro-benchmarks
-// the solver itself.
+// the from-scratch simplex on the exact formulation.
 //
 // Paper anchors: two-in-series optimum 11240 cps (5620 stateful at each
 // node); the Figure 7 LP prediction at the 80/20 mix is 11960 cps (with the
@@ -44,103 +43,70 @@ StateDistributionModel mix_model(double external_fraction) {
   return model;
 }
 
-double g_two_series = 0.0;
-double g_two_series_sf1 = 0.0;
-double g_three_series = 0.0;
-double g_mix80 = 0.0;
-double g_fork = 0.0;
-
-void BM_Lp_TwoSeries(benchmark::State& state) {
-  for (auto _ : state) {
-    const auto model = series_model(2);
-    const auto result = model.solve();
-    benchmark::DoNotOptimize(result.max_throughput);
-    g_two_series = result.max_throughput;
-    g_two_series_sf1 = result.node_stateful[0];
-  }
+StateDistributionModel fork_model() {
+  StateDistributionModel model;
+  const auto s0 = model.add_node("s0", kTsf, kTsl);
+  const auto sa = model.add_node("sa", kTsf, kTsl);
+  const auto sb = model.add_node("sb", kTsf, kTsl);
+  model.add_edge(s0, sa);
+  model.add_edge(s0, sb);
+  model.mark_entry(s0);
+  model.mark_exit(sa);
+  model.mark_exit(sb);
+  model.fix_split(s0, sa, 0.5);
+  model.fix_split(s0, sb, 0.5);
+  return model;
 }
-BENCHMARK(BM_Lp_TwoSeries)->Unit(benchmark::kMicrosecond);
 
-void BM_Lp_ThreeSeries(benchmark::State& state) {
-  for (auto _ : state) {
-    const auto result = series_model(3).solve();
-    benchmark::DoNotOptimize(result.max_throughput);
-    g_three_series = result.max_throughput;
-  }
+struct Optima {
+  double two_series = 0.0;
+  double two_series_sf1 = 0.0;
+  double three_series = 0.0;
+  double mix80 = 0.0;
+  double fork = 0.0;
+};
+
+Optima solve_all() {
+  Optima optima;
+  const auto two = series_model(2).solve();
+  optima.two_series = two.max_throughput;
+  optima.two_series_sf1 = two.node_stateful[0];
+  optima.three_series = series_model(3).solve().max_throughput;
+  optima.mix80 = mix_model(0.8).solve().max_throughput;
+  optima.fork = fork_model().solve().max_throughput;
+  return optima;
 }
-BENCHMARK(BM_Lp_ThreeSeries)->Unit(benchmark::kMicrosecond);
 
-void BM_Lp_Mix80(benchmark::State& state) {
-  for (auto _ : state) {
-    const auto result = mix_model(0.8).solve();
-    benchmark::DoNotOptimize(result.max_throughput);
-    g_mix80 = result.max_throughput;
-  }
-}
-BENCHMARK(BM_Lp_Mix80)->Unit(benchmark::kMicrosecond);
-
-void BM_Lp_Fork(benchmark::State& state) {
-  for (auto _ : state) {
-    StateDistributionModel model;
-    const auto s0 = model.add_node("s0", kTsf, kTsl);
-    const auto sa = model.add_node("sa", kTsf, kTsl);
-    const auto sb = model.add_node("sb", kTsf, kTsl);
-    model.add_edge(s0, sa);
-    model.add_edge(s0, sb);
-    model.mark_entry(s0);
-    model.mark_exit(sa);
-    model.mark_exit(sb);
-    model.fix_split(s0, sa, 0.5);
-    model.fix_split(s0, sb, 0.5);
-    const auto result = model.solve();
-    benchmark::DoNotOptimize(result.max_throughput);
-    g_fork = result.max_throughput;
-  }
-}
-BENCHMARK(BM_Lp_Fork)->Unit(benchmark::kMicrosecond);
-
-/// Solver scaling with chain length.
-void BM_Lp_SeriesScaling(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const auto result = series_model(n).solve();
-    benchmark::DoNotOptimize(result.max_throughput);
-  }
-}
-BENCHMARK(BM_Lp_SeriesScaling)->DenseRange(2, 10, 2)
-    ->Unit(benchmark::kMicrosecond);
-
-void print_summary() {
+void print_summary(const Optima& optima) {
   print_header("LP optima (Section 4.1)",
                "state-distribution LP solved exactly");
   std::printf("\npaper vs computed (cps):\n");
-  print_paper_row("two in series, optimum", 11240.0, g_two_series);
+  print_paper_row("two in series, optimum", 11240.0, optima.two_series);
   print_paper_row("two in series, stateful at node 1", 5620.0,
-                  g_two_series_sf1);
-  print_paper_row("80/20 mix LP prediction", 11960.0, g_mix80);
-  std::printf("  three in series, optimum:  %.0f cps\n", g_three_series);
+                  optima.two_series_sf1);
+  print_paper_row("80/20 mix LP prediction", 11960.0, optima.mix80);
+  std::printf("  three in series, optimum:  %.0f cps\n", optima.three_series);
   std::printf("  50/50 fork, optimum:       %.0f cps"
-              " (entry stays stateless)\n", g_fork);
+              " (entry stays stateless)\n", optima.fork);
 }
 
-void write_json() {
+bool write_json(const Optima& optima) {
   BenchReport report("tbl_lp_optima");
-  report.add_metric("two_series_optimum_cps", g_two_series);
-  report.add_metric("two_series_stateful_node1_cps", g_two_series_sf1);
-  report.add_metric("three_series_optimum_cps", g_three_series);
-  report.add_metric("mix80_optimum_cps", g_mix80);
-  report.add_metric("fork_optimum_cps", g_fork);
+  report.add_metric("two_series_optimum_cps", optima.two_series);
+  report.add_metric("two_series_stateful_node1_cps", optima.two_series_sf1);
+  report.add_metric("three_series_optimum_cps", optima.three_series);
+  report.add_metric("mix80_optimum_cps", optima.mix80);
+  report.add_metric("fork_optimum_cps", optima.fork);
   report.add_metric("paper_two_series_optimum_cps", 11240.0);
   report.add_metric("paper_mix80_optimum_cps", 11960.0);
-  report.write();
+  return report.write();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  svk::bench::initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_summary();
-  write_json();
-  return 0;
+  svk::bench::initialize(argc, argv);
+  const Optima optima = solve_all();
+  print_summary(optima);
+  return write_json(optima) ? 0 : 1;
 }

@@ -9,29 +9,12 @@ using namespace svk;
 using namespace svk::bench;
 using workload::PolicyKind;
 
-double g_static = 0.0;
-double g_dynamic = 0.0;
-
 double find_sat(PolicyKind policy) {
   const auto factory = workload::series_chain(3, scenario(policy));
   return find_saturation_full(factory, 7000.0, 13000.0, 500.0);
 }
 
-void BM_ThreeSeries_Static(benchmark::State& state) {
-  for (auto _ : state) g_static = find_sat(PolicyKind::kStaticAllStateful);
-  state.counters["saturation_cps"] = g_static;
-}
-BENCHMARK(BM_ThreeSeries_Static)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ThreeSeries_Servartuka(benchmark::State& state) {
-  for (auto _ : state) g_dynamic = find_sat(PolicyKind::kServartuka);
-  state.counters["saturation_cps"] = g_dynamic;
-}
-BENCHMARK(BM_ThreeSeries_Servartuka)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void print_summary() {
+void print_summary(double static_sat, double dynamic_sat) {
   print_header("Three servers in series (Section 6.1)",
                "static vs SERvartuka saturation");
 
@@ -46,33 +29,36 @@ void print_summary() {
   const auto lp_result = model.solve();
 
   std::printf("\npaper vs measured (saturation, cps):\n");
-  print_paper_row("static configuration", 8780.0, g_static);
-  print_paper_row("SERvartuka", 10180.0, g_dynamic);
+  print_paper_row("static configuration", 8780.0, static_sat);
+  print_paper_row("SERvartuka", 10180.0, dynamic_sat);
   std::printf("  LP upper bound: %.0f cps\n", lp_result.max_throughput);
   std::printf("\nimprovement: paper +16%%, measured %+.0f%%\n",
-              100.0 * (g_dynamic / g_static - 1.0));
+              100.0 * (dynamic_sat / static_sat - 1.0));
 }
 
-void write_json() {
+bool write_json(double static_sat, double dynamic_sat) {
   BenchReport report("tbl_three_series");
-  // With --trace= / --metrics=: one observed SERvartuka run near the
-  // paper's saturation point, exporting trace + controller audit series.
-  run_traced_smoke(report,
-                   workload::series_chain(3, scenario(PolicyKind::kServartuka)),
-                   10000.0);
-  report.add_metric("static_saturation_cps", g_static);
-  report.add_metric("servartuka_saturation_cps", g_dynamic);
+  report.add_metric("static_saturation_cps", static_sat);
+  report.add_metric("servartuka_saturation_cps", dynamic_sat);
   report.add_metric("paper_static_saturation_cps", 8780.0);
   report.add_metric("paper_servartuka_saturation_cps", 10180.0);
-  report.write();
+  return report.write();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  svk::bench::initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  print_summary();
-  write_json();
-  return 0;
+  svk::bench::initialize(argc, argv, /*has_smoke_point=*/true);
+  if (observability_requested()) {
+    // One observed SERvartuka run near the paper's saturation point,
+    // exporting trace + controller audit series.
+    return run_traced_smoke(
+        "tbl_three_series",
+        workload::series_chain(3, scenario(PolicyKind::kServartuka)),
+        10000.0);
+  }
+  const double static_sat = find_sat(PolicyKind::kStaticAllStateful);
+  const double dynamic_sat = find_sat(PolicyKind::kServartuka);
+  print_summary(static_sat, dynamic_sat);
+  return write_json(static_sat, dynamic_sat) ? 0 : 1;
 }

@@ -1,15 +1,14 @@
-// Shared benchmark harness utilities.
+// Shared bench harness utilities.
 //
 // Every bench binary regenerates one table or figure of the paper: it runs
 // the simulated topologies at 1/10 of the calibrated capacity (linear
 // scaling is verified by CostModelTest.SaturationScalesWithCapacity and the
 // workload tests), converts results back to full-scale calls/second, and
-// prints a paper-vs-measured summary after the google-benchmark runs.
+// prints a paper-vs-measured summary before writing BENCH_<name>.json.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -27,8 +26,7 @@
 namespace svk::bench {
 
 /// Worker threads for the parallel sweep runner: 0 means "hardware
-/// concurrency". Set by --threads=N (stripped before google-benchmark sees
-/// the flags) or the SVK_BENCH_THREADS environment variable.
+/// concurrency". Set by --threads=N.
 inline std::size_t g_threads = 0;
 
 /// Resolved thread count actually used by the runner.
@@ -36,55 +34,52 @@ inline std::size_t g_threads = 0;
   return g_threads != 0 ? g_threads : ThreadPool::default_threads();
 }
 
-/// Chrome trace output path (empty = tracing off). Set by --trace=<file>
-/// or the SVK_TRACE environment variable.
+/// Chrome trace output path (empty = tracing off). Set by --trace=<file>.
 inline std::string g_trace_path;
 
-/// Metrics dump path (empty = off). Set by --metrics=<file> or SVK_METRICS.
+/// Metrics dump path (empty = off). Set by --metrics=<file>.
 inline std::string g_metrics_path;
 
-/// Fault plan file (empty = fault-free). Set by --faults=<file> or the
-/// SVK_FAULTS environment variable; the plan is armed on every scenario the
-/// bench builds, so any figure can be reproduced under a fault schedule.
+/// Fault plan file (empty = fault-free). Set by --faults=<file>; the plan
+/// is armed on every scenario the bench builds, so any figure can be
+/// reproduced under a fault schedule.
 inline std::string g_faults_path;
 
-/// Shared bench entry point: parses/strips the harness's own flags, then
-/// hands the rest to google-benchmark.
-inline void initialize(int* argc, char** argv) {
-  if (const char* env = std::getenv("SVK_BENCH_THREADS")) {
-    g_threads = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
-  }
-  if (const char* env = std::getenv("SVK_TRACE")) g_trace_path = env;
-  if (const char* env = std::getenv("SVK_METRICS")) g_metrics_path = env;
-  if (const char* env = std::getenv("SVK_FAULTS")) g_faults_path = env;
-  int kept = 1;
-  for (int i = 1; i < *argc; ++i) {
+/// Shared bench entry point: parses the harness flags. --trace= and
+/// --metrics= select the traced smoke point, so only benches that define
+/// one (`has_smoke_point`) accept them. Any other argument, or a flag with
+/// an empty value, prints a usage line and exits 2.
+inline void initialize(int argc, char** argv, bool has_smoke_point = false) {
+  const auto usage = [&] {
+    std::fprintf(stderr, "usage: %s [--threads=N] [--faults=FILE]%s\n",
+                 argv[0],
+                 has_smoke_point ? " [--trace=FILE] [--metrics=FILE]" : "");
+    std::exit(2);
+  };
+  for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    constexpr std::string_view kThreadsFlag = "--threads=";
-    constexpr std::string_view kTraceFlag = "--trace=";
-    constexpr std::string_view kMetricsFlag = "--metrics=";
-    constexpr std::string_view kFaultsFlag = "--faults=";
-    if (arg.rfind(kFaultsFlag, 0) == 0) {
-      g_faults_path = std::string(arg.substr(kFaultsFlag.size()));
-      continue;
+    // The flag's non-empty value, or null.
+    const auto value = [&](std::string_view flag) -> const char* {
+      return arg.size() > flag.size() && arg.starts_with(flag)
+                 ? argv[i] + flag.size()
+                 : nullptr;
+    };
+    if (const char* v = value("--threads=")) {
+      const std::string_view text = v;
+      const auto [end, ec] =
+          std::from_chars(text.data(), text.data() + text.size(), g_threads);
+      if (ec != std::errc() || end != text.data() + text.size()) usage();
+    } else if (const char* v = value("--faults=")) {
+      g_faults_path = v;
+    } else if (const char* v = has_smoke_point ? value("--trace=") : nullptr) {
+      g_trace_path = v;
+    } else if (const char* v =
+                   has_smoke_point ? value("--metrics=") : nullptr) {
+      g_metrics_path = v;
+    } else {
+      usage();
     }
-    if (arg.rfind(kThreadsFlag, 0) == 0) {
-      g_threads = static_cast<std::size_t>(
-          std::strtoul(arg.substr(kThreadsFlag.size()).data(), nullptr, 10));
-      continue;
-    }
-    if (arg.rfind(kTraceFlag, 0) == 0) {
-      g_trace_path = std::string(arg.substr(kTraceFlag.size()));
-      continue;
-    }
-    if (arg.rfind(kMetricsFlag, 0) == 0) {
-      g_metrics_path = std::string(arg.substr(kMetricsFlag.size()));
-      continue;
-    }
-    argv[kept++] = argv[i];
   }
-  *argc = kept;
-  benchmark::Initialize(argc, argv);
 }
 
 /// True when the user asked for a trace or metrics dump.
@@ -318,14 +313,15 @@ class BenchReport {
   }
 
   /// Writes BENCH_<name>.json; prints where it went (or that it failed).
-  void write() {
+  bool write() {
     const std::string path =
         json_output_dir() + "/BENCH_" + name_ + ".json";
     if (root_.write_file(path)) {
       std::printf("\nresults written to %s\n", path.c_str());
-    } else {
-      std::fprintf(stderr, "\nfailed to write %s\n", path.c_str());
+      return true;
     }
+    std::fprintf(stderr, "\nfailed to write %s\n", path.c_str());
+    return false;
   }
 
  private:
@@ -333,22 +329,22 @@ class BenchReport {
   JsonValue root_;
 };
 
-/// When --trace=/--metrics= (or SVK_TRACE/SVK_METRICS) was given: runs one
-/// extra observed load point at `offered_full` (full-scale cps), writes the
-/// Chrome trace / metrics dump, and embeds the point — including its
-/// per-window controller audit series — under "traced_smoke" in the report.
-/// No-op when neither output was requested, so the regular (untraced) bench
-/// results are never affected.
-inline void run_traced_smoke(BenchReport& report,
-                             const workload::BedFactory& factory,
-                             double offered_full) {
-  if (!observability_requested()) return;
+/// The observed run of a bench with a traced smoke point, selected by
+/// --trace= / --metrics=: one load point at `offered_full` (full-scale
+/// cps) instead of the bench's sweeps. Writes the Chrome trace / metrics
+/// dump and BENCH_<name>.json holding the point — including its per-window
+/// controller audit series — under "traced_smoke". Returns the exit
+/// status: non-zero when any output could not be written.
+[[nodiscard]] inline int run_traced_smoke(std::string name,
+                                          const workload::BedFactory& factory,
+                                          double offered_full) {
   workload::MeasureOptions options = measure_options();
   options.observe = true;
   workload::ObservedPoint observed =
       workload::measure_point_retained(factory, scaled(offered_full), options);
   obs::Observability* obs = observed.bed->observability();
 
+  bool ok = true;
   JsonValue smoke = JsonValue::object();
   smoke["offered_cps"] = offered_full;
   smoke["point"] = full_record(observed.point, "traced_smoke").to_json();
@@ -361,6 +357,7 @@ inline void run_traced_smoke(BenchReport& report,
     } else {
       std::fprintf(stderr, "failed to write trace %s\n",
                    g_trace_path.c_str());
+      ok = false;
     }
   }
   if (!g_metrics_path.empty()) {
@@ -370,9 +367,12 @@ inline void run_traced_smoke(BenchReport& report,
     } else {
       std::fprintf(stderr, "failed to write metrics %s\n",
                    g_metrics_path.c_str());
+      ok = false;
     }
   }
+  BenchReport report(std::move(name));
   report.root()["traced_smoke"] = std::move(smoke);
+  return report.write() && ok ? 0 : 1;
 }
 
 }  // namespace svk::bench

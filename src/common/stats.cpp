@@ -2,32 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace svk {
-
-void OnlineStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-void OnlineStats::reset() { *this = OnlineStats{}; }
 
 Histogram::Histogram(double limit, std::size_t num_bins)
     : limit_(limit), bin_width_(limit / static_cast<double>(num_bins)),
@@ -76,14 +52,6 @@ void Histogram::reset() {
   std::fill(bins_.begin(), bins_.end(), 0);
   total_ = 0;
   sum_ = 0.0;
-}
-
-double WindowedRate::close_window(SimTime window_start, SimTime now) {
-  const double secs = (now - window_start).to_seconds();
-  const double rate =
-      secs > 0.0 ? static_cast<double>(count_) / secs : 0.0;
-  count_ = 0;
-  return rate;
 }
 
 }  // namespace svk

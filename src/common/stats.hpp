@@ -1,39 +1,12 @@
-// Online statistics used by the measurement layer: streaming mean/variance,
-// a fixed-memory quantile sketch for response times, and windowed rates.
+// A fixed-memory quantile sketch for response times, used by the
+// measurement layer.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/sim_time.hpp"
-
 namespace svk {
-
-/// Welford streaming mean / variance / extrema.
-class OnlineStats {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 with fewer than two samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-
-  void reset();
-
- private:
-  std::size_t n_{0};
-  double mean_{0.0};
-  double m2_{0.0};
-  double min_{0.0};
-  double max_{0.0};
-  double sum_{0.0};
-};
 
 /// Fixed-bin histogram over [0, limit); out-of-range samples clamp to the
 /// last bin. Supports quantile queries by bin interpolation. Used for
@@ -63,25 +36,6 @@ class Histogram {
   std::vector<std::uint64_t> bins_;
   std::size_t total_{0};
   double sum_{0.0};
-};
-
-/// Counts events and converts to a rate over explicit windows of simulated
-/// time. The SERvartuka controller and the measurement probes both sample
-/// rates this way (the paper: "measurements in any system cannot be
-/// instantaneous", Section 5).
-class WindowedRate {
- public:
-  void record(std::uint64_t n = 1) { count_ += n; }
-
-  /// Closes the window that started at `window_start` and ends `now`;
-  /// returns events/second over that window and restarts the counter.
-  double close_window(SimTime window_start, SimTime now);
-
-  [[nodiscard]] std::uint64_t raw_count() const { return count_; }
-  void reset() { count_ = 0; }
-
- private:
-  std::uint64_t count_{0};
 };
 
 }  // namespace svk

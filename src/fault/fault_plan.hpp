@@ -6,9 +6,8 @@
 // simulation time and an optional duration; an event with a duration is
 // automatically reverted when it elapses. Plans are value types: they can
 // be generated from a seed (tests/generators.hpp), written to JSON for
-// replay artifacts, and loaded back from JSON (`--faults=<file>` /
-// SVK_FAULTS on the bench binaries). The JSON schema is documented in
-// EXPERIMENTS.md.
+// replay artifacts, and loaded back from JSON (`--faults=<file>` on the
+// bench binaries). The JSON schema is documented in EXPERIMENTS.md.
 #pragma once
 
 #include <optional>

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <utility>
 
-#include "common/logging.hpp"
 #include "obs/trace.hpp"
 
 namespace svk::proxy {
@@ -145,10 +144,8 @@ void ProxyServer::on_datagram(Address from, const sip::MessagePtr& msg) {
     if (is_control(*msg)) {
       // Control plane: cheap, never rejected (a saturated node must still
       // hear recovery signals).
-      const CostVector cost = CpuCostModel::receive_only();
-      charge(cost);
-      cpu_.submit_urgent(cost.total(),
-                         [this, from, msg] { handle_control(from, *msg); });
+      spend(CpuCostModel::receive_only(),
+            [this, from, msg] { handle_control(from, *msg); });
       return;
     }
     admit_request(from, msg);
@@ -168,10 +165,8 @@ void ProxyServer::admit_request(Address from, const sip::MessagePtr& msg) {
   // stateful benefit — the retransmission never propagates downstream).
   if (txns_.find_server(*msg) != nullptr) {
     // Absorbing is cheap and protects downstream: never shed it.
-    const CostVector cost = CpuCostModel::absorb_retransmit();
-    charge(cost);
     ++stats_.absorbed_retransmits;
-    cpu_.submit_urgent(cost.total(), [this, msg] {
+    spend(CpuCostModel::absorb_retransmit(), [this, msg] {
       if (auto* txn = txns_.find_server(*msg)) {
         txn->receive_request(msg);
       }
@@ -201,7 +196,7 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
   }
   if (mf_on_arrival <= 0) {
     ++stats_.rejected_483;
-    respond_urgent(*msg, sip::status::kTooManyHops, from);
+    respond_local(*msg, sip::status::kTooManyHops, from);
     return;
   }
   fwd.decrement_max_forwards();
@@ -219,7 +214,7 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
     const auto resolved = registry_.resolve(fwd.routes().front().host());
     if (!resolved) {
       ++stats_.route_failures;
-      respond_urgent(*msg, sip::status::kNotFound, from);
+      respond_local(*msg, sip::status::kNotFound, from);
       return;
     }
     target = *resolved;
@@ -231,7 +226,7 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
     const auto decision = routes_.route(fwd.request_uri());
     if (!decision) {
       ++stats_.route_failures;
-      respond_urgent(*msg, sip::status::kNotFound, from);
+      respond_local(*msg, sip::status::kNotFound, from);
       return;
     }
     path_index = decision->path_index;
@@ -245,7 +240,7 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
       const auto resolved = resolve_local_target(fwd.request_uri());
       if (!resolved) {
         ++stats_.route_failures;
-        respond_urgent(*msg, sip::status::kNotFound, from);
+        respond_local(*msg, sip::status::kNotFound, from);
         return;
       }
       target = resolved->address;
@@ -276,9 +271,8 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
     auto fwd_ptr = std::move(fwd).finish();
     // In-call messages are never shed at admission: dropping an ACK wastes
     // a whole established call (overload control sheds *new* work first).
-    charge(cost);
     ++stats_.forwarded_stateless;
-    cpu_.submit_urgent(cost.total(), [this, fwd_ptr, target] {
+    spend(cost, [this, fwd_ptr, target] {
       execute_stateless_forward(fwd_ptr, target);
     });
     return;
@@ -304,9 +298,8 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
             verdict == overload::AdmitDecision::kRejectThrottled ? 1.0
                                                                  : 0.0);
       }
-      respond_overload_503(
-          *msg, from,
-          verdict == overload::AdmitDecision::kRejectLocal);
+      respond_local(*msg, sip::status::kServiceUnavailable, from,
+                    verdict == overload::AdmitDecision::kRejectLocal);
       return;
     }
   }
@@ -342,7 +335,7 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
     const int code = msg->header(kProxyAuthorizationHeader)
                          ? sip::status::kForbidden
                          : sip::status::kProxyAuthRequired;
-    respond_urgent(*msg, code, from);
+    respond_local(*msg, code, from);
     return;
   }
   if (stateful && msg->method() == sip::Method::kInvite) {
@@ -395,13 +388,13 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
   if (msg->method() == sip::Method::kInvite && overload_ == nullptr) {
     if (!cpu_.submit(cost.total(), std::move(action))) {
       ++stats_.rejected_busy;
-      respond_urgent(*msg, sip::status::kServerError, from);
+      respond_local(*msg, sip::status::kServerError, from);
       return;
     }
+    profiler_.charge(cost);
   } else {
-    cpu_.submit_urgent(cost.total(), std::move(action));
+    spend(cost, std::move(action));
   }
-  charge(cost);
   if (stateful) {
     ++stats_.forwarded_stateful;
   } else {
@@ -519,8 +512,7 @@ void ProxyServer::admit_response(Address from, const sip::MessagePtr& msg) {
                 StateDecision::kStateless));
   const CostVector cost = CpuCostModel::forward(mode, profile::classify(*msg));
 
-  charge(cost);
-  cpu_.submit_urgent(cost.total(), [this, msg] {
+  spend(cost, [this, msg] {
     if (auto* client = txns_.find_client(*msg)) {
       client->receive_response(msg);
       return;
@@ -567,25 +559,10 @@ void ProxyServer::forward_response_stateless(const sip::MessagePtr& msg) {
 // Local generation, control plane, helpers
 // ---------------------------------------------------------------------------
 
-void ProxyServer::respond_urgent(const sip::Message& req, int code,
-                                 Address to) {
+void ProxyServer::respond_local(const sip::Message& req, int code,
+                                Address to, bool with_retry_after) {
   if (req.method() == sip::Method::kAck) return;  // never respond to ACK
-  const CostVector cost = CpuCostModel::generate_error();
-  charge(cost);
   sip::Message response = sip::Message::response(req, code);
-  stamp_oc(response);
-  auto ptr = std::move(response).finish();
-  cpu_.submit_urgent(cost.total(),
-                     [this, ptr, to] { send_charged(to, ptr); });
-}
-
-void ProxyServer::respond_overload_503(const sip::Message& req, Address to,
-                                       bool with_retry_after) {
-  if (req.method() == sip::Method::kAck) return;
-  const CostVector cost = CpuCostModel::generate_error();
-  charge(cost);
-  sip::Message response =
-      sip::Message::response(req, sip::status::kServiceUnavailable);
   // Retry-After is integer delta-seconds (RFC 3261 20.33). Only the local
   // gate's 503s carry it: a locally overloaded node needs the source to
   // back off wholesale. Throttled rejections (shed on a neighbor's behalf)
@@ -600,8 +577,8 @@ void ProxyServer::respond_overload_503(const sip::Message& req, Address to,
   }
   stamp_oc(response);
   auto ptr = std::move(response).finish();
-  cpu_.submit_urgent(cost.total(),
-                     [this, ptr, to] { send_charged(to, ptr); });
+  spend(CpuCostModel::generate_error(),
+        [this, ptr, to] { send_charged(to, ptr); });
 }
 
 void ProxyServer::stamp_oc(sip::Message& response) const {
@@ -635,8 +612,7 @@ void ProxyServer::overload_tick() {
 void ProxyServer::handle_cancel(Address from, const sip::MessagePtr& msg) {
   const CostVector cost =
       CpuCostModel::forward(config_.stateless_mode, MsgKind::kOther);
-  charge(cost);
-  cpu_.submit_urgent(cost.total(), [this, from, msg] {
+  spend(cost, [this, from, msg] {
     if (auto* existing = txns_.find_server(*msg)) {
       existing->receive_request(msg);
       return;
@@ -720,8 +696,7 @@ void ProxyServer::handle_register(Address from, const sip::MessagePtr& msg) {
   // REGISTER retransmissions).
   const CostVector cost =
       CpuCostModel::forward(config_.stateless_mode, MsgKind::kOther);
-  charge(cost);
-  cpu_.submit_urgent(cost.total(), [this, from, msg] {
+  spend(cost, [this, from, msg] {
     if (auto* existing = txns_.find_server(*msg)) {
       existing->receive_request(msg);
       return;
@@ -813,7 +788,7 @@ void ProxyServer::send_overload_signal(bool on, double c_asf_rate) {
     }
     auto msg = make_overload_options(kOverloadHeader, value);
     // Control sends bypass admission: signalling must survive saturation.
-    cpu_.submit_urgent(CpuCostModel::generate_error().total(), nullptr);
+    spend(CpuCostModel::generate_error(), nullptr);
     send_charged(upstream, msg);
     ++stats_.overload_signals_sent;
   }
@@ -824,7 +799,7 @@ void ProxyServer::send_overload_status(Address to) {
   std::snprintf(value, sizeof(value), "%s;rate=%.3f",
                 last_overload_on_ ? "on" : "off", last_overload_rate_);
   auto msg = make_overload_options(kOverloadHeader, value);
-  cpu_.submit_urgent(CpuCostModel::generate_error().total(), nullptr);
+  spend(CpuCostModel::generate_error(), nullptr);
   send_charged(to, msg);
   ++stats_.overload_signals_sent;
 }
@@ -839,7 +814,7 @@ void ProxyServer::send_overload_probe(std::size_t path_index) {
                         static_cast<double>(path_index));
   }
   auto msg = make_overload_options(kOverloadProbeHeader, "request");
-  cpu_.submit_urgent(CpuCostModel::generate_error().total(), nullptr);
+  spend(CpuCostModel::generate_error(), nullptr);
   send_charged(path.next_hop, msg);
   ++stats_.overload_probes_sent;
 }
@@ -862,11 +837,15 @@ std::optional<ProxyServer::LocalTarget> ProxyServer::resolve_local_target(
 }
 
 void ProxyServer::send_charged(Address to, const sip::MessagePtr& msg) {
-  const CostVector cost = CpuCostModel::transport_send();
-  charge(cost);
-  cpu_.submit_urgent(cost.total(), nullptr);
+  spend(CpuCostModel::transport_send(), nullptr);
   ++stats_.tx;
   network_.send(config_.address, to, msg);
+}
+
+void ProxyServer::spend(const CostVector& cost,
+                        sim::CpuQueue::Completion done) {
+  profiler_.charge(cost);
+  cpu_.submit_urgent(cost.total(), std::move(done));
 }
 
 txn::SendFn ProxyServer::sender_to(Address to) {

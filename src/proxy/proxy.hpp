@@ -240,15 +240,12 @@ class ProxyServer {
                                 sip::MessagePtr fwd, Address target);
   void execute_stateless_forward(sip::MessagePtr msg, Address target);
 
-  /// Builds and sends a locally generated response, bypassing admission
-  /// (servers answer 500 even when saturated).
-  void respond_urgent(const sip::Message& req, int code, Address to);
-
-  /// Overload rejection: 503 (+ oc feedback when advertising). Retry-After
-  /// goes only on local-gate rejections; throttled ones are already
-  /// rate-metered by the token bucket (see the definition for why).
-  void respond_overload_503(const sip::Message& req, Address to,
-                            bool with_retry_after);
+  /// Builds and sends a locally generated response (+ oc feedback when
+  /// advertising), bypassing admission: servers answer 500 even when
+  /// saturated. `with_retry_after` adds Retry-After, which only local-gate
+  /// 503s carry (see the definition for why).
+  void respond_local(const sip::Message& req, int code, Address to,
+                     bool with_retry_after = false);
 
   /// Stamps this node's advertised rate as an `oc` param on the top Via of
   /// an outgoing response (the upstream neighbor's Via — it reads the param
@@ -286,7 +283,11 @@ class ProxyServer {
   void send_overload_status(Address to);
   [[nodiscard]] sip::MessagePtr make_overload_options(
       std::string_view header, const std::string& value);
-  void charge(const profile::CostVector& cost) { profiler_.charge(cost); }
+  /// The one unconditional CPU-spend path: charges `cost` to the profiler
+  /// and submits it to the CPU queue bypassing admission; `done` runs on
+  /// completion. Only the bounded INVITE admission in plan_new_request
+  /// submits otherwise (charging after the queue admits it).
+  void spend(const profile::CostVector& cost, sim::CpuQueue::Completion done);
 
   sim::Simulator& sim_;
   SipNetwork& network_;

@@ -260,10 +260,6 @@ class Network {
     const auto it = no_route_by_dest_.find(dest.value());
     return it != no_route_by_dest_.end() ? it->second : 0;
   }
-  [[nodiscard]] const std::unordered_map<std::uint32_t, std::uint64_t>&
-  no_route_drops_by_dest() const {
-    return no_route_by_dest_;
-  }
 
  private:
   void deliver_now(Address from, Address to, const Payload& payload) {

@@ -22,12 +22,6 @@ EventId Simulator::schedule_at(SimTime when, Action action) {
   return schedule_at_for(ambient_locus_, when, std::move(action));
 }
 
-EventId Simulator::schedule_for(std::uint32_t locus, SimTime delay,
-                                Action action) {
-  if (delay < SimTime{}) delay = SimTime{};
-  return schedule_at_for(locus, now_ + delay, std::move(action));
-}
-
 EventId Simulator::schedule_at_for(std::uint32_t locus, SimTime when,
                                    Action action) {
   if (when < now_) when = now_;

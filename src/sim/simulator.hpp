@@ -46,12 +46,11 @@ class Simulator {
   /// Schedules `action` at an absolute time (clamped to now).
   EventId schedule_at(SimTime when, Action action);
 
-  /// Schedules `action` to execute under locus `locus` (e.g. a datagram
-  /// delivery charged to the receiving host). The order key is still
-  /// allocated from the *ambient* locus — the scheduler's identity decides
-  /// same-tick order; the execution locus decides who the event "is" while
-  /// it runs.
-  EventId schedule_for(std::uint32_t locus, SimTime delay, Action action);
+  /// Schedules `action` at an absolute time (clamped to now) to execute
+  /// under locus `locus` (e.g. a datagram delivery charged to the receiving
+  /// host). The order key is still allocated from the *ambient* locus — the
+  /// scheduler's identity decides same-tick order; the execution locus
+  /// decides who the event "is" while it runs.
   EventId schedule_at_for(std::uint32_t locus, SimTime when, Action action);
 
   /// The locus new schedules are charged to. 0 outside event execution

@@ -37,10 +37,6 @@ class Uri {
   /// 0 when the URI carries no explicit port.
   [[nodiscard]] int port() const { return port_; }
 
-  void set_host(std::string_view host) { host_ = host; }
-  void set_user(std::string user) { user_ = std::move(user); }
-  void set_port(int port) { port_ = port; }
-
   /// Parameter access; names are case-sensitive in this implementation
   /// (our own stack is the only producer).
   [[nodiscard]] std::optional<std::string_view> param(

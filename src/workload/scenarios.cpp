@@ -151,13 +151,6 @@ std::unique_ptr<TestBed> make_bed(const ScenarioOptions& options) {
 
 }  // namespace
 
-std::unique_ptr<proxy::StatePolicy> make_policy(
-    const ScenarioOptions& options, std::size_t proxy_idx,
-    std::size_t num_proxies) {
-  return policy_for(options, proxy_idx, proxy_idx == 0,
-                    proxy_idx + 1 == num_proxies);
-}
-
 BedFactory single_proxy(ScenarioOptions options) {
   return series_chain(1, std::move(options));
 }

@@ -125,9 +125,4 @@ struct ScenarioOptions {
 /// get the classic stateless-balancer / stateful-exits split.
 [[nodiscard]] BedFactory wide_fork(int num_exits, ScenarioOptions options);
 
-/// Builds the policy for one proxy of a chain of `num_proxies`.
-[[nodiscard]] std::unique_ptr<proxy::StatePolicy> make_policy(
-    const ScenarioOptions& options, std::size_t proxy_idx,
-    std::size_t num_proxies);
-
 }  // namespace svk::workload

@@ -107,10 +107,6 @@ class TestBed {
   /// (dialogs_live.<host>) at the time of the call. Needs no observability.
   [[nodiscard]] JsonValue metrics_json() const;
 
-  [[nodiscard]] Rng split_rng(std::uint64_t salt) {
-    return rng_.split(salt);
-  }
-
   /// Turns on observability for this bed (idempotent): creates the backend
   /// bundle, installs its sinks on the simulator, and names each declared
   /// host's trace timeline. Works before or after elements are added —

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/json.hpp"
-#include "common/logging.hpp"
 #include "common/md5.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
@@ -223,45 +222,6 @@ TEST(RngTest, ZeroSeedIsNotDegenerate) {
 }
 
 // ---------------------------------------------------------------------------
-// OnlineStats
-// ---------------------------------------------------------------------------
-
-TEST(OnlineStatsTest, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(OnlineStatsTest, KnownSequence) {
-  OnlineStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_EQ(s.sum(), 40.0);
-}
-
-TEST(OnlineStatsTest, SingleSample) {
-  OnlineStats s;
-  s.add(3.5);
-  EXPECT_EQ(s.mean(), 3.5);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 3.5);
-  EXPECT_EQ(s.max(), 3.5);
-}
-
-TEST(OnlineStatsTest, ResetClears) {
-  OnlineStats s;
-  s.add(1.0);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-}
-
-// ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------
 
@@ -328,55 +288,6 @@ TEST(HistogramTest, QuantileInterpolatesOnlyInPopulatedBins) {
     EXPECT_TRUE(in_low || in_high) << "q=" << q << " -> " << value;
   }
   EXPECT_DOUBLE_EQ(h.quantile(0.75), 85.0);  // target 6: 2/4 into bin 8
-}
-
-// ---------------------------------------------------------------------------
-// WindowedRate
-// ---------------------------------------------------------------------------
-
-TEST(WindowedRateTest, RateOverWindow) {
-  WindowedRate rate;
-  rate.record(100);
-  const double r =
-      rate.close_window(SimTime::seconds(0.0), SimTime::seconds(2.0));
-  EXPECT_DOUBLE_EQ(r, 50.0);
-  EXPECT_EQ(rate.raw_count(), 0u);  // window close resets
-}
-
-TEST(WindowedRateTest, ZeroWindowYieldsZero) {
-  WindowedRate rate;
-  rate.record(5);
-  EXPECT_EQ(rate.close_window(SimTime::seconds(1.0), SimTime::seconds(1.0)),
-            0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Logging
-// ---------------------------------------------------------------------------
-
-TEST(LoggingTest, LevelGate) {
-  const LogLevel original = Logger::level();
-  Logger::set_level(LogLevel::kWarn);
-  EXPECT_FALSE(Logger::enabled(LogLevel::kDebug));
-  EXPECT_FALSE(Logger::enabled(LogLevel::kInfo));
-  EXPECT_TRUE(Logger::enabled(LogLevel::kWarn));
-  EXPECT_TRUE(Logger::enabled(LogLevel::kError));
-  Logger::set_level(LogLevel::kOff);
-  EXPECT_FALSE(Logger::enabled(LogLevel::kError));
-  Logger::set_level(original);
-}
-
-TEST(LoggingTest, MacroEvaluatesLazily) {
-  const LogLevel original = Logger::level();
-  Logger::set_level(LogLevel::kOff);
-  int evaluations = 0;
-  auto expensive = [&] {
-    ++evaluations;
-    return "x";
-  };
-  SVK_LOG(kDebug, expensive());
-  EXPECT_EQ(evaluations, 0);  // suppressed levels pay only a branch
-  Logger::set_level(original);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include "proxy/location.hpp"
 #include "proxy/proxy.hpp"
 #include "proxy/routing.hpp"
+#include "workload/scenarios.hpp"
 #include "workload/testbed.hpp"
 #include "workload/uas.hpp"
 
@@ -583,6 +584,34 @@ TEST_F(ProxyPipelineTest, RouteHeaderPreferredOverRequestUri) {
   ASSERT_EQ(uas_host->inbox().front().second->routes().size(), 1u);
   EXPECT_EQ(uas_host->inbox().front().second->routes()[0].host(),
             "uas0.example.com");
+}
+
+// ---------------------------------------------------------------------------
+// CPU accounting
+// ---------------------------------------------------------------------------
+
+// Every CPU submission is charged to the profiler, control-plane sends
+// (overload signals, status replies, probes) included, so the Figure 3
+// instrument agrees with the CPU queue's admitted work.
+TEST(ProxyCpuAccountingTest, ProfilerMatchesCpuQueuePastSaturation) {
+  workload::ScenarioOptions options;
+  options.policy = workload::PolicyKind::kServartuka;
+  options.capacity_scale = {0.01, 0.01};
+  options.controller_period = SimTime::seconds(0.5);
+  auto bed = workload::series_chain(2, options)(140.0);  // past the knee
+  bed->start_load();
+  bed->sim().run_until(SimTime::seconds(10.0));
+
+  std::uint64_t control_sends = 0;
+  for (const auto& node : bed->proxies()) {
+    control_sends += node->stats().overload_signals_sent +
+                     node->stats().overload_probes_sent;
+    const double spent = node->cpu().stats().total_cost;
+    ASSERT_GT(spent, 0.0);
+    EXPECT_NEAR(node->profiler().totals().total(), spent, 1e-9 * spent)
+        << node->config().host;
+  }
+  EXPECT_GT(control_sends, 0u);
 }
 
 }  // namespace
