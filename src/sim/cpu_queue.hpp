@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/sim_time.hpp"
 #include "common/stat_table.hpp"
+#include "sim/event_action.hpp"
 #include "sim/simulator.hpp"
 
 namespace svk::sim {
@@ -39,7 +39,9 @@ struct CpuStats {
 /// FIFO CPU with admission control and utilization accounting.
 class CpuQueue {
  public:
-  using Completion = std::function<void()>;
+  /// A job's completion: the event the CPU schedules when the job's
+  /// service ends, so it moves into the timer wheel as is.
+  using Completion = EventAction;
 
   CpuQueue(Simulator& sim, CpuQueueConfig config);
 

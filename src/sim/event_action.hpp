@@ -1,40 +1,65 @@
-// Small-buffer-optimized callable for simulator events.
+// Small-buffer-optimized callables for simulator events, CPU jobs and
+// transaction callbacks.
 //
-// The old core stored every scheduled action as a std::function<void()>,
-// which heap-allocates for captures beyond the implementation's tiny inline
-// buffer (16 bytes on libstdc++). Event actions routinely capture a payload
-// shared_ptr plus a couple of addresses, so steady-state scheduling was one
-// malloc/free per event. EventAction keeps a 64-byte inline buffer — sized
-// for the network-delivery lambda (this + from + to + MessagePtr) with room
-// to spare — and only falls back to the heap for oversized or
-// throwing-move captures.
+// std::function heap-allocates any target that is larger than 16 bytes or
+// not trivially copyable (libstdc++). Nearly every callable on the call
+// path captures a MessagePtr, a table handle or a string, so with
+// std::function each scheduled event, CPU job and transaction callback cost
+// a malloc/free. InlineFunction keeps the target in an inline buffer whose
+// size each instance picks, and falls back to the heap only for a target
+// that is larger than the buffer, over-aligned, or whose move can throw.
+//
+// There is one template and two kinds of instance:
+// - EventAction, the void() instance with 64 bytes inline and move-only,
+//   holds every scheduled event and every CPU-queue job. 64 bytes fit the
+//   network-delivery lambda (this + from + to + MessagePtr) and the proxy's
+//   forward job (this + from + two MessagePtrs + target + flag).
+// - txn::Callback<Sig> instances are copyable, with a 40-byte buffer sized
+//   to the largest transaction callback captures in src/ (see
+//   txn/transaction.hpp).
+//
+// A capture of a const std::string (a const local, or a const& parameter,
+// captured by copy) is a const member: the closure's move then copies the
+// string, which can throw, so the closure goes to the heap. Call sites
+// capture such strings through a non-const copy (`[id = call_id]`).
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <functional>
 #include <type_traits>
 #include <utility>
 
 namespace svk::sim {
 
-/// Move-only type-erased void() callable with 64 bytes of inline storage.
-class EventAction {
+template <typename Signature, std::size_t InlineSize, bool Copyable = false>
+class InlineFunction;
+
+/// Type-erased callable with `InlineSize` bytes of inline storage. Move-only
+/// unless `Copyable`, in which case only copy-constructible targets are
+/// accepted. Calling an empty instance is undefined.
+template <typename R, typename... Args, std::size_t InlineSize, bool Copyable>
+class InlineFunction<R(Args...), InlineSize, Copyable> {
  public:
-  static constexpr std::size_t kInlineSize = 64;
+  static constexpr std::size_t kInlineSize = InlineSize;
 
-  EventAction() noexcept = default;
+  /// True when a target of type Fn lives in the inline buffer.
+  template <typename Fn>
+  static constexpr bool kStoresInline =
+      sizeof(Fn) <= InlineSize && alignof(Fn) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<Fn>;
 
-  template <typename F,
-            std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventAction> &&
-                    std::is_invocable_r_v<void, std::decay_t<F>&>,
-                int> = 0>
+  InlineFunction() noexcept = default;
+  // NOLINTNEXTLINE(google-explicit-constructor): `f(x, nullptr)` stays legal
+  InlineFunction(std::nullptr_t) noexcept {}
+
+  template <typename F, typename Fn = std::decay_t<F>,
+            std::enable_if_t<!std::is_same_v<Fn, InlineFunction> &&
+                                 std::is_invocable_r_v<R, Fn&, Args...> &&
+                                 (!Copyable || std::is_copy_constructible_v<Fn>),
+                             int> = 0>
   // NOLINTNEXTLINE(google-explicit-constructor): drop-in for std::function
-  EventAction(F&& f) {
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+  InlineFunction(F&& f) {
+    if constexpr (kStoresInline<Fn>) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = inline_ops<Fn>();
     } else {
@@ -43,9 +68,9 @@ class EventAction {
     }
   }
 
-  EventAction(EventAction&& other) noexcept { move_from(other); }
+  InlineFunction(InlineFunction&& other) noexcept { move_from(other); }
 
-  EventAction& operator=(EventAction&& other) noexcept {
+  InlineFunction& operator=(InlineFunction&& other) noexcept {
     if (this != &other) {
       reset();
       move_from(other);
@@ -53,19 +78,39 @@ class EventAction {
     return *this;
   }
 
-  EventAction(const EventAction&) = delete;
-  EventAction& operator=(const EventAction&) = delete;
+  InlineFunction(const InlineFunction& other)
+    requires Copyable
+  {
+    if (other.ops_ != nullptr) {
+      other.ops_->copy(buf_, other.buf_);
+      ops_ = other.ops_;
+    }
+  }
 
-  ~EventAction() { reset(); }
+  InlineFunction& operator=(const InlineFunction& other)
+    requires Copyable
+  {
+    if (this != &other) *this = InlineFunction(other);
+    return *this;
+  }
 
-  /// Invokes the callable. Precondition: non-empty.
-  void operator()() { ops_->invoke(buf_); }
+  InlineFunction(const InlineFunction&) requires(!Copyable) = delete;
+  InlineFunction& operator=(const InlineFunction&) requires(!Copyable) =
+      delete;
+
+  ~InlineFunction() { reset(); }
+
+  /// Invokes the target, passing reference arguments through as
+  /// references. Precondition: non-empty.
+  R operator()(Args... args) {
+    return ops_->invoke(buf_, std::forward<Args>(args)...);
+  }
 
   [[nodiscard]] explicit operator bool() const noexcept {
     return ops_ != nullptr;
   }
 
-  /// Destroys the held callable (if any) and becomes empty.
+  /// Destroys the target (if any) and becomes empty.
   void reset() noexcept {
     if (ops_ != nullptr) {
       ops_->destroy(buf_);
@@ -74,21 +119,37 @@ class EventAction {
   }
 
  private:
+  using CopyFn = void (*)(void* dst, const void* src);
+
   struct Ops {
-    void (*invoke)(void* buf);
+    R (*invoke)(void* buf, Args&&... args);
     /// Move-constructs dst's storage from src's and destroys src's.
     void (*relocate)(void* dst, void* src);
+    /// Copy-constructs dst's storage from src's (Copyable instances only).
+    CopyFn copy;
     void (*destroy)(void* buf);
   };
 
   template <typename Fn>
+  static R call(Fn& fn, Args&&... args) {
+    if constexpr (std::is_void_v<R>) {
+      std::invoke(fn, std::forward<Args>(args)...);
+    } else {
+      return std::invoke(fn, std::forward<Args>(args)...);
+    }
+  }
+
+  template <typename Fn>
   static const Ops* inline_ops() {
     static constexpr Ops ops = {
-        [](void* b) { (*static_cast<Fn*>(b))(); },
+        [](void* b, Args&&... args) -> R {
+          return call(*static_cast<Fn*>(b), std::forward<Args>(args)...);
+        },
         [](void* dst, void* src) {
           ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
           static_cast<Fn*>(src)->~Fn();
         },
+        copy_fn<Fn>(),
         [](void* b) { static_cast<Fn*>(b)->~Fn(); },
     };
     return &ops;
@@ -97,16 +158,34 @@ class EventAction {
   template <typename Fn>
   static const Ops* heap_ops() {
     static constexpr Ops ops = {
-        [](void* b) { (**static_cast<Fn**>(b))(); },
+        [](void* b, Args&&... args) -> R {
+          return call(**static_cast<Fn**>(b), std::forward<Args>(args)...);
+        },
         [](void* dst, void* src) {
           ::new (dst) Fn*(*static_cast<Fn**>(src));
         },
+        copy_fn<Fn>(),
         [](void* b) { delete *static_cast<Fn**>(b); },
     };
     return &ops;
   }
 
-  void move_from(EventAction& other) noexcept {
+  template <typename Fn>
+  static constexpr CopyFn copy_fn() {
+    if constexpr (!Copyable) {
+      return nullptr;
+    } else if constexpr (kStoresInline<Fn>) {
+      return [](void* dst, const void* src) {
+        ::new (dst) Fn(*static_cast<const Fn*>(src));
+      };
+    } else {
+      return [](void* dst, const void* src) {
+        ::new (dst) Fn*(new Fn(**static_cast<Fn* const*>(src)));
+      };
+    }
+  }
+
+  void move_from(InlineFunction& other) noexcept {
     if (other.ops_ != nullptr) {
       ops_ = other.ops_;
       ops_->relocate(buf_, other.buf_);
@@ -114,8 +193,12 @@ class EventAction {
     }
   }
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineSize];
+  alignas(std::max_align_t) unsigned char buf_[InlineSize];
   const Ops* ops_ = nullptr;
 };
+
+/// The simulator's event callable (and a CPU-queue job): void(), 64 bytes
+/// inline, move-only.
+using EventAction = InlineFunction<void(), 64>;
 
 }  // namespace svk::sim

@@ -1,6 +1,8 @@
 #include "sip/branch.hpp"
 
-#include <cstdio>
+#include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "common/hash.hpp"
 
@@ -8,21 +10,48 @@ namespace svk::sip {
 
 using common::fnv1a;
 
-std::string BranchGenerator::next() {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%s-%llx-%llx", std::string(kMagicCookie).c_str(),
-                static_cast<unsigned long long>(element_id_),
-                static_cast<unsigned long long>(++counter_));
-  return buf;
+namespace {
+
+/// Appends `text` at `out`; returns the new end.
+char* put(char* out, std::string_view text) {
+  std::memcpy(out, text.data(), text.size());
+  return out + text.size();
 }
 
-std::string stateless_branch(std::string_view incoming_branch,
-                             std::string_view host) {
+/// Appends `v` in lowercase hex without leading zeros (printf's "%llx");
+/// returns the new end.
+char* put_hex(char* out, std::uint64_t v) {
+  const int digits = std::max(1, (static_cast<int>(std::bit_width(v)) + 3) / 4);
+  for (int i = digits - 1; i >= 0; --i) {
+    out[i] = "0123456789abcdef"[v & 0xf];
+    v >>= 4;
+  }
+  return out + digits;
+}
+
+/// Room for the cookie, a separator or "-sl", and two 64-bit hex numbers.
+constexpr std::size_t kMaxGenerated = kMagicCookie.size() + 3 + 2 * 16;
+
+}  // namespace
+
+Branch BranchGenerator::next() {
+  char buf[kMaxGenerated];
+  char* p = put(buf, kMagicCookie);
+  *p++ = '-';
+  p = put_hex(p, element_id_);
+  *p++ = '-';
+  p = put_hex(p, ++counter_);
+  return Branch(std::string_view(buf, static_cast<std::size_t>(p - buf)));
+}
+
+Branch stateless_branch(std::string_view incoming_branch,
+                        std::string_view host) {
   const std::uint64_t h = fnv1a(host, fnv1a(incoming_branch));
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "-sl%llx",
-                static_cast<unsigned long long>(h));
-  return std::string(kMagicCookie) + buf;
+  char buf[kMaxGenerated];
+  char* p = put(buf, kMagicCookie);
+  p = put(p, "-sl");
+  p = put_hex(p, h);
+  return Branch(std::string_view(buf, static_cast<std::size_t>(p - buf)));
 }
 
 std::uint64_t txn_key_hash(std::string_view branch, std::string_view sent_by,
@@ -43,13 +72,13 @@ TransactionKey server_key(const Message& req) {
   const Via& via = req.top_via();
   Method method = req.method();
   if (method == Method::kAck) method = Method::kInvite;
-  return TransactionKey{via.branch, via.sent_by.str(), method};
+  return TransactionKey{via.branch.str(), via.sent_by.str(), method};
 }
 
 TransactionKey client_key(const Message& resp) {
   const Via& via = resp.top_via();
   Method method = resp.cseq().method;
-  return TransactionKey{via.branch, via.sent_by.str(), method};
+  return TransactionKey{via.branch.str(), via.sent_by.str(), method};
 }
 
 TxnProbe key_for_request(const Message& req) {

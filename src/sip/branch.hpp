@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 
@@ -19,14 +18,17 @@ inline constexpr std::string_view kMagicCookie = "z9hG4bK";
 /// address, so runs are reproducible yet branches are globally unique.
 class BranchGenerator {
  public:
-  explicit BranchGenerator(std::uint64_t element_id)
-      : element_id_(element_id) {}
+  /// `issued` is how many branches this element has already issued: the
+  /// next one carries counter issued + 1 (wrapping at 2^64).
+  explicit BranchGenerator(std::uint64_t element_id, std::uint64_t issued = 0)
+      : element_id_(element_id), counter_(issued) {}
 
-  [[nodiscard]] std::string next();
+  /// "z9hG4bK-<element id>-<counter>" in lowercase hex, built in place.
+  [[nodiscard]] Branch next();
 
  private:
   std::uint64_t element_id_;
-  std::uint64_t counter_{0};
+  std::uint64_t counter_;
 };
 
 /// Key identifying a transaction at one element.
@@ -94,8 +96,9 @@ struct TxnProbe {
 /// Deterministic branch for *stateless* forwarding (RFC 3261 16.11): the
 /// branch must be computed from the incoming request so retransmissions get
 /// the same value and can be matched/absorbed by stateful nodes downstream.
-[[nodiscard]] std::string stateless_branch(std::string_view incoming_branch,
-                                           std::string_view host);
+/// "z9hG4bK-sl<hash>", the hash in lowercase hex.
+[[nodiscard]] Branch stateless_branch(std::string_view incoming_branch,
+                                      std::string_view host);
 
 /// Key a *client* transaction uses to match an incoming response: the
 /// response's top Via is the one this element inserted, so its branch plus

@@ -181,7 +181,7 @@ std::string Message::to_wire() const {
     out += via.sent_by.view();
     if (!via.branch.empty()) {
       out += ";branch=";
-      out += via.branch;
+      out += via.branch.view();
     }
     if (via.oc_rate >= 0.0) {
       char oc[32];

@@ -11,9 +11,10 @@
 // so a forwarded clone copies a pointer instead of those strings. The Via
 // stack lives in a small-inline vector (no malloc for the common 1–4
 // entries), stored bottom-first so push_via/pop_via — the per-hop
-// operations — are O(1) at the back. Via protocol and sent-by, URI scheme
-// and host, the reason phrase and extension-header names are interned
-// Tokens (pointer copies). finish() allocates the shared block from a
+// operations — are O(1) at the back. Each Via keeps its branch inline
+// (via_branch.hpp), so copying the stack copies bytes. Via protocol and
+// sent-by, URI scheme and host, the reason phrase and extension-header
+// names are interned Tokens (pointer copies). finish() allocates the shared block from a
 // freelist-backed pool (see message_pool.hpp), as do identity blocks, so a
 // warm forward path creates and releases messages without the allocator.
 #pragma once
@@ -32,20 +33,23 @@
 #include "sip/message_pool.hpp"
 #include "sip/methods.hpp"
 #include "sip/uri.hpp"
+#include "sip/via_branch.hpp"
 
 namespace svk::sip {
 
 /// One Via header entry (RFC 3261 8.1.1.7 / 18.2.1): the response return
 /// path. `sent_by` is the sender's host identity; `branch` the transaction
 /// id token. Protocol and sent-by come from bounded vocabularies and are
-/// interned; branch is per-transaction unique and stays a plain string.
+/// interned; branch is per-transaction unique and is a Branch, which keeps
+/// up to 31 characters inline, so copying a Via never allocates for a
+/// generated branch. 56 bytes.
 struct Via {
   Via() = default;
-  Via(Token protocol, Token sent_by, std::string branch = {})
+  Via(Token protocol, Token sent_by, Branch branch = {})
       : protocol(protocol), sent_by(sent_by), branch(std::move(branch)) {}
   /// Interns both values; per-hop sites should pass pre-interned Tokens.
   Via(std::string_view protocol, std::string_view sent_by,
-      std::string branch = {})
+      Branch branch = {})
       : Via(Token(protocol), Token(sent_by), std::move(branch)) {}
 
   /// "SIP/2.0/UDP", interned once per process.
@@ -56,7 +60,7 @@ struct Via {
 
   Token protocol = udp();
   Token sent_by;
-  std::string branch;
+  Branch branch;
   /// RFC 7339-style overload-control feedback: the permitted request rate
   /// (cps) this hop advertises to its upstream neighbor, piggybacked on the
   /// Via it stamps onto responses. Negative = no advertisement.

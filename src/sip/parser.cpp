@@ -72,7 +72,7 @@ Result<Via> parse_via(std::string_view value) {
       }
       item = trim(item);
       if (item.starts_with("branch=")) {
-        via.branch = std::string(item.substr(7));
+        via.branch = item.substr(7);
       } else if (item.starts_with("oc=")) {
         const std::string_view num = item.substr(3);
         double rate = 0.0;

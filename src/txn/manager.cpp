@@ -55,24 +55,21 @@ ClientTransaction& TransactionManager::create_client(
   const sip::Method method = request->cseq().method;
   TxnHandle handle;
   handle.hash = sip::txn_key_hash(via.branch, via.sent_by, method);
-  auto user_terminated = std::move(callbacks.on_terminated);
   handle.slot = client_slab_.emplace(
       sim_, timers_, method == sip::Method::kInvite, request, std::move(send),
       std::move(callbacks));
   ClientTransaction& ref = *client_slab_.get(handle.slot);
-  // The removal wrapper needs the handle, which exists only now.
-  ref.set_on_terminated(
-      [this, handle, user_terminated = std::move(user_terminated)] {
-        if (user_terminated) user_terminated();
-        schedule_client_removal(handle);
-      });
+  // The removal hook needs the handle, which exists only now.
+  ref.manager_ = this;
+  ref.handle_ = handle;
   ++stats_.client_created;
   clients_.insert(handle.hash, handle.slot);
   note_active();
   if (tap_ != nullptr) {
     ref.set_tap(tap_);
     tap_->on_client_created(
-        &ref, sip::TransactionKey{via.branch, via.sent_by.str(), method},
+        &ref,
+        sip::TransactionKey{via.branch.str(), via.sent_by.str(), method},
         timers_);
   }
   if (out_handle != nullptr) *out_handle = handle;
@@ -86,16 +83,12 @@ ServerTransaction& TransactionManager::create_server(
   const sip::TxnProbe probe = request_probe(request);
   TxnHandle handle;
   handle.hash = probe.hash;
-  auto user_terminated = std::move(callbacks.on_terminated);
   handle.slot = server_slab_.emplace(
       sim_, timers_, request->method() == sip::Method::kInvite, request,
       std::move(send), std::move(callbacks));
   ServerTransaction& ref = *server_slab_.get(handle.slot);
-  ref.set_on_terminated(
-      [this, handle, user_terminated = std::move(user_terminated)] {
-        if (user_terminated) user_terminated();
-        schedule_server_removal(handle);
-      });
+  ref.manager_ = this;
+  ref.handle_ = handle;
   ++stats_.server_created;
   servers_.insert(handle.hash, handle.slot);
   note_active();

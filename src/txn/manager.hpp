@@ -37,18 +37,6 @@ enum class Dispatch {
   kStrayResponse,
 };
 
-/// Stable reference to one table entry: the entry's precomputed key hash
-/// plus the generation-tagged slab handle. POD, 16 bytes — owners capture
-/// this in callbacks instead of an owning TransactionKey (two string
-/// copies), and resolution is a generation check instead of a probe.
-/// Outliving the transaction is safe: a stale handle resolves to null.
-struct TxnHandle {
-  std::uint64_t hash = 0;
-  common::SlabHandle slot;
-
-  [[nodiscard]] bool null() const { return slot.null(); }
-};
-
 /// Transactions created per side, per manager.
 struct TxnStats {
   std::uint64_t client_created = 0;
@@ -70,7 +58,8 @@ class TransactionManager {
 
   /// Creates and starts a client transaction for `request` (whose top Via
   /// must already carry this element's branch). `callbacks.on_terminated`
-  /// may be empty; the manager always removes the entry afterwards.
+  /// may be empty; the transaction calls the manager's removal hook after
+  /// it either way.
   /// `out_handle`, when given, receives the new entry's handle.
   ClientTransaction& create_client(const sip::MessagePtr& request,
                                    SendFn send, ClientCallbacks callbacks,
@@ -125,6 +114,10 @@ class TransactionManager {
   void set_conformance_tap(ConformanceTap* tap) { tap_ = tap; }
 
  private:
+  // Removal hooks, called by a transaction after its user's
+  // on_terminated.
+  friend class ClientTransaction;
+  friend class ServerTransaction;
   void schedule_client_removal(TxnHandle handle);
   void schedule_server_removal(TxnHandle handle);
   /// Emits the active-transaction counter track after a table change.

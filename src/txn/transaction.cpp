@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "txn/manager.hpp"
+
 namespace svk::txn {
 namespace {
 
@@ -75,7 +77,7 @@ void ClientTransaction::fire_timeout() {
     state_ = ClientState::kTerminated;
     cancel_timers();
     if (callbacks_.on_timeout) callbacks_.on_timeout();
-    if (callbacks_.on_terminated) callbacks_.on_terminated();
+    notify_terminated();
   }
   notify(ClientEvent::kTimerTimeout);
 }
@@ -126,7 +128,12 @@ void ClientTransaction::terminate() {
   if (state_ == ClientState::kTerminated) return;
   state_ = ClientState::kTerminated;
   cancel_timers();
+  notify_terminated();
+}
+
+void ClientTransaction::notify_terminated() {
   if (callbacks_.on_terminated) callbacks_.on_terminated();
+  if (manager_ != nullptr) manager_->schedule_client_removal(handle_);
 }
 
 void ClientTransaction::receive_response(const sip::MessagePtr& response) {
@@ -229,7 +236,12 @@ void ServerTransaction::terminate() {
   if (state_ == ServerState::kTerminated) return;
   state_ = ServerState::kTerminated;
   cancel_timers();
+  notify_terminated();
+}
+
+void ServerTransaction::notify_terminated() {
   if (callbacks_.on_terminated) callbacks_.on_terminated();
+  if (manager_ != nullptr) manager_->schedule_server_removal(handle_);
 }
 
 void ServerTransaction::wire_send(const sip::MessagePtr& msg) {

@@ -10,9 +10,12 @@
 // events. They never touch the network or the proxy core directly.
 #pragma once
 
-#include <functional>
+#include <cstddef>
+#include <cstdint>
 #include <utility>
 
+#include "common/slab.hpp"
+#include "sim/event_action.hpp"
 #include "sim/simulator.hpp"
 #include "sip/branch.hpp"
 #include "sip/message.hpp"
@@ -24,28 +27,55 @@ namespace svk::txn {
 enum class ClientState { kCalling, kTrying, kProceeding, kCompleted, kTerminated };
 enum class ServerState { kTrying, kProceeding, kCompleted, kConfirmed, kTerminated };
 
+/// Inline capacity of the transaction layer's callables. The largest
+/// captures in src/ fit: a proxy's client timeout callback (this, the
+/// server transaction's handle and the request), a UAC's per-call callbacks
+/// (this and the Call-ID) and a UA's registration callback. With the ops
+/// pointer a callable is 48 bytes, and a transaction holds four.
+inline constexpr std::size_t kCallbackInline = 40;
+
+/// A transaction-layer callable: copyable, kCallbackInline bytes inline, so
+/// installing a callback allocates nothing.
+template <typename Signature>
+using Callback = sim::InlineFunction<Signature, kCallbackInline, true>;
+
 /// Callbacks from a transaction to its user (proxy core or UA core).
 struct ClientCallbacks {
   /// Invoked for every response passed up (provisional and final;
   /// retransmitted finals are absorbed and NOT passed up again).
-  std::function<void(const sip::MessagePtr&)> on_response;
+  Callback<void(const sip::MessagePtr&)> on_response;
   /// Timer B/F fired with no final response.
-  std::function<void()> on_timeout;
+  Callback<void()> on_timeout;
   /// Machine reached Terminated (owner may destroy it).
-  std::function<void()> on_terminated;
+  Callback<void()> on_terminated;
 };
 
 struct ServerCallbacks {
   /// ACK arrived for a non-2xx final response (INVITE server only).
-  std::function<void(const sip::MessagePtr&)> on_ack;
+  Callback<void(const sip::MessagePtr&)> on_ack;
   /// Timer H fired: no ACK for our non-2xx final.
-  std::function<void()> on_timeout;
-  std::function<void()> on_terminated;
+  Callback<void()> on_timeout;
+  Callback<void()> on_terminated;
 };
 
 /// Function used to put a message on the wire (destination is bound by the
 /// owner when constructing the transaction).
-using SendFn = std::function<void(const sip::MessagePtr&)>;
+using SendFn = Callback<void(const sip::MessagePtr&)>;
+
+class TransactionManager;
+
+/// Stable reference to one transaction-table entry: the entry's precomputed
+/// key hash plus the generation-tagged slab handle. POD, 16 bytes — owners
+/// capture this in callbacks instead of an owning TransactionKey (two
+/// string copies), and resolution is a generation check instead of a
+/// probe. Outliving the transaction is safe: a stale handle resolves to
+/// null.
+struct TxnHandle {
+  std::uint64_t hash = 0;
+  common::SlabHandle slot;
+
+  [[nodiscard]] bool null() const { return slot.null(); }
+};
 
 /// Client transaction (RFC 3261 17.1). Construct, then call start().
 class ClientTransaction {
@@ -75,14 +105,6 @@ class ClientTransaction {
   /// notifications; the manager sets this before start().
   void set_tap(ConformanceTap* tap) { tap_ = tap; }
 
-  /// Replaces the termination callback. The manager's removal wrapper
-  /// captures the table handle, which exists only once the transaction sits
-  /// in the slab — so it is installed right after construction, before any
-  /// event can fire.
-  void set_on_terminated(std::function<void()> f) {
-    callbacks_.on_terminated = std::move(f);
-  }
-
  private:
   void receive_response_impl(const sip::MessagePtr& response);
   void enter_completed_invite(const sip::MessagePtr& response);
@@ -90,6 +112,8 @@ class ClientTransaction {
   void arm_retransmit(SimTime interval);
   void fire_timeout();
   void terminate();
+  /// Runs the user's on_terminated, then the manager's removal hook.
+  void notify_terminated();
   void cancel_timers();
   /// All wire output funnels through here so the tap sees every send.
   void wire_send(const sip::MessagePtr& msg);
@@ -104,6 +128,13 @@ class ClientTransaction {
   SendFn send_;
   ClientCallbacks callbacks_;
   ConformanceTap* tap_{nullptr};
+  /// Removal hook: the owning manager and this entry's handle. The manager
+  /// sets both right after placing the transaction in its slab (the handle
+  /// exists only then), before any event can fire. Null when the
+  /// transaction is used without a manager.
+  TransactionManager* manager_{nullptr};
+  TxnHandle handle_;
+  friend class TransactionManager;
 
   ClientState state_;
   SimTime rtx_interval_;
@@ -141,16 +172,13 @@ class ServerTransaction {
   /// Installs (or clears) the conformance tap (see ClientTransaction).
   void set_tap(ConformanceTap* tap) { tap_ = tap; }
 
-  /// Replaces the termination callback (see ClientTransaction).
-  void set_on_terminated(std::function<void()> f) {
-    callbacks_.on_terminated = std::move(f);
-  }
-
  private:
   void receive_request_impl(const sip::MessagePtr& request);
   void respond_impl(const sip::MessagePtr& response);
   void arm_response_retransmit(SimTime interval);
   void terminate();
+  /// Runs the user's on_terminated, then the manager's removal hook.
+  void notify_terminated();
   void cancel_timers();
   void wire_send(const sip::MessagePtr& msg);
   void notify(ServerEvent event, const sip::Message* msg = nullptr) {
@@ -164,6 +192,13 @@ class ServerTransaction {
   SendFn send_;
   ServerCallbacks callbacks_;
   ConformanceTap* tap_{nullptr};
+  /// Removal hook: the owning manager and this entry's handle. The manager
+  /// sets both right after placing the transaction in its slab (the handle
+  /// exists only then), before any event can fire. Null when the
+  /// transaction is used without a manager.
+  TransactionManager* manager_{nullptr};
+  TxnHandle handle_;
+  friend class TransactionManager;
 
   ServerState state_;
   sip::MessagePtr last_response_;

@@ -118,8 +118,10 @@ void Uac::place_call() {
   const std::string callee =
       "user" + std::to_string(n % static_cast<std::uint64_t>(
                                       std::max(1, config_.num_callees)));
-  const std::string call_id =
-      config_.host + "-" + std::to_string(n);
+  // Not const: callbacks below capture it by copy, and a const member
+  // would make their move a copy that can throw, which sends them to the
+  // heap (sim/event_action.hpp).
+  std::string call_id = config_.host + "-" + std::to_string(n);
   const std::string from_tag = "uac" + std::to_string(n);
 
   sip::Uri request_uri(callee, domain_token_);
@@ -210,8 +212,8 @@ void Uac::on_invite_response(const std::string& call_id,
                           msg->record_routes().rend());
     send_ack(call, *msg);
     if (config_.hold_time > SimTime{}) {
-      sim_.schedule(config_.hold_time,
-                    [this, call_id] { send_bye(call_id); });
+      // `id` is a non-const copy, so the event stays inline.
+      sim_.schedule(config_.hold_time, [this, id = call_id] { send_bye(id); });
     } else {
       send_bye(call_id);
     }
@@ -263,8 +265,10 @@ void Uac::send_bye(const std::string& call_id) {
   maybe_attach_credentials(bye);
   auto bye_ptr = std::move(bye).finish();
 
+  // `id` is a non-const copy of the caller's Call-ID, so both callbacks
+  // stay inline.
   txn::ClientCallbacks callbacks;
-  callbacks.on_response = [this, call_id](const sip::MessagePtr& msg) {
+  callbacks.on_response = [this, id = call_id](const sip::MessagePtr& msg) {
     if (!sip::is_final(msg->status_code())) return;
     if (sip::is_success(msg->status_code())) {
       ++metrics_.calls_completed;
@@ -278,12 +282,12 @@ void Uac::send_bye(const std::string& call_id) {
       }
       ++metrics_.calls_failed;
     }
-    calls_.erase(call_id);
+    calls_.erase(id);
   };
-  callbacks.on_timeout = [this, call_id] {
+  callbacks.on_timeout = [this, id = call_id] {
     ++metrics_.calls_failed;
     ++metrics_.calls_timed_out;
-    calls_.erase(call_id);
+    calls_.erase(id);
   };
   txns_.create_client(bye_ptr, counting_sender(sip::Method::kBye),
                       std::move(callbacks));

@@ -88,7 +88,10 @@ void Uas::handle_invite(Address from, const sip::MessagePtr& msg) {
   pending.server_txn = server_handle;
   pending.tag = tag;
   pending.peer = from;
-  const std::string call_id = msg->call_id();
+  // Not const: the answer event captures it by copy, and a const member
+  // would make the event's move a copy that can throw, which sends it to
+  // the heap (sim/event_action.hpp).
+  std::string call_id = msg->call_id();
   if (config_.answer_delay > SimTime{}) {
     pending.timer = sim_.schedule(config_.answer_delay,
                                   [this, call_id] { answer(call_id); });
@@ -121,8 +124,9 @@ void Uas::answer(const std::string& call_id) {
   pending.peer = ringing.peer;
   pending.interval = config_.timers.t1;
   pending.deadline = sim_.now() + 64 * config_.timers.t1;
-  pending.timer = sim_.schedule(pending.interval,
-                                [this, call_id] { retransmit_200(call_id); });
+  // `id` is a non-const copy, so the event stays inline.
+  pending.timer = sim_.schedule(
+      pending.interval, [this, id = call_id] { retransmit_200(id); });
   pending_200_.emplace(call_id, std::move(pending));
 }
 
@@ -164,8 +168,8 @@ void Uas::retransmit_200(const std::string& call_id) {
   ++metrics_.retransmitted_200;
   network_.send(config_.address, pending.peer, pending.response);
   pending.interval = std::min(2 * pending.interval, config_.timers.t2);
-  pending.timer = sim_.schedule(pending.interval,
-                                [this, call_id] { retransmit_200(call_id); });
+  pending.timer = sim_.schedule(
+      pending.interval, [this, id = call_id] { retransmit_200(id); });
 }
 
 void Uas::handle_ack(const sip::MessagePtr& msg) {
@@ -205,15 +209,18 @@ void Uas::send_register(Address registrar, const std::string& aor,
                  std::to_string(static_cast<long>(expires.to_seconds())));
 
   txn::ClientCallbacks callbacks;
-  callbacks.on_response = [this, registrar, aor, expires, auto_refresh](
-                              const sip::MessagePtr& response) {
+  // The AOR rides as an interned Token (one per registering UA, a bounded
+  // set), which keeps the capture within the callback's inline buffer.
+  callbacks.on_response = [this, registrar, aor = sip::Token(aor), expires,
+                           auto_refresh](const sip::MessagePtr& response) {
     if (!sip::is_success(response->status_code())) return;
     ++registrations_confirmed_;
     if (auto_refresh) {
       // Renew at half-life (common UA behaviour).
       sim_.schedule(SimTime::seconds(expires.to_seconds() / 2.0),
                     [this, registrar, aor, expires, auto_refresh] {
-                      send_register(registrar, aor, expires, auto_refresh);
+                      send_register(registrar, aor.str(), expires,
+                                    auto_refresh);
                     });
     }
   };

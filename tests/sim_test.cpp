@@ -1,17 +1,165 @@
-// Unit tests for the discrete-event simulator: event ordering, timers,
-// network links, CPU queue semantics and utilization accounting.
+// Unit tests for the discrete-event simulator: the small-buffer callable,
+// event ordering, timers, network links, CPU queue semantics and
+// utilization accounting.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "sim/cpu_queue.hpp"
+#include "sim/event_action.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
 namespace svk::sim {
 namespace {
+
+// ---------------------------------------------------------------------------
+// InlineFunction (EventAction and the transaction callbacks)
+// ---------------------------------------------------------------------------
+
+using SmallFn = InlineFunction<void(), 32>;
+using CopyableFn = InlineFunction<void(), 32, true>;
+
+/// A callable whose move constructor may throw: stored on the heap so that
+/// relocating the callable never runs user code.
+struct ThrowingMove {
+  std::shared_ptr<int> token;
+  int* calls;
+  ThrowingMove(std::shared_ptr<int> t, int* c) : token(std::move(t)), calls(c) {}
+  ThrowingMove(const ThrowingMove&) = default;
+  ThrowingMove(ThrowingMove&& other) noexcept(false)
+      : token(std::move(other.token)), calls(other.calls) {}
+  void operator()() const { ++*calls; }
+};
+
+TEST(InlineFunctionTest, SmallCaptureStaysInline) {
+  auto token = std::make_shared<int>(0);
+  int calls = 0;
+  auto lambda = [token, &calls] { ++calls; };
+  static_assert(SmallFn::kStoresInline<decltype(lambda)>);
+  SmallFn f(std::move(lambda));
+  f();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(token.use_count(), 2);
+  static_assert(sizeof(EventAction) == 80);  // 64 inline + ops, 16-aligned
+}
+
+TEST(InlineFunctionTest, OversizedCaptureFallsBackToHeap) {
+  auto token = std::make_shared<int>(0);
+  std::array<char, 64> pad{};
+  pad[0] = 7;
+  int seen = 0;
+  auto lambda = [token, pad, &seen] { seen += pad[0]; };
+  static_assert(!SmallFn::kStoresInline<decltype(lambda)>);
+  {
+    SmallFn f(std::move(lambda));
+    EXPECT_EQ(token.use_count(), 2);
+    SmallFn moved(std::move(f));  // moves the heap pointer, not the target
+    EXPECT_FALSE(f);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(token.use_count(), 2);
+    moved();
+    EXPECT_EQ(seen, 7);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(InlineFunctionTest, ThrowingMoveCaptureFallsBackToHeap) {
+  static_assert(!SmallFn::kStoresInline<ThrowingMove>);
+  auto token = std::make_shared<int>(0);
+  int calls = 0;
+  {
+    SmallFn f(ThrowingMove{token, &calls});
+    EXPECT_EQ(token.use_count(), 2);
+    SmallFn g;
+    g = std::move(f);
+    g();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(InlineFunctionTest, MoveAndResetDestroyTheTargetOnce) {
+  auto token = std::make_shared<int>(0);
+  SmallFn a([token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  SmallFn b(std::move(a));  // move-construct: one live target
+  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(b);
+  EXPECT_EQ(token.use_count(), 2);
+  SmallFn c([] {});
+  c = std::move(b);  // move-assign: c's old target goes, b's moves over
+  EXPECT_FALSE(b);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(token.use_count(), 2);
+  SmallFn& alias = c;
+  c = std::move(alias);  // self-move keeps the target
+  EXPECT_TRUE(c);
+  EXPECT_EQ(token.use_count(), 2);
+  c.reset();
+  EXPECT_FALSE(c);
+  EXPECT_EQ(token.use_count(), 1);
+  c.reset();  // resetting an empty callable is a no-op
+  EXPECT_EQ(token.use_count(), 1);
+  // Assigning over a live target destroys it exactly once.
+  SmallFn d([token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  d = SmallFn([] {});
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(InlineFunctionTest, NullptrConstructedIsEmpty) {
+  const SmallFn f(nullptr);
+  EXPECT_FALSE(f);
+  const EventAction e = nullptr;
+  EXPECT_FALSE(e);
+  const CpuQueue::Completion done(nullptr);
+  EXPECT_FALSE(done);
+  EXPECT_FALSE(SmallFn());
+}
+
+TEST(InlineFunctionTest, ArgumentIsForwardedByConstReference) {
+  /// Counts copies, so a by-value hop anywhere on the way would show.
+  struct Payload {
+    int* copies;
+    explicit Payload(int* c) : copies(c) {}
+    Payload(const Payload& other) : copies(other.copies) { ++*copies; }
+  };
+  int copies = 0;
+  const Payload payload(&copies);
+  const Payload* seen = nullptr;
+  InlineFunction<void(const Payload&), 16> f(
+      [&seen](const Payload& p) { seen = &p; });
+  f(payload);
+  EXPECT_EQ(seen, &payload);
+  EXPECT_EQ(copies, 0);
+}
+
+TEST(InlineFunctionTest, CopyableInstanceCopiesInlineAndHeapTargets) {
+  static_assert(std::is_copy_constructible_v<CopyableFn>);
+  static_assert(!std::is_copy_constructible_v<SmallFn>);
+  auto token = std::make_shared<int>(0);
+  int calls = 0;
+  std::array<char, 64> pad{};
+  const CopyableFn small([token, &calls] { ++calls; });
+  const CopyableFn big([token, pad, &calls] { calls += 1 + pad[0]; });
+  EXPECT_EQ(token.use_count(), 3);
+  {
+    CopyableFn a(small);
+    CopyableFn b(big);
+    EXPECT_EQ(token.use_count(), 5);
+    a = big;  // copy-assign over a live target
+    EXPECT_EQ(token.use_count(), 5);
+    a();
+    b();
+    EXPECT_EQ(calls, 2);
+  }
+  EXPECT_EQ(token.use_count(), 3);
+}
 
 // ---------------------------------------------------------------------------
 // Simulator

@@ -669,7 +669,7 @@ TEST(BranchTest, GeneratorEmitsUniqueCookiePrefixed) {
   BranchGenerator gen(42);
   std::set<std::string> seen;
   for (int i = 0; i < 1000; ++i) {
-    const std::string branch = gen.next();
+    const std::string branch = gen.next().str();
     EXPECT_TRUE(branch.starts_with(kMagicCookie)) << branch;
     EXPECT_TRUE(seen.insert(branch).second) << "duplicate " << branch;
   }
@@ -682,13 +682,126 @@ TEST(BranchTest, DistinctElementsDistinctBranches) {
 }
 
 TEST(BranchTest, StatelessBranchDeterministic) {
-  const std::string b1 = stateless_branch("z9hG4bK-abc", "p1.example.com");
-  const std::string b2 = stateless_branch("z9hG4bK-abc", "p1.example.com");
+  const std::string b1 =
+      stateless_branch("z9hG4bK-abc", "p1.example.com").str();
+  const std::string b2 =
+      stateless_branch("z9hG4bK-abc", "p1.example.com").str();
   EXPECT_EQ(b1, b2);
   EXPECT_TRUE(b1.starts_with(kMagicCookie));
   // Different host or input branch -> different output.
   EXPECT_NE(b1, stateless_branch("z9hG4bK-abc", "p2.example.com"));
   EXPECT_NE(b1, stateless_branch("z9hG4bK-abd", "p1.example.com"));
+}
+
+// The generated branches keep printf's "%llx" rendering byte for byte: the
+// element id and counter below cover one digit, the first two-digit value
+// and the full 16 digits (where the branch no longer fits inline).
+TEST(BranchTest, GeneratorMatchesPrintfHexFormat) {
+  constexpr std::uint64_t kMax = UINT64_MAX;
+  struct Case {
+    std::uint64_t id;
+    std::uint64_t counter;
+    std::string_view expect;
+  };
+  const Case cases[] = {
+      {0, 0, "z9hG4bK-0-0"},
+      {0, 1, "z9hG4bK-0-1"},
+      {1, 0xf, "z9hG4bK-1-f"},
+      {0xf, 0x10, "z9hG4bK-f-10"},
+      {0x10, 0xf, "z9hG4bK-10-f"},
+      {0x10, kMax, "z9hG4bK-10-ffffffffffffffff"},
+      {kMax, 1, "z9hG4bK-ffffffffffffffff-1"},
+      {kMax, kMax, "z9hG4bK-ffffffffffffffff-ffffffffffffffff"},
+  };
+  for (const Case& c : cases) {
+    // The generator issues counter `issued + 1`, wrapping at 2^64.
+    BranchGenerator gen(c.id, c.counter - 1);
+    const Branch branch = gen.next();
+    EXPECT_EQ(branch, c.expect);
+    EXPECT_EQ(branch.is_inline(), c.expect.size() <= Branch::kInlineCapacity);
+  }
+  // Consecutive counters count up in hex.
+  BranchGenerator gen(0x10, 0xe);
+  EXPECT_EQ(gen.next(), "z9hG4bK-10-f");
+  EXPECT_EQ(gen.next(), "z9hG4bK-10-10");
+}
+
+TEST(BranchTest, StatelessBranchMatchesPrintfHexFormat) {
+  // FNV-1a over the incoming branch, then the host, rendered as "%llx".
+  EXPECT_EQ(stateless_branch("z9hG4bK-abc", "p1.example.com"),
+            "z9hG4bK-sl457386df6debac19");
+  EXPECT_EQ(stateless_branch("z9hG4bK-1-1", "proxy2"),
+            "z9hG4bK-sl83c693c91660de7e");
+  EXPECT_EQ(stateless_branch("", ""), "z9hG4bK-slcbf29ce484222325");
+  EXPECT_TRUE(stateless_branch("z9hG4bK-abc", "p1.example.com").is_inline());
+}
+
+TEST(BranchTest, InlineCapacityBoundary) {
+  const std::string at31(31, 'a');
+  const std::string at32(32, 'b');
+  const Branch inline_branch(at31);
+  const Branch heap_branch(at32);
+  EXPECT_TRUE(inline_branch.is_inline());
+  EXPECT_FALSE(heap_branch.is_inline());
+  EXPECT_EQ(inline_branch, at31);
+  EXPECT_EQ(heap_branch, at32);
+  EXPECT_EQ(inline_branch.size(), 31u);
+  EXPECT_EQ(heap_branch.size(), 32u);
+  EXPECT_TRUE(Branch().empty());
+  EXPECT_TRUE(Branch().is_inline());
+  EXPECT_EQ(sizeof(Branch), 32u);
+}
+
+TEST(BranchTest, CopyMoveAndAssignAcrossStorage) {
+  const std::string short_text = "z9hG4bK-1-2";
+  const std::string long_text = "z9hG4bK-" + std::string(40, 'x');
+  for (const std::string* src : {&short_text, &long_text}) {
+    for (const std::string* dst : {&short_text, &long_text}) {
+      const Branch original(*src);
+      // Copy construction and copy assignment over either storage kind.
+      const Branch copied(original);
+      Branch assigned(*dst);
+      assigned = original;
+      EXPECT_EQ(copied, *src);
+      EXPECT_EQ(assigned, *src);
+      EXPECT_EQ(original, *src);  // the source is untouched
+      if (!original.is_inline()) {
+        EXPECT_NE(copied.data(), original.data());  // a deep copy
+      }
+      // Move construction and move assignment leave the source empty.
+      Branch donor(original);
+      const char* donor_data = donor.data();
+      Branch moved(std::move(donor));
+      EXPECT_EQ(moved, *src);
+      EXPECT_TRUE(donor.empty());  // NOLINT(bugprone-use-after-move)
+      if (!moved.is_inline()) {
+        EXPECT_EQ(moved.data(), donor_data);  // the block changes hands
+      }
+      Branch target(*dst);
+      target = std::move(moved);
+      EXPECT_EQ(target, *src);
+      EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+      // Self-assignment keeps the value.
+      Branch& alias = target;
+      target = alias;
+      EXPECT_EQ(target, *src);
+    }
+  }
+}
+
+TEST(BranchTest, LongParsedBranchRoundTrips) {
+  const std::string branch = "z9hG4bK-" + std::string(32, '7');
+  ASSERT_EQ(branch.size(), 40u);
+  Message msg = make_invite();
+  msg.top_via().branch = branch;
+  ASSERT_FALSE(msg.top_via().branch.is_inline());
+  const std::string wire = msg.to_wire();
+  EXPECT_NE(wire.find(";branch=" + branch), std::string::npos) << wire;
+  const auto parsed = Parser::parse(wire);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  EXPECT_EQ(parsed.value().top_via().branch, branch);
+  EXPECT_FALSE(parsed.value().top_via().branch.is_inline());
+  EXPECT_EQ(parsed.value().to_wire(), wire);
 }
 
 TEST(TxnKeyTest, AckMatchesInviteServerKey) {
@@ -714,7 +827,7 @@ TEST(TxnKeyTest, ResponseMatchesClientKeyOfRequest) {
   const Message resp = Message::response(invite, 180);
   // Client key of the response equals the key derived from the request's
   // top via + method.
-  const TransactionKey expect{invite.top_via().branch,
+  const TransactionKey expect{invite.top_via().branch.str(),
                               invite.top_via().sent_by.str(), Method::kInvite};
   EXPECT_EQ(client_key(resp), expect);
 }

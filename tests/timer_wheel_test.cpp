@@ -400,9 +400,11 @@ TEST(MessagePoolTest, MessageLayoutStaysWithinBudget) {
   // Transactions hold requests and final responses for Timer J/K, so the
   // by-value part of a message is what a stateful run's memory scales
   // with. The call identity lives in a shared block; Uri is two Tokens, the
-  // user, the port and an (empty) parameter vector.
+  // user, the port and an (empty) parameter vector. A Via is two Tokens,
+  // the inline branch (32 B) and the overload-control rate.
   EXPECT_LE(sizeof(svk::sip::Message), 512u);
   EXPECT_LE(sizeof(svk::sip::Uri), 80u);
+  EXPECT_LE(sizeof(svk::sip::Via), 56u);
 }
 
 // ---------------------------------------------------------------------------
