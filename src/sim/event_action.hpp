@@ -15,7 +15,7 @@
 //   network-delivery lambda (this + from + to + MessagePtr) and the proxy's
 //   forward job (this + from + two MessagePtrs + target + flag).
 // - txn::Callback<Sig> instances are copyable, with a 40-byte buffer sized
-//   to the largest transaction callback captures in src/ (see
+//   to the largest per-call transaction callback captures in src/ (see
 //   txn/transaction.hpp).
 //
 // A capture of a const std::string (a const local, or a const& parameter,
@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <type_traits>
 #include <utility>
 
@@ -34,11 +33,11 @@ namespace svk::sim {
 template <typename Signature, std::size_t InlineSize, bool Copyable = false>
 class InlineFunction;
 
-/// Type-erased callable with `InlineSize` bytes of inline storage. Move-only
-/// unless `Copyable`, in which case only copy-constructible targets are
-/// accepted. Calling an empty instance is undefined.
-template <typename R, typename... Args, std::size_t InlineSize, bool Copyable>
-class InlineFunction<R(Args...), InlineSize, Copyable> {
+/// Type-erased void callable with `InlineSize` bytes of inline storage.
+/// Move-only unless `Copyable`, in which case only copy-constructible
+/// targets are accepted. Calling an empty instance is undefined.
+template <typename... Args, std::size_t InlineSize, bool Copyable>
+class InlineFunction<void(Args...), InlineSize, Copyable> {
  public:
   static constexpr std::size_t kInlineSize = InlineSize;
 
@@ -54,7 +53,7 @@ class InlineFunction<R(Args...), InlineSize, Copyable> {
 
   template <typename F, typename Fn = std::decay_t<F>,
             std::enable_if_t<!std::is_same_v<Fn, InlineFunction> &&
-                                 std::is_invocable_r_v<R, Fn&, Args...> &&
+                                 std::is_invocable_v<Fn&, Args...> &&
                                  (!Copyable || std::is_copy_constructible_v<Fn>),
                              int> = 0>
   // NOLINTNEXTLINE(google-explicit-constructor): drop-in for std::function
@@ -102,8 +101,8 @@ class InlineFunction<R(Args...), InlineSize, Copyable> {
 
   /// Invokes the target, passing reference arguments through as
   /// references. Precondition: non-empty.
-  R operator()(Args... args) {
-    return ops_->invoke(buf_, std::forward<Args>(args)...);
+  void operator()(Args... args) {
+    ops_->invoke(buf_, std::forward<Args>(args)...);
   }
 
   [[nodiscard]] explicit operator bool() const noexcept {
@@ -122,7 +121,7 @@ class InlineFunction<R(Args...), InlineSize, Copyable> {
   using CopyFn = void (*)(void* dst, const void* src);
 
   struct Ops {
-    R (*invoke)(void* buf, Args&&... args);
+    void (*invoke)(void* buf, Args&&... args);
     /// Move-constructs dst's storage from src's and destroys src's.
     void (*relocate)(void* dst, void* src);
     /// Copy-constructs dst's storage from src's (Copyable instances only).
@@ -131,19 +130,10 @@ class InlineFunction<R(Args...), InlineSize, Copyable> {
   };
 
   template <typename Fn>
-  static R call(Fn& fn, Args&&... args) {
-    if constexpr (std::is_void_v<R>) {
-      std::invoke(fn, std::forward<Args>(args)...);
-    } else {
-      return std::invoke(fn, std::forward<Args>(args)...);
-    }
-  }
-
-  template <typename Fn>
   static const Ops* inline_ops() {
     static constexpr Ops ops = {
-        [](void* b, Args&&... args) -> R {
-          return call(*static_cast<Fn*>(b), std::forward<Args>(args)...);
+        [](void* b, Args&&... args) {
+          (*static_cast<Fn*>(b))(std::forward<Args>(args)...);
         },
         [](void* dst, void* src) {
           ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
@@ -158,8 +148,8 @@ class InlineFunction<R(Args...), InlineSize, Copyable> {
   template <typename Fn>
   static const Ops* heap_ops() {
     static constexpr Ops ops = {
-        [](void* b, Args&&... args) -> R {
-          return call(**static_cast<Fn**>(b), std::forward<Args>(args)...);
+        [](void* b, Args&&... args) {
+          (**static_cast<Fn**>(b))(std::forward<Args>(args)...);
         },
         [](void* dst, void* src) {
           ::new (dst) Fn*(*static_cast<Fn**>(src));

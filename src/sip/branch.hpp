@@ -18,17 +18,15 @@ inline constexpr std::string_view kMagicCookie = "z9hG4bK";
 /// address, so runs are reproducible yet branches are globally unique.
 class BranchGenerator {
  public:
-  /// `issued` is how many branches this element has already issued: the
-  /// next one carries counter issued + 1 (wrapping at 2^64).
-  explicit BranchGenerator(std::uint64_t element_id, std::uint64_t issued = 0)
-      : element_id_(element_id), counter_(issued) {}
+  explicit BranchGenerator(std::uint64_t element_id)
+      : element_id_(element_id) {}
 
   /// "z9hG4bK-<element id>-<counter>" in lowercase hex, built in place.
   [[nodiscard]] Branch next();
 
  private:
   std::uint64_t element_id_;
-  std::uint64_t counter_;
+  std::uint64_t counter_{0};
 };
 
 /// Key identifying a transaction at one element.

@@ -28,10 +28,11 @@ enum class ClientState { kCalling, kTrying, kProceeding, kCompleted, kTerminated
 enum class ServerState { kTrying, kProceeding, kCompleted, kConfirmed, kTerminated };
 
 /// Inline capacity of the transaction layer's callables. The largest
-/// captures in src/ fit: a proxy's client timeout callback (this, the
-/// server transaction's handle and the request), a UAC's per-call callbacks
-/// (this and the Call-ID) and a UA's registration callback. With the ops
-/// pointer a callable is 48 bytes, and a transaction holds four.
+/// per-call captures in src/ fit: a proxy's client timeout callback (this,
+/// the server transaction's handle and the request) and a UAC's per-call
+/// callbacks (this and the Call-ID). A UA's registration callback, off the
+/// call path, spills to the heap. With the ops pointer a callable is 48
+/// bytes, and a transaction holds four.
 inline constexpr std::size_t kCallbackInline = 40;
 
 /// A transaction-layer callable: copyable, kCallbackInline bytes inline, so

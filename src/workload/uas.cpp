@@ -209,18 +209,15 @@ void Uas::send_register(Address registrar, const std::string& aor,
                  std::to_string(static_cast<long>(expires.to_seconds())));
 
   txn::ClientCallbacks callbacks;
-  // The AOR rides as an interned Token (one per registering UA, a bounded
-  // set), which keeps the capture within the callback's inline buffer.
-  callbacks.on_response = [this, registrar, aor = sip::Token(aor), expires,
-                           auto_refresh](const sip::MessagePtr& response) {
+  callbacks.on_response = [this, registrar, aor, expires, auto_refresh](
+                              const sip::MessagePtr& response) {
     if (!sip::is_success(response->status_code())) return;
     ++registrations_confirmed_;
     if (auto_refresh) {
       // Renew at half-life (common UA behaviour).
       sim_.schedule(SimTime::seconds(expires.to_seconds() / 2.0),
                     [this, registrar, aor, expires, auto_refresh] {
-                      send_register(registrar, aor.str(), expires,
-                                    auto_refresh);
+                      send_register(registrar, aor, expires, auto_refresh);
                     });
     }
   };

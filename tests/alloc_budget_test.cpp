@@ -5,10 +5,11 @@
 // executable. It runs the benchmark's SERvartuka chain and 16-exit dialog
 // fork at their benchmark rates and counts the heap allocations made in a
 // measured window after warm-up. Pools, slabs and tables have settled by
-// then, so what remains is per-message and per-call work. The bound is
-// half of what the same window allocated before Via branches were stored
-// inline and the CPU-job and transaction callables stopped spilling to
-// the heap (DESIGN.md §8).
+// then, so what remains is per-message and per-call work. Each bound is
+// the count the window makes now (it repeats exactly run to run) plus a
+// small margin. Before Via branches were stored inline and the CPU-job and
+// transaction callables stopped spilling to the heap, the same windows made
+// 113.0 and 140.9 allocations per call (DESIGN.md §8).
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -140,19 +141,19 @@ TEST(AllocBudgetTest, CountingAllocatorSeesNew) {
 // chain2_servartuka: two proxies under the SERvartuka controller at
 // 9000 cps full scale.
 TEST(AllocBudgetTest, ServartukaChainStaysWithinBudget) {
-  constexpr double kBeforePerCall = 113.0;
+  constexpr double kBudgetPerCall = 40.0;  // measured 39.0
   const Window w =
       measure(series_chain(2, bed_options(PolicyKind::kServartuka, 4)),
               9000.0 * kScale);
   ASSERT_GT(w.calls, 1000u);
-  EXPECT_LE(w.per_call(), kBeforePerCall / 2.0);
+  EXPECT_LE(w.per_call(), kBudgetPerCall);
 }
 
 // fork16_dialog: a balancer over 16 dialog-stateful exits with 10 ms links
 // at 10000 cps full scale.
 TEST(AllocBudgetTest, DialogForkStaysWithinBudget) {
   constexpr int kExits = 16;
-  constexpr double kBeforePerCall = 140.9;
+  constexpr double kBudgetPerCall = 56.0;  // measured 54.5
   ScenarioOptions options =
       bed_options(PolicyKind::kStaticChainLastStateful, kExits + 1);
   options.num_uacs = 8;
@@ -161,7 +162,7 @@ TEST(AllocBudgetTest, DialogForkStaysWithinBudget) {
   options.link_latency = SimTime::millis(10);
   const Window w = measure(wide_fork(kExits, options), 10000.0 * kScale);
   ASSERT_GT(w.calls, 1000u);
-  EXPECT_LE(w.per_call(), kBeforePerCall / 2.0);
+  EXPECT_LE(w.per_call(), kBudgetPerCall);
 }
 
 }  // namespace

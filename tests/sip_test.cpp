@@ -697,33 +697,20 @@ TEST(BranchTest, StatelessBranchDeterministic) {
 // element id and counter below cover one digit, the first two-digit value
 // and the full 16 digits (where the branch no longer fits inline).
 TEST(BranchTest, GeneratorMatchesPrintfHexFormat) {
-  constexpr std::uint64_t kMax = UINT64_MAX;
-  struct Case {
-    std::uint64_t id;
-    std::uint64_t counter;
-    std::string_view expect;
-  };
-  const Case cases[] = {
-      {0, 0, "z9hG4bK-0-0"},
-      {0, 1, "z9hG4bK-0-1"},
-      {1, 0xf, "z9hG4bK-1-f"},
-      {0xf, 0x10, "z9hG4bK-f-10"},
-      {0x10, 0xf, "z9hG4bK-10-f"},
-      {0x10, kMax, "z9hG4bK-10-ffffffffffffffff"},
-      {kMax, 1, "z9hG4bK-ffffffffffffffff-1"},
-      {kMax, kMax, "z9hG4bK-ffffffffffffffff-ffffffffffffffff"},
-  };
-  for (const Case& c : cases) {
-    // The generator issues counter `issued + 1`, wrapping at 2^64.
-    BranchGenerator gen(c.id, c.counter - 1);
-    const Branch branch = gen.next();
-    EXPECT_EQ(branch, c.expect);
-    EXPECT_EQ(branch.is_inline(), c.expect.size() <= Branch::kInlineCapacity);
+  // Element ids cover zero, one and two hex digits and the widest value;
+  // each generator's counter starts at 1 and is driven through f and 10.
+  const std::uint64_t ids[] = {0, 0xf, 0x10, UINT64_MAX};
+  const std::string_view id_hex[] = {"0", "f", "10", "ffffffffffffffff"};
+  for (std::size_t i = 0; i < std::size(ids); ++i) {
+    BranchGenerator gen(ids[i]);
+    const std::string prefix = "z9hG4bK-" + std::string(id_hex[i]) + "-";
+    EXPECT_EQ(gen.next(), prefix + "1");
+    for (int skipped = 2; skipped < 0xf; ++skipped) (void)gen.next();
+    EXPECT_EQ(gen.next(), prefix + "f");
+    const Branch widest = gen.next();
+    EXPECT_EQ(widest, prefix + "10");
+    EXPECT_TRUE(widest.is_inline());
   }
-  // Consecutive counters count up in hex.
-  BranchGenerator gen(0x10, 0xe);
-  EXPECT_EQ(gen.next(), "z9hG4bK-10-f");
-  EXPECT_EQ(gen.next(), "z9hG4bK-10-10");
 }
 
 TEST(BranchTest, StatelessBranchMatchesPrintfHexFormat) {
