@@ -9,8 +9,8 @@
 // an object's whole lifetime (chunks never move), and every slot carries a
 // generation counter so a Handle held across erase-and-reuse — the
 // schedule-removal-then-recreate pattern — can be detected as stale instead
-// of resolving to the wrong object. The same idiom as the timer wheel's
-// event-node pool (sim/timer_wheel.hpp), generalized.
+// of resolving to the wrong object. The timer wheel (sim/timer_wheel.hpp)
+// keeps its event nodes in one too; its EventId is the packed handle.
 #pragma once
 
 #include <cassert>
@@ -87,16 +87,22 @@ class Slab {
   /// generation so outstanding handles go stale). Stale/null handles are a
   /// harmless no-op returning false — erase can race a scheduled removal.
   bool erase(SlabHandle h) {
-    T* obj = get(h);
-    if (obj == nullptr) return false;
+    if (get(h) == nullptr) return false;
+    erase_live(h);
+    return true;
+  }
+
+  /// erase() for a handle the caller has already resolved with get(), so
+  /// the hot path checks it once.
+  void erase_live(SlabHandle h) {
     Slot& slot = slot_at(h.index);
-    obj->~T();
+    assert(slot.occupied && slot.generation == h.generation);
+    std::launder(reinterpret_cast<T*>(&slot.storage))->~T();
     slot.occupied = false;
     ++slot.generation;
     --live_;
     ++stats_.erased;
     freelist_.push_back(h.index);
-    return true;
   }
 
   /// Visits every live object in slot order (a fixed, deterministic order

@@ -19,10 +19,10 @@ namespace svk::sim {
 
 struct CpuQueueConfig {
   /// Processing capacity in cost units per second.
-  double capacity = 1.0;
+  double capacity;
   /// Admission bound: work is rejected when the current backlog implies a
   /// queueing delay beyond this.
-  SimTime max_queue_delay = SimTime::millis(1500);
+  SimTime max_queue_delay;
 };
 
 struct CpuStats {

@@ -42,10 +42,9 @@ bool Simulator::step_until(SimTime limit) {
   EventAction action;
   if (!wheel_.pop_until(limit, &at, &locus, &action)) return false;
   now_ = at;
-  ++executed_;
   // Event-queue depth sampled every 1024 events: cheap enough for the hot
   // loop, dense enough to see a runaway schedule on the harness track.
-  if (obs_.tracer != nullptr && (executed_ & 1023u) == 0) {
+  if (obs_.tracer != nullptr && (executed_count() & 1023u) == 0) {
     obs_.tracer->counter("pending_events", now_, 0, "events",
                          static_cast<double>(wheel_.size()));
   }

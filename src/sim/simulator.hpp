@@ -11,11 +11,11 @@
 // inherit the host's identity; outside event execution it is whatever the
 // harness establishes with LocusScope (rank 0 = harness/setup).
 //
-// The pending-event store is a hierarchical timer wheel with a slab-pooled
-// node per event (see timer_wheel.hpp): schedule and cancel are O(1),
-// cancellation removes the event eagerly (no tombstones), and steady-state
-// scheduling performs no heap allocation — the callable lives inline in the
-// pooled node (EventAction small-buffer storage).
+// The pending-event store is a hierarchical timer wheel with one
+// common::Slab node per event (see timer_wheel.hpp): schedule and cancel are
+// O(1), cancellation always removes the event eagerly (no tombstones), and
+// steady-state scheduling performs no heap allocation — the callable lives
+// inline in the node (EventAction small-buffer storage).
 #pragma once
 
 #include <cstdint>
@@ -81,18 +81,18 @@ class Simulator {
   bool step();
 
   /// Number of events executed so far (diagnostics).
-  [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
+  [[nodiscard]] std::uint64_t executed_count() const {
+    return wheel_.stats().executed;
+  }
 
   /// Pending (non-cancelled) event count. O(1), maintained by the wheel.
   [[nodiscard]] std::size_t pending_count() const { return wheel_.size(); }
 
-  /// Event-store allocation/behavior counters (perf benches and the
-  /// zero-allocation steady-state tests read these).
+  /// Event-store counters (the repository benchmark reads these).
   [[nodiscard]] const TimerWheel::Stats& event_stats() const {
     return wheel_.stats();
   }
-  /// The wheel itself, for memory-behavior assertions (node capacity,
-  /// overflow residency).
+  /// The wheel itself, for memory-behavior assertions (node capacity).
   [[nodiscard]] const TimerWheel& event_store() const { return wheel_; }
 
   /// Installs observability sinks. The returned struct from obs() has a
@@ -109,7 +109,6 @@ class Simulator {
   OrderKey allocate_order_key();
 
   SimTime now_;
-  std::uint64_t executed_{0};
   std::uint32_t ambient_locus_{0};
   /// Per-locus sequence counters, indexed by rank (grown on demand).
   std::vector<std::uint64_t> locus_seq_;

@@ -1,49 +1,9 @@
 #include "sim/timer_wheel.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 
 namespace svk::sim {
-
-TimerWheel::~TimerWheel() = default;
-
-TimerWheel::EventNode* TimerWheel::node_at(std::uint32_t index) const {
-  return const_cast<EventNode*>(
-      &slabs_[index / kSlabNodes]->nodes[index % kSlabNodes]);
-}
-
-TimerWheel::EventNode* TimerWheel::alloc_node() {
-  if (freelist_.empty()) {
-    auto slab = std::make_unique<Slab>();
-    const std::uint32_t base =
-        static_cast<std::uint32_t>(slabs_.size() * kSlabNodes);
-    for (std::size_t i = 0; i < kSlabNodes; ++i) {
-      slab->nodes[i].index = base + static_cast<std::uint32_t>(i);
-    }
-    slabs_.push_back(std::move(slab));
-    ++stats_.slab_allocs;
-    // Reserve freelist capacity alongside the slab so steady-state frees
-    // never reallocate the freelist vector.
-    freelist_.reserve(slabs_.size() * kSlabNodes);
-    Slab& s = *slabs_.back();
-    // LIFO freelist: push in reverse so nodes hand out in index order.
-    for (std::size_t i = kSlabNodes; i-- > 0;) {
-      freelist_.push_back(&s.nodes[i]);
-    }
-  }
-  EventNode* n = freelist_.back();
-  freelist_.pop_back();
-  return n;
-}
-
-void TimerWheel::free_node(EventNode* n) {
-  n->action.reset();
-  ++n->gen;  // invalidates any outstanding EventId
-  n->state = kFree;
-  n->prev = n->next = nullptr;
-  freelist_.push_back(n);
-}
 
 void TimerWheel::append(int level, int slot, EventNode* n) {
   Slot& sl = slots_[level][slot];
@@ -56,7 +16,6 @@ void TimerWheel::append(int level, int slot, EventNode* n) {
   }
   sl.tail = n;
   bitmap_[level] |= 1ull << slot;
-  n->state = kInWheel;
   n->level = static_cast<std::uint8_t>(level);
 }
 
@@ -74,201 +33,79 @@ void TimerWheel::unlink(EventNode* n) {
     sl.tail = n->prev;
   }
   if (sl.head == nullptr) bitmap_[n->level] &= ~(1ull << slot);
-  n->prev = n->next = nullptr;
 }
 
 void TimerWheel::place(EventNode* n) {
   const std::uint64_t diff = static_cast<std::uint64_t>(n->at) ^
-                             static_cast<std::uint64_t>(wheel_now_);
-  if ((diff >> (kLevelBits * kLevels)) != 0) {
-    overflow_.push_back(OverflowEntry{n->at, n->key, n});
-    std::push_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-    n->state = kInOverflow;
-    ++stats_.overflow_inserts;
-    return;
-  }
+                             static_cast<std::uint64_t>(cursor_);
+  // Both times are non-negative, so bit 63 of diff is clear and the level
+  // is at most 62 / 6 = 10.
   const int level =
       diff == 0 ? 0 : (63 - std::countl_zero(diff)) / kLevelBits;
   append(level, slot_index(n->at, level), n);
 }
 
-void TimerWheel::cascade(int level, int slot) {
-  const std::int64_t cycle = 1ll << (kLevelBits * (level + 1));
-  const std::int64_t base = wheel_now_ & ~(cycle - 1);
-  const std::int64_t slot_start =
-      base + (static_cast<std::int64_t>(slot) << (kLevelBits * level));
-  const std::uint64_t old_cycle =
-      static_cast<std::uint64_t>(wheel_now_) >> (kLevelBits * kLevels);
-  assert(slot_start >= wheel_now_);
-  wheel_now_ = slot_start;
-
+void TimerWheel::cascade(int level, int slot, std::int64_t start) {
+  assert(start >= cursor_);
+  cursor_ = start;
   EventNode* n = slots_[level][slot].head;
   slots_[level][slot] = Slot{};
   bitmap_[level] &= ~(1ull << slot);
   while (n != nullptr) {
     EventNode* next = n->next;
-    n->prev = n->next = nullptr;
     place(n);  // re-buckets at a strictly lower level, preserving order
     n = next;
   }
-  ++stats_.cascades;
-  if ((static_cast<std::uint64_t>(wheel_now_) >> (kLevelBits * kLevels)) !=
-      old_cycle) {
-    pull_overflow();
-  }
-}
-
-void TimerWheel::pull_overflow() {
-  while (!overflow_.empty()) {
-    const OverflowEntry top = overflow_.front();
-    if (top.node->state == kOverflowDead) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-      overflow_.pop_back();
-      --overflow_dead_;
-      free_node(top.node);
-      continue;
-    }
-    if (beyond_horizon(top.at)) break;
-    std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-    overflow_.pop_back();
-    top.node->prev = top.node->next = nullptr;
-    place(top.node);
-  }
-}
-
-void TimerWheel::maybe_compact_overflow() {
-  if (overflow_dead_ * 2 <= overflow_.size() || overflow_.size() < 64) return;
-  auto alive_end = overflow_.begin();
-  for (OverflowEntry& e : overflow_) {
-    if (e.node->state == kOverflowDead) {
-      free_node(e.node);
-    } else {
-      *alive_end++ = e;
-    }
-  }
-  overflow_.erase(alive_end, overflow_.end());
-  std::make_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-  overflow_dead_ = 0;
-  ++stats_.overflow_compactions;
-}
-
-void TimerWheel::rewind(std::int64_t to) {
-  // The cursor ran ahead of a newly scheduled event (possible only when a
-  // peek cascaded toward a far-future event and the run stopped short).
-  // Collect the live wheel events and re-bucket them against the earlier
-  // cursor. Same-tick events sit in a single slot list, so concatenating
-  // per-slot lists preserves per-tick sequence order.
-  std::vector<EventNode*> nodes;
-  nodes.reserve(live_);
-  for (int level = 0; level < kLevels; ++level) {
-    std::uint64_t bits = bitmap_[level];
-    while (bits != 0) {
-      const int slot = std::countr_zero(bits);
-      bits &= bits - 1;
-      for (EventNode* n = slots_[level][slot].head; n != nullptr;
-           n = n->next) {
-        nodes.push_back(n);
-      }
-      slots_[level][slot] = Slot{};
-    }
-    bitmap_[level] = 0;
-  }
-  wheel_now_ = to;
-  for (EventNode* n : nodes) {
-    n->prev = n->next = nullptr;
-    place(n);
-  }
-  ++stats_.rewinds;
-}
-
-EventId TimerWheel::insert(SimTime at, EventAction action) {
-  return insert_keyed(at, make_order_key(0, ++next_seq_), /*locus=*/0,
-                      std::move(action));
 }
 
 EventId TimerWheel::insert_keyed(SimTime at, OrderKey key, std::uint32_t locus,
                                  EventAction action) {
-  EventNode* n = alloc_node();
+  assert(at.ns() >= cursor_);
+  const common::SlabHandle h = nodes_.emplace();
+  EventNode* n = nodes_.get(h);
   n->at = at.ns();
   n->key = key;
+  n->self = h;
   n->locus = locus;
   n->action = std::move(action);
-  if (n->at < wheel_now_) rewind(n->at);
   place(n);
-  ++live_;
   ++stats_.scheduled;
-  return (static_cast<EventId>(n->gen) << 32) | n->index;
+  return (static_cast<EventId>(h.generation) << 32) | h.index;
 }
 
 bool TimerWheel::cancel(EventId id) {
-  const std::uint32_t index = static_cast<std::uint32_t>(id);
-  const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-  if (index >= slabs_.size() * kSlabNodes) return false;
-  EventNode* n = node_at(index);
-  if (n->gen != gen) return false;
-  switch (n->state) {
-    case kInWheel:
-      unlink(n);
-      free_node(n);
-      break;
-    case kInOverflow:
-      // The heap still references the node; mark it dead, reclaim on the
-      // next compaction or pull. The action is destroyed eagerly so any
-      // captured resources release now.
-      ++n->gen;
-      n->state = kOverflowDead;
-      n->action.reset();
-      ++overflow_dead_;
-      maybe_compact_overflow();
-      break;
-    default:
-      return false;  // free or already dead: stale id
-  }
-  --live_;
+  const common::SlabHandle h{static_cast<std::uint32_t>(id),
+                             static_cast<std::uint32_t>(id >> 32)};
+  EventNode* n = nodes_.get(h);
+  if (n == nullptr) return false;
+  unlink(n);
+  nodes_.erase_live(h);
   ++stats_.cancelled;
   return true;
 }
 
-bool TimerWheel::peek(SimTime* at) {
-  for (;;) {
-    if (bitmap_[0] != 0) {
-      const int slot = std::countr_zero(bitmap_[0]);
-      *at = SimTime::nanos((wheel_now_ & ~static_cast<std::int64_t>(
-                                             kSlotsPerLevel - 1)) +
-                           slot);
-      return true;
-    }
-    int level = 1;
-    while (level < kLevels && bitmap_[level] == 0) ++level;
-    if (level < kLevels) {
-      cascade(level, std::countr_zero(bitmap_[level]));
-      continue;
-    }
-    // Wheel empty: jump the cursor to the earliest overflow event.
-    while (!overflow_.empty() &&
-           overflow_.front().node->state == kOverflowDead) {
-      EventNode* dead = overflow_.front().node;
-      std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-      overflow_.pop_back();
-      --overflow_dead_;
-      free_node(dead);
-    }
-    if (overflow_.empty()) return false;
-    wheel_now_ = overflow_.front().at;
-    pull_overflow();
-  }
-}
-
-bool TimerWheel::pop_until(SimTime limit, SimTime* at, EventAction* action) {
-  std::uint32_t locus;
-  return pop_until(limit, at, &locus, action);
-}
-
 bool TimerWheel::pop_until(SimTime limit, SimTime* at, std::uint32_t* locus,
                            EventAction* action) {
-  SimTime next;
-  if (!peek(&next) || next > limit) return false;
+  while (bitmap_[0] == 0) {
+    int level = 1;
+    while (level < kLevels && bitmap_[level] == 0) ++level;
+    if (level == kLevels) return false;
+    // The lowest occupied slot holds the earliest events, none of them
+    // before the slot's first tick. Stop short of cascading when that tick
+    // is past the limit, so the cursor never passes the caller's clock.
+    const int slot = std::countr_zero(bitmap_[level]);
+    const int shift = kLevelBits * level;
+    // The span of a whole level wraps to 0 at the top level, whose cycle
+    // is all of time; unsigned arithmetic keeps that well defined.
+    const std::uint64_t span = std::uint64_t{kSlotsPerLevel} << shift;
+    const std::int64_t start = static_cast<std::int64_t>(
+        (static_cast<std::uint64_t>(cursor_) & ~(span - 1)) |
+        (static_cast<std::uint64_t>(slot) << shift));
+    if (start > limit.ns()) return false;
+    cascade(level, slot, start);
+  }
   const int slot = std::countr_zero(bitmap_[0]);
+  if (cursor_ + slot > limit.ns()) return false;
   // A level-0 slot is a single nanosecond tick; the list is short (usually
   // one node), so a linear min-key scan beats keeping the list sorted.
   EventNode* n = slots_[0][slot].head;
@@ -279,8 +116,7 @@ bool TimerWheel::pop_until(SimTime limit, SimTime* at, std::uint32_t* locus,
   *at = SimTime::nanos(n->at);
   *locus = n->locus;
   *action = std::move(n->action);
-  free_node(n);
-  --live_;
+  nodes_.erase_live(n->self);
   ++stats_.executed;
   return true;
 }

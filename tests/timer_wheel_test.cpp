@@ -27,8 +27,8 @@ namespace {
 
 using svk::Rng;
 
-/// Delays spanning every wheel regime: same-tick, low levels, RFC 3261
-/// timer scale, top level, and past-the-horizon (overflow heap).
+/// Delays spanning the wheel's regimes: same-tick, low levels, RFC 3261
+/// timer scale, ~20 hours, and days past 2^48 ns (levels 8 and up).
 std::int64_t random_delay_ns(Rng& rng) {
   switch (rng.uniform_int(6)) {
     case 0: return 0;                                             // same tick
@@ -37,7 +37,7 @@ std::int64_t random_delay_ns(Rng& rng) {
     case 3: return 500'000'000 +                                  // timer A..F
                    static_cast<std::int64_t>(rng.uniform_int(63'500'000'000));
     case 4: return static_cast<std::int64_t>(rng.uniform_int(1ll << 46));
-    default:                                                      // overflow
+    default:                                                      // far
       return (1ll << 48) +
              static_cast<std::int64_t>(rng.uniform_int(1ll << 49));
   }
@@ -68,8 +68,8 @@ TEST(TimerWheelTest, MatchesReferenceOrderUnderRandomChurn) {
     for (std::uint64_t i = 0; i < burst; ++i) {
       const std::int64_t at = now + random_delay_ns(rng);
       const std::uint64_t seq = next_seq++;
-      const EventId id = wheel.insert(
-          SimTime::nanos(at),
+      const EventId id = wheel.insert_keyed(
+          SimTime::nanos(at), make_order_key(0, seq), 0,
           [seq, &popped_seqs] { popped_seqs.push_back(seq); });
       oracle.push_back(Expected{at, seq, id});
     }
@@ -87,8 +87,9 @@ TEST(TimerWheelTest, MatchesReferenceOrderUnderRandomChurn) {
     const std::uint64_t pops = rng.uniform_int(6);
     for (std::uint64_t i = 0; i < pops && !oracle.empty(); ++i) {
       SimTime at;
+      std::uint32_t locus;
       EventAction action;
-      ASSERT_TRUE(wheel.pop_until(SimTime::max(), &at, &action));
+      ASSERT_TRUE(wheel.pop_until(SimTime::max(), &at, &locus, &action));
       action();
       ASSERT_EQ(at.ns(), oracle.front().at);
       ASSERT_EQ(popped_seqs.back(), oracle.front().seq);
@@ -105,14 +106,15 @@ TEST(TimerWheelTest, MatchesReferenceOrderUnderRandomChurn) {
             });
   for (const Expected& e : oracle) {
     SimTime at;
+    std::uint32_t locus;
     EventAction action;
-    ASSERT_TRUE(wheel.pop_until(SimTime::max(), &at, &action));
+    ASSERT_TRUE(wheel.pop_until(SimTime::max(), &at, &locus, &action));
     action();
     ASSERT_EQ(at.ns(), e.at);
     ASSERT_EQ(popped_seqs.back(), e.seq);
   }
   EXPECT_EQ(wheel.size(), 0u);
-  EXPECT_FALSE(wheel.pop_until(SimTime::max(), nullptr, nullptr));
+  EXPECT_FALSE(wheel.pop_until(SimTime::max(), nullptr, nullptr, nullptr));
 }
 
 // ---------------------------------------------------------------------------
@@ -137,11 +139,10 @@ TEST(TimerWheelTest, CancelIsEagerAndCapacityStaysBounded) {
   EXPECT_EQ(sim.pending_count(), 0u);
 
   const std::size_t capacity_after_warmup = sim.event_store().node_capacity();
-  const std::uint64_t slabs_after_warmup = sim.event_stats().slab_allocs;
   EXPECT_GE(capacity_after_warmup, kBatch);
 
-  // Many more churn rounds: capacity and slab count must not move, and the
-  // overflow heap must stay within a small factor of the live count.
+  // Many more churn rounds, with days-long delays mixed in: capacity must
+  // not move.
   Rng rng(7);
   for (int round = 0; round < 50; ++round) {
     ids.clear();
@@ -153,11 +154,8 @@ TEST(TimerWheelTest, CancelIsEagerAndCapacityStaysBounded) {
     }
     for (EventId id : ids) sim.cancel(id);
     ASSERT_EQ(sim.pending_count(), 0u);
-    ASSERT_LE(sim.event_store().overflow_resident(),
-              2 * sim.pending_count() + 64);
   }
   EXPECT_EQ(sim.event_store().node_capacity(), capacity_after_warmup);
-  EXPECT_EQ(sim.event_stats().slab_allocs, slabs_after_warmup);
 
   // Stale cancels remain harmless no-ops.
   sim.cancel(0);
@@ -170,9 +168,9 @@ TEST(TimerWheelTest, SteadyStateSchedulingAllocatesNothing) {
   Simulator sim;
 
   // 256 self-rescheduling timers plus per-tick schedule/cancel churn: the
-  // working set of live events is constant, so after warmup the slab pool
+  // working set of live events is constant, so after warmup the node slab
   // must never grow again. This is the zero-heap-allocation-per-event
-  // assertion, made via pool statistics.
+  // assertion, made via the slab's capacity.
   constexpr int kTimers = 256;
   struct Churn {
     Simulator* sim;
@@ -195,13 +193,11 @@ TEST(TimerWheelTest, SteadyStateSchedulingAllocatesNothing) {
   }
 
   sim.run_until(SimTime::seconds(1.0));
-  const std::uint64_t warm_slabs = sim.event_stats().slab_allocs;
   const std::size_t warm_capacity = sim.event_store().node_capacity();
   const std::uint64_t warm_executed = sim.executed_count();
 
   sim.run_until(SimTime::seconds(3.0));
   EXPECT_GT(sim.executed_count(), warm_executed + 1'000'000);
-  EXPECT_EQ(sim.event_stats().slab_allocs, warm_slabs);
   EXPECT_EQ(sim.event_store().node_capacity(), warm_capacity);
 }
 
@@ -273,8 +269,8 @@ TEST(TimerWheelTest, ChurnHeavyScheduleIsBitReproducible) {
 // Run-window edge cases: a harness drives the simulator in run_until()
 // windows and schedules between them. These pin the wheel behaviours that
 // slicing relies on: rescheduling an event across a window boundary,
-// key-order ties between overflow-heap and in-wheel events at one tick, and
-// cursor rewind when a window stopped after peeking toward a far event.
+// key-order ties at a far tick, and a window that stops short of a far
+// event.
 // ---------------------------------------------------------------------------
 
 TEST(TimerWheelTest, RescheduleAcrossWindowBoundaryFiresOnceAtNewTime) {
@@ -297,16 +293,15 @@ TEST(TimerWheelTest, RescheduleAcrossWindowBoundaryFiresOnceAtNewTime) {
   EXPECT_EQ(fired[0], SimTime::micros(150).ns());
 }
 
-TEST(TimerWheelTest, OverflowAndWheelEventsTieOnSameTickByKey) {
+TEST(TimerWheelTest, FarTickEventsTieByKey) {
   TimerWheel wheel;
-  // T sits beyond the 2^48 ns wheel horizon, so the first insert lands in
-  // the overflow heap. Its key says locus 2.
+  // T sits past 2^48 ns (~78 hours), on a high level that cascades down
+  // several times before T pops. Its key says locus 2.
   const SimTime t = SimTime::nanos((1ll << 48) + 12345);
   wheel.insert_keyed(t, make_order_key(2, 1), /*locus=*/2, EventAction([] {}));
-  EXPECT_EQ(wheel.stats().overflow_inserts, 1u);
 
-  // Drain an intermediate event to advance the cursor; the wheel then
-  // jumps to the overflow front and pulls T into the wheel proper.
+  // Drain an intermediate event so the cursor has moved on before the
+  // second T event is scheduled.
   wheel.insert_keyed(SimTime::seconds(1.0), make_order_key(3, 1), 3,
                      EventAction([] {}));
   SimTime at;
@@ -315,8 +310,9 @@ TEST(TimerWheelTest, OverflowAndWheelEventsTieOnSameTickByKey) {
   ASSERT_TRUE(wheel.pop_until(SimTime::max(), &at, &locus, &action));
   EXPECT_EQ(locus, 3u);
 
-  // A direct insert at exactly T with a smaller key (locus 1) must pop
-  // BEFORE the overflow-travelled event: same tick, key order decides.
+  // A later insert at exactly T with a smaller key (locus 1) sits behind
+  // the first in the slot lists, yet must pop first: same tick, key order
+  // decides.
   wheel.insert_keyed(t, make_order_key(1, 7), /*locus=*/1, EventAction([] {}));
   ASSERT_TRUE(wheel.pop_until(SimTime::max(), &at, &locus, &action));
   EXPECT_EQ(at, t);
@@ -327,27 +323,86 @@ TEST(TimerWheelTest, OverflowAndWheelEventsTieOnSameTickByKey) {
   EXPECT_FALSE(wheel.pop_until(SimTime::max(), &at, &locus, &action));
 }
 
-TEST(TimerWheelTest, RewindAfterWindowBarrierKeepsTimeOrder) {
+TEST(TimerWheelTest, RunStoppingShortOfFarEventKeepsTimeOrder) {
   Simulator sim;
   std::vector<std::int64_t> fired;
   const auto record = [&fired, &sim] { fired.push_back(sim.now().ns()); };
 
-  // Only a far-future event exists: the run peeks toward it, cascading the
-  // cursor well past the run's end, and stops short.
+  // Only a far event exists, and the run stops short of it.
   sim.schedule_at(SimTime::millis(10), record);
   sim.run_until(SimTime::micros(100));
   EXPECT_TRUE(fired.empty());
 
-  // A schedule between the run's end and the cursor forces a rewind.
+  // Events in the gap run first, in time order. The one at exactly the
+  // stopped run's limit needs the run to have left the wheel's cursor at or
+  // before that limit.
   sim.schedule_at(SimTime::micros(150), record);
+  sim.schedule_at(SimTime::micros(100), record);
   sim.run_until(SimTime::millis(1));
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], SimTime::micros(150).ns());
-  EXPECT_GE(sim.event_stats().rewinds, 1u);
+  ASSERT_EQ(fired.size(), 2u);
+  EXPECT_EQ(fired[0], SimTime::micros(100).ns());
+  EXPECT_EQ(fired[1], SimTime::micros(150).ns());
 
   sim.run_until(SimTime::millis(20));
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[1], SimTime::millis(10).ns());
+  ASSERT_EQ(fired.size(), 3u);
+  EXPECT_EQ(fired[2], SimTime::millis(10).ns());
+}
+
+TEST(TimerWheelTest, TopLevelEventsPopInTimeAndKeyOrder) {
+  // From cursor 0, 2^62 ns and SimTime::max() differ from the cursor in
+  // the top bit group, whose cycle spans all of time. Near events are
+  // interleaved before, between and after them; same-tick ties at the top
+  // must still pop in key order.
+  TimerWheel wheel;
+  struct Expected {
+    std::int64_t at;
+    std::uint32_t label;  // carried as the locus; ascending with the key
+  };
+  std::vector<Expected> expected;
+  std::uint32_t label = 0;
+  std::int64_t now = 0;
+  const auto insert = [&](std::int64_t at) {
+    ++label;
+    wheel.insert_keyed(SimTime::nanos(at), make_order_key(0, label), label,
+                       EventAction([] {}));
+    expected.push_back(Expected{at, label});
+  };
+  const auto pop_and_check = [&] {
+    std::sort(expected.begin(), expected.end(),
+              [](const Expected& a, const Expected& b) {
+                return a.at != b.at ? a.at < b.at : a.label < b.label;
+              });
+    SimTime at;
+    std::uint32_t locus;
+    EventAction action;
+    ASSERT_TRUE(wheel.pop_until(SimTime::max(), &at, &locus, &action));
+    EXPECT_EQ(at.ns(), expected.front().at);
+    EXPECT_EQ(locus, expected.front().label);
+    now = at.ns();
+    expected.erase(expected.begin());
+  };
+
+  const std::int64_t top = 1ll << 62;
+  const std::int64_t max = SimTime::max().ns();
+  for (int round = 0; round < 4; ++round) {
+    insert(now + 1 + round);
+    insert(top + round / 2);
+    insert(max - round / 2);
+    insert(now + 1000 * (round + 1));
+    pop_and_check();
+    pop_and_check();
+  }
+  // Drain, scheduling a near event after each of the first pops at the
+  // top level.
+  int near_top = 0;
+  while (!expected.empty()) {
+    pop_and_check();
+    if (now >= top && now < max - 3 && near_top++ < 8) insert(now + 3);
+  }
+  SimTime at;
+  std::uint32_t locus;
+  EventAction action;
+  EXPECT_FALSE(wheel.pop_until(SimTime::max(), &at, &locus, &action));
 }
 
 // ---------------------------------------------------------------------------
