@@ -88,7 +88,7 @@ std::vector<std::string> add_uas_farm(TestBed& bed,
   for (int j = 0; j < options.num_uas; ++j) {
     const std::string host =
         "uas" + std::to_string(j) + "." + std::string(domain);
-    bed.add_uas(UasConfig{host, Address{}, {}, {}});
+    bed.add_uas(UasConfig{host, Address{}, options.answer_delay, {}});
     hosts.push_back(host);
   }
   bed.register_users(std::string(domain), options.num_users, hosts);
@@ -111,6 +111,8 @@ void add_uac_group(TestBed& bed, const ScenarioOptions& options,
     config.call_rate_cps = total_rate / n;
     config.poisson_arrivals = options.poisson_arrivals;
     config.max_forwards = options.uac_max_forwards;
+    config.cancel_probability = options.cancel_probability;
+    config.ring_abandon_after = options.ring_abandon_after;
     if (total_rate > 0.0) {
       config.start_offset =
           SimTime::seconds(static_cast<double>(k) / total_rate);

@@ -83,6 +83,14 @@ struct ScenarioOptions {
   /// ProxyConfig::dialog_ttl); <= 0 disables the expiry sweep.
   SimTime dialog_ttl = SimTime::seconds(300);
 
+  /// Caller abandonment: each UAC CANCELs a call with this probability
+  /// once it has rung for `ring_abandon_after` unanswered; the UASes ring
+  /// for `answer_delay` before their 200. Zero keeps the paper's workload
+  /// (answer at once, never CANCEL).
+  double cancel_probability = 0.0;
+  SimTime ring_abandon_after = SimTime::seconds(2.0);
+  SimTime answer_delay;
+
   /// Max-Forwards the UACs stamp on requests. Conformance tests lower it
   /// to exercise hop-count exhaustion mid-chain.
   int uac_max_forwards = 70;

@@ -1,7 +1,8 @@
 // Golden-digest regression suite (ctest -L golden): one representative
-// quick-mode load point per bench_fig* scenario, digested (MD5 of the
-// serialized RunRecord, host wall clock zeroed) and compared against the
-// seed digests checked in at tests/golden_digests.json.
+// quick-mode load point per bench_fig* scenario and per shipped mode no
+// figure runs, digested (MD5 of the serialized RunRecord, host wall clock
+// zeroed) and compared against the digests checked in at
+// tests/golden_digests.json.
 //
 // Any change to the simulator core, SIP stack, proxies, controller, or
 // runner that alters simulation results — intentionally or not — flips a
@@ -26,6 +27,8 @@
 #include "common/md5.hpp"
 #include "common/sim_time.hpp"
 #include "generators.hpp"
+#include "overload/overload.hpp"
+#include "profile/cost_model.hpp"
 #include "workload/runner.hpp"
 #include "workload/scenarios.hpp"
 
@@ -59,8 +62,35 @@ struct GoldenScenario {
   bool single_stateful = true;
 };
 
+/// `inner`'s bed with i.i.d. datagram loss on its access links, both
+/// directions: every UAC <-> its first hop and every UAS <-> the exit
+/// proxy. Lost finals and ACKs drive the UDP retransmission timers, so
+/// retransmitted requests and responses reach transactions that are already
+/// Completed.
+BedFactory with_lossy_access(BedFactory inner, double loss) {
+  return [inner = std::move(inner), loss](double offered_cps) {
+    auto bed = inner(offered_cps);
+    const sim::LinkParams lossy{SimTime::micros(250), SimTime{}, loss};
+    auto both_ways = [&](Address a, Address b) {
+      bed->network().set_link(a, b, lossy);
+      bed->network().set_link(b, a, lossy);
+    };
+    for (const auto& uac : bed->uacs()) {
+      both_ways(uac->config().address, uac->config().first_hop);
+    }
+    const Address exit = bed->proxies().back()->config().address;
+    for (const auto& uas : bed->uases()) {
+      both_ways(uas->config().address, exit);
+    }
+    return bed;
+  };
+}
+
 /// The representative point for each figure: same topology/policy as the
 /// bench binary, one offered load near the interesting region of the plot.
+/// The shipped modes no figure runs (lossy access links, CANCEL, overload
+/// control, dialog state with Digest auth, three in series, a heterogeneous
+/// fork) follow, each at one load where the mode does work.
 std::vector<GoldenScenario> golden_scenarios() {
   std::vector<GoldenScenario> scenarios;
 
@@ -127,6 +157,69 @@ std::vector<GoldenScenario> golden_scenarios() {
     options.num_uacs = 4;
     options.num_uas = 4;
     scenarios.push_back({"fig8_wide_fork_16", wide_fork(16, options), 80.0});
+  }
+
+  // Figure 6's lossy access links: both hops stateful at the knee, so
+  // retransmitted requests and finals meet Completed transactions on both
+  // sides. A fifth of the callers abandon after 250 ms of ringing, and the
+  // callee's 487s are re-sent until an ACK gets through.
+  {
+    ScenarioOptions options = scaled_options(PolicyKind::kStaticAllStateful, 2);
+    options.answer_delay = SimTime::millis(400);
+    options.cancel_probability = 0.2;
+    options.ring_abandon_after = SimTime::millis(250);
+    scenarios.push_back({"fig6_lossy_access_all_stateful",
+                         with_lossy_access(series_chain(2, options), 0.05),
+                         105.0, /*observe=*/false, /*single_stateful=*/false});
+  }
+  {
+    // Caller abandonment: callees ring for 400 ms, and half the callers
+    // CANCEL after 250 ms of ringing through the stateful entry.
+    ScenarioOptions options =
+        scaled_options(PolicyKind::kStaticChainFirstStateful, 2);
+    options.answer_delay = SimTime::millis(400);
+    options.cancel_probability = 0.5;
+    options.ring_abandon_after = SimTime::millis(250);
+    scenarios.push_back({"cancel_abandon_two_series",
+                         series_chain(2, options), 60.0});
+  }
+  // Overload control past the knee, as bench_abl_overload_algorithms runs
+  // it: the exit has half the capacity and a deep queue bound.
+  for (const overload::ControlKind kind :
+       {overload::ControlKind::kLocalOccupancy,
+        overload::ControlKind::kHopByHopRate}) {
+    ScenarioOptions options = scaled_options(PolicyKind::kStaticAllStateful, 2);
+    options.capacity_scale = {kScale, 0.5 * kScale};
+    options.num_uacs = 6;
+    options.overload_control.kind = kind;
+    options.max_queue_delay = SimTime::millis(800);
+    scenarios.push_back({"overload_" + std::string(overload::to_string(kind)),
+                         series_chain(2, options), 73.0, /*observe=*/false,
+                         /*single_stateful=*/false});
+  }
+  {
+    // Dialog state with Digest auth distributed over the chain, under the
+    // controller (bench_abl_auth_distribution).
+    ScenarioOptions options = scaled_options(PolicyKind::kServartuka, 2);
+    options.stateful_mode = profile::HandlingMode::kDialogStatefulAuth;
+    options.authenticate = true;
+    options.distribute_auth = true;
+    options.t_sf_cps = profile::CpuCostModel::saturation_cps(
+        profile::HandlingMode::kDialogStatefulAuth);
+    scenarios.push_back({"dialog_auth_two_series_servartuka",
+                         series_chain(2, options), 90.0});
+  }
+  scenarios.push_back({"three_series_servartuka",
+                       series_chain(3, scaled_options(
+                                           PolicyKind::kServartuka, 3)),
+                       115.0});
+  {
+    // Heterogeneous fork: the entry is three times an exit
+    // (bench_abl_heterogeneous).
+    ScenarioOptions options = scaled_options(PolicyKind::kServartuka, 3);
+    options.capacity_scale = {3.0 * kScale, kScale, kScale};
+    scenarios.push_back({"hetero_fork_servartuka", parallel_fork(options),
+                         180.0});
   }
   return scenarios;
 }
