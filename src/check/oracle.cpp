@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "txn/transaction.hpp"
-
 namespace svk::check {
 namespace {
 
@@ -116,9 +114,8 @@ void TxnOracle::check_sends(Shadow& shadow, const char* event_name) {
 // Client shadow (RFC 3261 17.1)
 // ---------------------------------------------------------------------------
 
-void TxnOracle::on_client_created(const txn::ClientTransaction* txn,
-                                  const sip::TransactionKey& key,
-                                  const txn::TimerConfig& timers) {
+txn::TxnId TxnOracle::on_client_created(const sip::TransactionKey& key,
+                                        const txn::TimerConfig& timers) {
   ClientShadow shadow;
   shadow.key = key;
   shadow.timers = timers;
@@ -127,13 +124,13 @@ void TxnOracle::on_client_created(const txn::ClientTransaction* txn,
   shadow.state =
       shadow.is_invite ? ClientState::kCalling : ClientState::kTrying;
   shadow.rtx_interval = timers.t1;
-  ++shadows_created_;
-  clients_[txn] = std::move(shadow);  // address reuse overwrites stale entry
+  const txn::TxnId id = ++shadows_created_;
+  clients_.emplace(id, std::move(shadow));
+  return id;
 }
 
-void TxnOracle::on_client_send(const txn::ClientTransaction* txn,
-                               const sip::MessagePtr& msg) {
-  const auto it = clients_.find(txn);
+void TxnOracle::on_client_send(txn::TxnId id, const sip::MessagePtr& msg) {
+  const auto it = clients_.find(id);
   if (it == clients_.end()) return;  // reported at the event notification
   Send send;
   send.is_request = msg->is_request();
@@ -271,9 +268,9 @@ void TxnOracle::step_client(ClientShadow& shadow, ClientEvent event,
   }
 }
 
-void TxnOracle::on_client_event(const txn::ClientTransaction* txn,
-                                ClientEvent event, const sip::Message* msg) {
-  const auto it = clients_.find(txn);
+void TxnOracle::on_client_event(txn::TxnId id, ClientEvent event,
+                                ClientState state, const sip::Message* msg) {
+  const auto it = clients_.find(id);
   if (it == clients_.end()) {
     log_.add("oracle.untracked", sim_.now(),
              std::string("client event ") + client_event_name(event) +
@@ -283,20 +280,20 @@ void TxnOracle::on_client_event(const txn::ClientTransaction* txn,
   ClientShadow& shadow = it->second;
   step_client(shadow, event, msg);
   check_sends(shadow, client_event_name(event));
-  if (shadow.state != txn->state()) {
+  if (shadow.state != state) {
     log_.add("oracle.state", sim_.now(),
              describe(shadow.key) + " after " + client_event_name(event) +
                  ": RFC machine in " + describe(shadow.state) +
-                 ", production in " + describe(txn->state()));
+                 ", production in " + describe(state));
     // Track the production machine from here so one divergence does not
     // cascade into a report per subsequent event.
-    shadow.state = txn->state();
+    shadow.state = state;
   }
   ++events_checked_;
 }
 
-void TxnOracle::on_client_removed(const txn::ClientTransaction* txn) {
-  const auto it = clients_.find(txn);
+void TxnOracle::on_client_removed(txn::TxnId id) {
+  const auto it = clients_.find(id);
   if (it == clients_.end()) return;
   if (it->second.state != ClientState::kTerminated) {
     log_.add("oracle.removed_live", sim_.now(),
@@ -310,9 +307,8 @@ void TxnOracle::on_client_removed(const txn::ClientTransaction* txn) {
 // Server shadow (RFC 3261 17.2)
 // ---------------------------------------------------------------------------
 
-void TxnOracle::on_server_created(const txn::ServerTransaction* txn,
-                                  const sip::TransactionKey& key,
-                                  const txn::TimerConfig& timers) {
+txn::TxnId TxnOracle::on_server_created(const sip::TransactionKey& key,
+                                        const txn::TimerConfig& timers) {
   ServerShadow shadow;
   shadow.key = key;
   shadow.timers = timers;
@@ -322,13 +318,13 @@ void TxnOracle::on_server_created(const txn::ServerTransaction* txn,
   shadow.state =
       shadow.is_invite ? ServerState::kProceeding : ServerState::kTrying;
   shadow.rtx_interval = timers.t1;
-  ++shadows_created_;
-  servers_[txn] = std::move(shadow);
+  const txn::TxnId id = ++shadows_created_;
+  servers_.emplace(id, std::move(shadow));
+  return id;
 }
 
-void TxnOracle::on_server_send(const txn::ServerTransaction* txn,
-                               const sip::MessagePtr& msg) {
-  const auto it = servers_.find(txn);
+void TxnOracle::on_server_send(txn::TxnId id, const sip::MessagePtr& msg) {
+  const auto it = servers_.find(id);
   if (it == servers_.end()) return;
   Send send;
   send.is_request = msg->is_request();
@@ -469,9 +465,9 @@ void TxnOracle::step_server(ServerShadow& shadow, ServerEvent event,
   }
 }
 
-void TxnOracle::on_server_event(const txn::ServerTransaction* txn,
-                                ServerEvent event, const sip::Message* msg) {
-  const auto it = servers_.find(txn);
+void TxnOracle::on_server_event(txn::TxnId id, ServerEvent event,
+                                ServerState state, const sip::Message* msg) {
+  const auto it = servers_.find(id);
   if (it == servers_.end()) {
     log_.add("oracle.untracked", sim_.now(),
              std::string("server event ") + server_event_name(event) +
@@ -481,18 +477,18 @@ void TxnOracle::on_server_event(const txn::ServerTransaction* txn,
   ServerShadow& shadow = it->second;
   step_server(shadow, event, msg);
   check_sends(shadow, server_event_name(event));
-  if (shadow.state != txn->state()) {
+  if (shadow.state != state) {
     log_.add("oracle.state", sim_.now(),
              describe(shadow.key) + " after " + server_event_name(event) +
                  ": RFC machine in " + describe(shadow.state) +
-                 ", production in " + describe(txn->state()));
-    shadow.state = txn->state();
+                 ", production in " + describe(state));
+    shadow.state = state;
   }
   ++events_checked_;
 }
 
-void TxnOracle::on_server_removed(const txn::ServerTransaction* txn) {
-  const auto it = servers_.find(txn);
+void TxnOracle::on_server_removed(txn::TxnId id) {
+  const auto it = servers_.find(id);
   if (it == servers_.end()) return;
   if (it->second.state != ServerState::kTerminated) {
     log_.add("oracle.removed_live", sim_.now(),

@@ -32,7 +32,6 @@
 #include "sip/message.hpp"
 #include "txn/tap.hpp"
 #include "txn/timers.hpp"
-#include "txn/transaction.hpp"
 
 namespace svk::check {
 
@@ -41,25 +40,21 @@ class TxnOracle final : public txn::ConformanceTap {
   TxnOracle(sim::Simulator& sim, ViolationLog& log) : sim_(sim), log_(log) {}
 
   // txn::ConformanceTap
-  void on_client_created(const txn::ClientTransaction* txn,
-                         const sip::TransactionKey& key,
-                         const txn::TimerConfig& timers) override;
-  void on_client_send(const txn::ClientTransaction* txn,
-                      const sip::MessagePtr& msg) override;
-  void on_client_event(const txn::ClientTransaction* txn,
-                       txn::ClientEvent event,
+  txn::TxnId on_client_created(const sip::TransactionKey& key,
+                               const txn::TimerConfig& timers) override;
+  void on_client_send(txn::TxnId id, const sip::MessagePtr& msg) override;
+  void on_client_event(txn::TxnId id, txn::ClientEvent event,
+                       txn::ClientState state,
                        const sip::Message* msg) override;
-  void on_client_removed(const txn::ClientTransaction* txn) override;
+  void on_client_removed(txn::TxnId id) override;
 
-  void on_server_created(const txn::ServerTransaction* txn,
-                         const sip::TransactionKey& key,
-                         const txn::TimerConfig& timers) override;
-  void on_server_send(const txn::ServerTransaction* txn,
-                      const sip::MessagePtr& msg) override;
-  void on_server_event(const txn::ServerTransaction* txn,
-                       txn::ServerEvent event,
+  txn::TxnId on_server_created(const sip::TransactionKey& key,
+                               const txn::TimerConfig& timers) override;
+  void on_server_send(txn::TxnId id, const sip::MessagePtr& msg) override;
+  void on_server_event(txn::TxnId id, txn::ServerEvent event,
+                       txn::ServerState state,
                        const sip::Message* msg) override;
-  void on_server_removed(const txn::ServerTransaction* txn) override;
+  void on_server_removed(txn::TxnId id) override;
 
   /// Shadows still tracked (not yet removed); equals the production
   /// managers' live transactions when the oracle covers every manager.
@@ -139,12 +134,11 @@ class TxnOracle final : public txn::ConformanceTap {
   sim::Simulator& sim_;
   ViolationLog& log_;
   std::uint64_t events_checked_{0};
+  /// Also the last id handed out: ids are 1, 2, ... over both sides, so
+  /// every transaction of every tapped manager has its own.
   std::uint64_t shadows_created_{0};
-  // Keyed by production-object identity: the pointer is only ever used for
-  // lookup while the manager still owns the transaction, and a reused
-  // address is overwritten on the next on_*_created.
-  std::unordered_map<const txn::ClientTransaction*, ClientShadow> clients_;
-  std::unordered_map<const txn::ServerTransaction*, ServerShadow> servers_;
+  std::unordered_map<txn::TxnId, ClientShadow> clients_;
+  std::unordered_map<txn::TxnId, ServerShadow> servers_;
 };
 
 }  // namespace svk::check

@@ -163,15 +163,13 @@ void ProxyServer::admit_request(Address from, const sip::MessagePtr& msg) {
 
   // Retransmission of a request we hold state for: absorb (the paper's key
   // stateful benefit — the retransmission never propagates downstream).
-  if (txns_.find_server(*msg) != nullptr) {
+  if (txns_.has_server(*msg)) {
     // Absorbing is cheap and protects downstream: never shed it.
     ++stats_.absorbed_retransmits;
     spend(CpuCostModel::absorb_retransmit(), [this, msg] {
-      if (auto* txn = txns_.find_server(*msg)) {
-        txn->receive_request(msg);
-      }
       // If the transaction ended in the queueing gap the retransmission is
       // simply dropped; the far end's timers cover it.
+      (void)txns_.dispatch(msg);
     });
     return;
   }
@@ -407,8 +405,7 @@ void ProxyServer::execute_stateful_forward(Address from, sip::MessagePtr msg,
                                            Address target) {
   // A retransmission may have raced us through admission before the server
   // transaction existed; if one exists now, absorb instead of duplicating.
-  if (auto* existing = txns_.find_server(*msg)) {
-    existing->receive_request(msg);
+  if (txns_.dispatch(msg) == txn::Dispatch::kHandledByServerTxn) {
     ++stats_.absorbed_retransmits;
     return;
   }
@@ -504,7 +501,7 @@ void ProxyServer::admit_response(Address from, const sip::MessagePtr& msg) {
       }
     }
   }
-  const bool matched = txns_.find_client(*msg) != nullptr;
+  const bool matched = txns_.has_client(*msg);
   const HandlingMode mode =
       matched
           ? config_.stateful_mode
@@ -513,10 +510,7 @@ void ProxyServer::admit_response(Address from, const sip::MessagePtr& msg) {
   const CostVector cost = CpuCostModel::forward(mode, profile::classify(*msg));
 
   spend(cost, [this, msg] {
-    if (auto* client = txns_.find_client(*msg)) {
-      client->receive_response(msg);
-      return;
-    }
+    if (txns_.dispatch(msg) == txn::Dispatch::kHandledByClientTxn) return;
     // No transaction here (we were stateless for it, or it is a
     // retransmitted 2xx after the transaction ended): relay by Via.
     track_relayed_response(*msg);
@@ -613,10 +607,7 @@ void ProxyServer::handle_cancel(Address from, const sip::MessagePtr& msg) {
   const CostVector cost =
       CpuCostModel::forward(config_.stateless_mode, MsgKind::kOther);
   spend(cost, [this, from, msg] {
-    if (auto* existing = txns_.find_server(*msg)) {
-      existing->receive_request(msg);
-      return;
-    }
+    if (txns_.dispatch(msg) == txn::Dispatch::kHandledByServerTxn) return;
     // RFC 3261 16.3 step 4 applies to CANCEL like any other request: an
     // exhausted hop count is answered 483 — never silently dropped, the
     // canceller's transaction must complete.
@@ -697,10 +688,7 @@ void ProxyServer::handle_register(Address from, const sip::MessagePtr& msg) {
   const CostVector cost =
       CpuCostModel::forward(config_.stateless_mode, MsgKind::kOther);
   spend(cost, [this, from, msg] {
-    if (auto* existing = txns_.find_server(*msg)) {
-      existing->receive_request(msg);
-      return;
-    }
+    if (txns_.dispatch(msg) == txn::Dispatch::kHandledByServerTxn) return;
     int expires_s = 3600;
     if (const auto header = msg->header("Expires")) {
       std::from_chars(header->data(), header->data() + header->size(),

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <cassert>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -26,6 +27,13 @@ EventId Simulator::schedule_at_for(std::uint32_t locus, SimTime when,
                                    Action action) {
   if (when < now_) when = now_;
   return wheel_.insert_keyed(when, allocate_order_key(), locus,
+                             std::move(action));
+}
+
+EventId Simulator::schedule_reserved(SimTime when, OrderKey key,
+                                     Action action) {
+  assert(when >= now_);
+  return wheel_.insert_keyed(when, key, order_key_locus(key),
                              std::move(action));
 }
 

@@ -53,6 +53,19 @@ class Simulator {
   /// decides who the event "is" while it runs.
   EventId schedule_at_for(std::uint32_t locus, SimTime when, Action action);
 
+  /// Allocates the order key a schedule made now would take, without
+  /// scheduling anything. A component that queues its own fixed-delay
+  /// items (the transaction layer's linger records) reserves each item's
+  /// key when the item is created and later puts only its queue head in the
+  /// wheel with schedule_reserved, so its items pop exactly where direct
+  /// schedules would have.
+  [[nodiscard]] OrderKey reserve_order_key() { return allocate_order_key(); }
+
+  /// Schedules `action` at absolute time `when` (not before now) under a
+  /// key from reserve_order_key(). It executes under the key's locus, as a
+  /// schedule made at reservation time would have.
+  EventId schedule_reserved(SimTime when, OrderKey key, Action action);
+
   /// The locus new schedules are charged to. 0 outside event execution
   /// unless a LocusScope is active; the executing event's locus inside.
   [[nodiscard]] std::uint32_t ambient_locus() const { return ambient_locus_; }

@@ -69,6 +69,11 @@ inline constexpr int kLocusSeqBits = 40;
   return (static_cast<OrderKey>(locus_rank) << kLocusSeqBits) | seq;
 }
 
+/// The locus rank a key was allocated from.
+[[nodiscard]] constexpr std::uint32_t order_key_locus(OrderKey key) {
+  return static_cast<std::uint32_t>(key >> kLocusSeqBits);
+}
+
 class TimerWheel {
  public:
   /// Behavior counters. `overflow_inserts` is always 0 (nothing lives

@@ -62,22 +62,10 @@ std::uint64_t txn_key_hash(std::string_view branch, std::string_view sent_by,
   return h;
 }
 
-std::size_t TransactionKeyHash::operator()(
-    const TransactionKey& key) const noexcept {
-  return static_cast<std::size_t>(
-      txn_key_hash(key.branch, key.sent_by, key.method));
-}
-
 TransactionKey server_key(const Message& req) {
   const Via& via = req.top_via();
   Method method = req.method();
   if (method == Method::kAck) method = Method::kInvite;
-  return TransactionKey{via.branch.str(), via.sent_by.str(), method};
-}
-
-TransactionKey client_key(const Message& resp) {
-  const Via& via = resp.top_via();
-  Method method = resp.cseq().method;
   return TransactionKey{via.branch.str(), via.sent_by.str(), method};
 }
 
@@ -94,11 +82,6 @@ TxnProbe key_for_response(const Message& resp) {
   const Method method = resp.cseq().method;
   return TxnProbe{txn_key_hash(via.branch, via.sent_by, method), via.branch,
                   via.sent_by, method};
-}
-
-TxnProbe key_probe(const TransactionKey& key) {
-  return TxnProbe{txn_key_hash(key.branch, key.sent_by, key.method),
-                  key.branch, key.sent_by, key.method};
 }
 
 }  // namespace svk::sip

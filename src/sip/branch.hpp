@@ -39,10 +39,6 @@ struct TransactionKey {
                          const TransactionKey&) = default;
 };
 
-struct TransactionKeyHash {
-  std::size_t operator()(const TransactionKey& key) const noexcept;
-};
-
 /// A non-owning transaction probe: the precomputed 64-bit FNV-1a key hash
 /// plus views of the key fields, read straight off an incoming message.
 /// This is what the flat state tables match against — no TransactionKey
@@ -64,8 +60,8 @@ struct TxnProbe {
   }
 };
 
-/// The hash TxnProbe and TransactionKeyHash share: FNV-1a over branch and
-/// sent-by, with the method folded in.
+/// The hash every transaction probe and table entry uses: FNV-1a over
+/// branch and sent-by, with the method folded in.
 [[nodiscard]] std::uint64_t txn_key_hash(std::string_view branch,
                                          std::string_view sent_by,
                                          Method method) noexcept;
@@ -76,13 +72,10 @@ struct TxnProbe {
 [[nodiscard]] TxnProbe key_for_request(const Message& req);
 
 /// The probe a *client* transaction table matches an incoming response with
-/// (RFC 3261 17.1.3) — the view-based equivalent of client_key.
+/// (RFC 3261 17.1.3): the response's top Via is the one this element
+/// inserted, so its branch plus the CSeq method identify the transaction.
 /// Precondition: resp has at least one Via.
 [[nodiscard]] TxnProbe key_for_response(const Message& resp);
-
-/// Probe over an owning key (for the key-based find overloads kept for
-/// callers that store a TransactionKey).
-[[nodiscard]] TxnProbe key_probe(const TransactionKey& key);
 
 /// Key a *server* transaction uses to match an incoming request
 /// (RFC 3261 17.2.3): top Via branch + sent-by + method, with ACK matching
@@ -97,11 +90,5 @@ struct TxnProbe {
 /// "z9hG4bK-sl<hash>", the hash in lowercase hex.
 [[nodiscard]] Branch stateless_branch(std::string_view incoming_branch,
                                       std::string_view host);
-
-/// Key a *client* transaction uses to match an incoming response: the
-/// response's top Via is the one this element inserted, so its branch plus
-/// the CSeq method identify the transaction (RFC 3261 17.1.3).
-/// Precondition: resp has at least one Via.
-[[nodiscard]] TransactionKey client_key(const Message& resp);
 
 }  // namespace svk::sip

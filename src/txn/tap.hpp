@@ -10,10 +10,17 @@
 // Protocol: the manager announces creations and (post-termination)
 // removals; each transaction announces every wire send it performs and, at
 // the END of every externally visible event (API call or timer fire), the
-// event kind. An observer therefore sees, per event: the sends it caused,
-// then the event itself — at which point the transaction's public state has
-// settled and can be compared against a reference machine.
+// event kind and the state the event left it in. An observer therefore
+// sees, per event: the sends it caused, then the event itself with the
+// settled state, which it can compare against a reference machine.
+//
+// A transaction is named by the TxnId the tap returned at its creation. The
+// id outlives the machine object: a transaction that finishes into a
+// linger record (manager.hpp) keeps its id, and the record reports the
+// same kinds of events a machine in that state would.
 #pragma once
+
+#include <cstdint>
 
 #include "sip/branch.hpp"
 #include "sip/message.hpp"
@@ -21,8 +28,11 @@
 
 namespace svk::txn {
 
-class ClientTransaction;
-class ServerTransaction;
+/// A transaction's identity towards the tap, assigned by the tap.
+using TxnId = std::uint64_t;
+
+enum class ClientState { kCalling, kTrying, kProceeding, kCompleted, kTerminated };
+enum class ServerState { kTrying, kProceeding, kCompleted, kConfirmed, kTerminated };
 
 /// Externally visible events of a client transaction's life.
 enum class ClientEvent {
@@ -45,26 +55,24 @@ class ConformanceTap {
  public:
   virtual ~ConformanceTap() = default;
 
-  virtual void on_client_created(const ClientTransaction* txn,
-                                 const sip::TransactionKey& key,
-                                 const TimerConfig& timers) = 0;
-  virtual void on_client_send(const ClientTransaction* txn,
-                              const sip::MessagePtr& msg) = 0;
+  /// Returns the id every later notification for this transaction carries.
+  virtual TxnId on_client_created(const sip::TransactionKey& key,
+                                  const TimerConfig& timers) = 0;
+  virtual void on_client_send(TxnId id, const sip::MessagePtr& msg) = 0;
   /// `msg` is the response for kRxResponse, null for timer events/start.
-  virtual void on_client_event(const ClientTransaction* txn, ClientEvent event,
+  /// `state` is the transaction's state after the event.
+  virtual void on_client_event(TxnId id, ClientEvent event, ClientState state,
                                const sip::Message* msg) = 0;
-  virtual void on_client_removed(const ClientTransaction* txn) = 0;
+  virtual void on_client_removed(TxnId id) = 0;
 
-  virtual void on_server_created(const ServerTransaction* txn,
-                                 const sip::TransactionKey& key,
-                                 const TimerConfig& timers) = 0;
-  virtual void on_server_send(const ServerTransaction* txn,
-                              const sip::MessagePtr& msg) = 0;
+  virtual TxnId on_server_created(const sip::TransactionKey& key,
+                                  const TimerConfig& timers) = 0;
+  virtual void on_server_send(TxnId id, const sip::MessagePtr& msg) = 0;
   /// `msg` is the request for kRxRequest, the response for kRespond, null
   /// for timer events.
-  virtual void on_server_event(const ServerTransaction* txn, ServerEvent event,
+  virtual void on_server_event(TxnId id, ServerEvent event, ServerState state,
                                const sip::Message* msg) = 0;
-  virtual void on_server_removed(const ServerTransaction* txn) = 0;
+  virtual void on_server_removed(TxnId id) = 0;
 };
 
 }  // namespace svk::txn

@@ -6,11 +6,7 @@
 #include "txn/manager.hpp"
 
 namespace svk::txn {
-namespace {
 
-/// Hop-by-hop ACK for a non-2xx final response (RFC 3261 17.1.1.3): same
-/// branch/top Via as the INVITE, To copied from the response (it carries the
-/// UAS tag).
 sip::MessagePtr build_non2xx_ack(const sip::Message& invite,
                                  const sip::Message& response) {
   sip::Message ack = sip::Message::request(
@@ -21,8 +17,6 @@ sip::MessagePtr build_non2xx_ack(const sip::Message& invite,
   ack.set_max_forwards(invite.max_forwards());
   return std::move(ack).finish();
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ClientTransaction
@@ -53,7 +47,7 @@ void ClientTransaction::cancel_timers() {
 }
 
 void ClientTransaction::wire_send(const sip::MessagePtr& msg) {
-  if (tap_ != nullptr) tap_->on_client_send(this, msg);
+  if (tap_ != nullptr) tap_->on_client_send(tap_id_, msg);
   send_(msg);
 }
 
@@ -90,6 +84,7 @@ void ClientTransaction::arm_retransmit(SimTime interval) {
         (!is_invite_ && state_ == ClientState::kProceeding);
     if (retransmitting) {
       ++retransmits_;
+      if (manager_ != nullptr) ++manager_->retransmits_;
       wire_send(request_);
       // Timer A doubles unbounded; timer E doubles capped at T2; in the
       // non-INVITE Proceeding state retransmission continues at T2 flat.
@@ -117,7 +112,15 @@ void ClientTransaction::enter_completed_invite(
   sim_.cancel(rtx_timer_);
   sim_.cancel(timeout_timer_);
   rtx_timer_ = timeout_timer_ = 0;
-  linger_timer_ = sim_.schedule(timers_.timer_d(), [this] {
+  linger(timers_.timer_d());
+}
+
+void ClientTransaction::linger(SimTime delay) {
+  if (manager_ != nullptr) {
+    manager_->retire(*this);
+    return;
+  }
+  linger_timer_ = sim_.schedule(delay, [this] {
     linger_timer_ = 0;
     terminate();
     notify(ClientEvent::kTimerLinger);
@@ -185,11 +188,7 @@ void ClientTransaction::receive_response_impl(
         sim_.cancel(rtx_timer_);
         sim_.cancel(timeout_timer_);
         rtx_timer_ = timeout_timer_ = 0;
-        linger_timer_ = sim_.schedule(timers_.timer_k(), [this] {
-          linger_timer_ = 0;
-          terminate();
-          notify(ClientEvent::kTimerLinger);
-        });
+        linger(timers_.timer_k());
       }
       return;
     }
@@ -245,7 +244,7 @@ void ServerTransaction::notify_terminated() {
 }
 
 void ServerTransaction::wire_send(const sip::MessagePtr& msg) {
-  if (tap_ != nullptr) tap_->on_server_send(this, msg);
+  if (tap_ != nullptr) tap_->on_server_send(tap_id_, msg);
   send_(msg);
 }
 
@@ -266,11 +265,7 @@ void ServerTransaction::receive_request_impl(const sip::MessagePtr& request) {
       sim_.cancel(rtx_timer_);
       sim_.cancel(timeout_timer_);
       rtx_timer_ = timeout_timer_ = 0;
-      linger_timer_ = sim_.schedule(timers_.timer_i(), [this] {
-        linger_timer_ = 0;
-        terminate();
-        notify(ServerEvent::kTimerLinger);
-      });
+      arm_linger(timers_.timer_i());
       if (callbacks_.on_ack) callbacks_.on_ack(request);
     }
     // ACK retransmissions in Confirmed are absorbed silently.
@@ -338,13 +333,22 @@ void ServerTransaction::respond_impl(const sip::MessagePtr& response) {
       });
     }
   } else {
+    // Timer J: a managed machine becomes a linger record.
     state_ = ServerState::kCompleted;
-    linger_timer_ = sim_.reschedule(linger_timer_, timers_.timer_j(), [this] {
-      linger_timer_ = 0;
-      terminate();
-      notify(ServerEvent::kTimerLinger);
-    });
+    if (manager_ != nullptr) {
+      manager_->retire(*this);
+    } else {
+      arm_linger(timers_.timer_j());
+    }
   }
+}
+
+void ServerTransaction::arm_linger(SimTime delay) {
+  linger_timer_ = sim_.schedule(delay, [this] {
+    linger_timer_ = 0;
+    terminate();
+    notify(ServerEvent::kTimerLinger);
+  });
 }
 
 void ServerTransaction::arm_response_retransmit(SimTime interval) {

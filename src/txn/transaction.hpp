@@ -24,16 +24,18 @@
 
 namespace svk::txn {
 
-enum class ClientState { kCalling, kTrying, kProceeding, kCompleted, kTerminated };
-enum class ServerState { kTrying, kProceeding, kCompleted, kConfirmed, kTerminated };
-
 /// Inline capacity of the transaction layer's callables. The largest
 /// per-call captures in src/ fit: a proxy's client timeout callback (this,
 /// the server transaction's handle and the request) and a UAC's per-call
 /// callbacks (this and the Call-ID). A UA's registration callback, off the
 /// call path, spills to the heap. With the ops pointer a callable is 48
-/// bytes, and a transaction holds four.
+/// bytes, and a transaction holds three.
 inline constexpr std::size_t kCallbackInline = 40;
+
+/// Inline capacity of a wire-send function: every SendFn in src/ captures
+/// the owner and at most a destination address. A linger record keeps one,
+/// so it is kept to 24 bytes with the ops pointer.
+inline constexpr std::size_t kSendInline = 16;
 
 /// A transaction-layer callable: copyable, kCallbackInline bytes inline, so
 /// installing a callback allocates nothing.
@@ -47,7 +49,10 @@ struct ClientCallbacks {
   Callback<void(const sip::MessagePtr&)> on_response;
   /// Timer B/F fired with no final response.
   Callback<void()> on_timeout;
-  /// Machine reached Terminated (owner may destroy it).
+  /// Machine reached Terminated (owner may destroy it). A managed
+  /// transaction that lingers in Completed (non-INVITE, or INVITE after a
+  /// non-2xx final) must not set it: it ends as a linger record, which
+  /// runs no user callbacks.
   Callback<void()> on_terminated;
 };
 
@@ -56,21 +61,30 @@ struct ServerCallbacks {
   Callback<void(const sip::MessagePtr&)> on_ack;
   /// Timer H fired: no ACK for our non-2xx final.
   Callback<void()> on_timeout;
+  /// As ClientCallbacks::on_terminated; a managed non-INVITE server
+  /// transaction must not set it.
   Callback<void()> on_terminated;
 };
 
 /// Function used to put a message on the wire (destination is bound by the
 /// owner when constructing the transaction).
-using SendFn = Callback<void(const sip::MessagePtr&)>;
+using SendFn =
+    sim::InlineFunction<void(const sip::MessagePtr&), kSendInline, true>;
 
 class TransactionManager;
 
-/// Stable reference to one transaction-table entry: the entry's precomputed
+/// Hop-by-hop ACK for a non-2xx final response (RFC 3261 17.1.1.3): same
+/// branch/top Via as the INVITE, To copied from the response (it carries the
+/// UAS tag).
+[[nodiscard]] sip::MessagePtr build_non2xx_ack(const sip::Message& invite,
+                                               const sip::Message& response);
+
+/// Stable reference to one live machine: the table entry's precomputed
 /// key hash plus the generation-tagged slab handle. POD, 16 bytes — owners
 /// capture this in callbacks instead of an owning TransactionKey (two
 /// string copies), and resolution is a generation check instead of a
-/// probe. Outliving the transaction is safe: a stale handle resolves to
-/// null.
+/// probe. Outliving the machine is safe: a handle resolves to null once the
+/// transaction is removed or has become a linger record.
 struct TxnHandle {
   std::uint64_t hash = 0;
   common::SlabHandle slot;
@@ -102,13 +116,12 @@ class ClientTransaction {
   [[nodiscard]] int retransmit_count() const { return retransmits_; }
   [[nodiscard]] bool is_invite() const { return is_invite_; }
 
-  /// Installs (or clears) the conformance tap. Null disables all
-  /// notifications; the manager sets this before start().
-  void set_tap(ConformanceTap* tap) { tap_ = tap; }
-
  private:
   void receive_response_impl(const sip::MessagePtr& response);
   void enter_completed_invite(const sip::MessagePtr& response);
+  /// Completed: waits out timer D or K (`delay`). A managed machine becomes
+  /// a linger record in its manager; a standalone one keeps its own timer.
+  void linger(SimTime delay);
   void send_ack_for(const sip::MessagePtr& response);
   void arm_retransmit(SimTime interval);
   void fire_timeout();
@@ -119,7 +132,7 @@ class ClientTransaction {
   /// All wire output funnels through here so the tap sees every send.
   void wire_send(const sip::MessagePtr& msg);
   void notify(ClientEvent event, const sip::Message* msg = nullptr) {
-    if (tap_ != nullptr) tap_->on_client_event(this, event, msg);
+    if (tap_ != nullptr) tap_->on_client_event(tap_id_, event, state_, msg);
   }
 
   sim::Simulator& sim_;
@@ -128,11 +141,15 @@ class ClientTransaction {
   sip::MessagePtr request_;
   SendFn send_;
   ClientCallbacks callbacks_;
+  /// Conformance tap and this transaction's id there; the manager sets
+  /// both before start(). Null disables all notifications.
   ConformanceTap* tap_{nullptr};
+  TxnId tap_id_{0};
   /// Removal hook: the owning manager and this entry's handle. The manager
   /// sets both right after placing the transaction in its slab (the handle
   /// exists only then), before any event can fire. Null when the
-  /// transaction is used without a manager.
+  /// transaction is used without a manager, and once it has become a
+  /// linger record.
   TransactionManager* manager_{nullptr};
   TxnHandle handle_;
   friend class TransactionManager;
@@ -142,7 +159,7 @@ class ClientTransaction {
   int retransmits_{0};
   sim::EventId rtx_timer_{0};
   sim::EventId timeout_timer_{0};  // B or F
-  sim::EventId linger_timer_{0};   // D or K
+  sim::EventId linger_timer_{0};   // D or K, standalone machines only
 };
 
 /// Server transaction (RFC 3261 17.2). Construct with the initial request.
@@ -170,20 +187,19 @@ class ServerTransaction {
   [[nodiscard]] int absorbed_count() const { return absorbed_; }
   [[nodiscard]] bool is_invite() const { return is_invite_; }
 
-  /// Installs (or clears) the conformance tap (see ClientTransaction).
-  void set_tap(ConformanceTap* tap) { tap_ = tap; }
-
  private:
   void receive_request_impl(const sip::MessagePtr& request);
   void respond_impl(const sip::MessagePtr& response);
   void arm_response_retransmit(SimTime interval);
+  /// Arms timer I or J on this machine.
+  void arm_linger(SimTime delay);
   void terminate();
   /// Runs the user's on_terminated, then the manager's removal hook.
   void notify_terminated();
   void cancel_timers();
   void wire_send(const sip::MessagePtr& msg);
   void notify(ServerEvent event, const sip::Message* msg = nullptr) {
-    if (tap_ != nullptr) tap_->on_server_event(this, event, msg);
+    if (tap_ != nullptr) tap_->on_server_event(tap_id_, event, state_, msg);
   }
 
   sim::Simulator& sim_;
@@ -193,10 +209,12 @@ class ServerTransaction {
   SendFn send_;
   ServerCallbacks callbacks_;
   ConformanceTap* tap_{nullptr};
+  TxnId tap_id_{0};
   /// Removal hook: the owning manager and this entry's handle. The manager
   /// sets both right after placing the transaction in its slab (the handle
   /// exists only then), before any event can fire. Null when the
-  /// transaction is used without a manager.
+  /// transaction is used without a manager, and once it has become a
+  /// linger record.
   TransactionManager* manager_{nullptr};
   TxnHandle handle_;
   friend class TransactionManager;
@@ -207,7 +225,7 @@ class ServerTransaction {
   int absorbed_{0};
   sim::EventId rtx_timer_{0};     // G
   sim::EventId timeout_timer_{0}; // H
-  sim::EventId linger_timer_{0};  // I or J
+  sim::EventId linger_timer_{0};  // I, or J on a standalone machine
 };
 
 }  // namespace svk::txn

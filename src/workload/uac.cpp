@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <memory>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -89,12 +88,8 @@ void Uac::apply_retry_after(const sip::Message& response) {
   }
 }
 
-txn::SendFn Uac::counting_sender(sip::Method method) {
-  auto sends = std::make_shared<int>(0);
-  return [this, sends, method](const sip::MessagePtr& msg) {
-    if (msg->is_request() && msg->method() == method && ++*sends > 1) {
-      ++metrics_.retransmissions;
-    }
+txn::SendFn Uac::sender() {
+  return [this](const sip::MessagePtr& msg) {
     network_.send(config_.address, config_.first_hop, msg);
   };
 }
@@ -153,7 +148,7 @@ void Uac::place_call() {
     ++metrics_.calls_timed_out;
     calls_.erase(call_id);
   };
-  txns_.create_client(invite_ptr, counting_sender(sip::Method::kInvite),
+  txns_.create_client(invite_ptr, sender(),
                       std::move(callbacks));
 
   if (config_.cancel_probability > 0.0 &&
@@ -178,7 +173,7 @@ void Uac::send_cancel(const std::string& call_id) {
       sip::CSeq{invite.cseq().seq, sip::Method::kCancel});
   cancel.push_via(invite.top_via());
   txns_.create_client(std::move(cancel).finish(),
-                      counting_sender(sip::Method::kCancel),
+                      sender(),
                       txn::ClientCallbacks{});
 }
 
@@ -289,7 +284,7 @@ void Uac::send_bye(const std::string& call_id) {
     ++metrics_.calls_timed_out;
     calls_.erase(id);
   };
-  txns_.create_client(bye_ptr, counting_sender(sip::Method::kBye),
+  txns_.create_client(bye_ptr, sender(),
                       std::move(callbacks));
 }
 

@@ -63,8 +63,16 @@ class Uac {
   void start();
   void stop();
 
-  [[nodiscard]] const UacMetrics& metrics() const { return metrics_; }
-  [[nodiscard]] UacMetrics& metrics() { return metrics_; }
+  /// The counters; `retransmissions` is read from the transaction layer,
+  /// which counts each request retransmission once.
+  [[nodiscard]] const UacMetrics& metrics() const {
+    metrics_.retransmissions = txns_.retransmit_count();
+    return metrics_;
+  }
+  [[nodiscard]] UacMetrics& metrics() {
+    metrics_.retransmissions = txns_.retransmit_count();
+    return metrics_;
+  }
   [[nodiscard]] const UacConfig& config() const { return config_; }
   /// Calls currently in flight (diagnostics).
   [[nodiscard]] std::size_t open_calls() const { return calls_.size(); }
@@ -101,8 +109,8 @@ class Uac {
   void send_ack(Call& call, const sip::Message& ok);
   void send_bye(const std::string& call_id);
   void send_cancel(const std::string& call_id);
-  /// Wraps a network send with duplicate counting for `method` requests.
-  [[nodiscard]] txn::SendFn counting_sender(sip::Method method);
+  /// Sends towards the first hop.
+  [[nodiscard]] txn::SendFn sender();
   void maybe_attach_credentials(sip::Message& request) const;
 
   sim::Simulator& sim_;
@@ -115,7 +123,8 @@ class Uac {
   sip::Token domain_token_;
   txn::TransactionManager txns_;
   sip::BranchGenerator branches_;
-  UacMetrics metrics_;
+  /// Mutable so the const accessor can refresh `retransmissions`.
+  mutable UacMetrics metrics_;
   std::unordered_map<std::string, Call> calls_;
   bool running_{false};
   sim::EventId next_call_timer_{0};

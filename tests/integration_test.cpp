@@ -254,5 +254,36 @@ TEST(LossRobustnessTest, StatefulAbsorbsUpstreamRetransmissions) {
   EXPECT_GT(bed->proxies()[1]->stats().absorbed_retransmits, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Transaction state at steady load
+// ---------------------------------------------------------------------------
+
+TEST(LingerStateTest, MachinesAndEventsScaleWithCallsInProgress) {
+  // Past the 32 s of timer J, every element holds about 37 s worth of
+  // finished transactions. They are linger records: the machine objects
+  // and pending events left track the calls in progress, not calls x 37 s.
+  constexpr double kRate = 50.0;
+  auto bed =
+      series_chain(2, scaled(PolicyKind::kStaticAllStateful))(kRate);
+  bed->start_load();
+  bed->run_until(SimTime::seconds(40.0));
+
+  std::size_t active = 0;
+  std::size_t machines = 0;
+  auto add = [&](const txn::TransactionManager& txns) {
+    active += txns.active_count();
+    machines += txns.machine_count();
+  };
+  for (const auto& proxy : bed->proxies()) add(proxy->transactions());
+  for (const auto& uac : bed->uacs()) add(uac->transactions());
+  for (const auto& uas : bed->uases()) add(uas->transactions());
+
+  // Per call: three BYE server legs in J (32 s) and three client legs in
+  // K (5 s); the INVITE legs end at the 2xx.
+  EXPECT_GT(active, static_cast<std::size_t>(kRate * 3 * 32));
+  EXPECT_LT(machines * 20, active);
+  EXPECT_LT(bed->sim().pending_count() * 20, active);
+}
+
 }  // namespace
 }  // namespace svk::workload

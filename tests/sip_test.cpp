@@ -17,6 +17,7 @@
 #include "sip/methods.hpp"
 #include "sip/parser.hpp"
 #include "sip/uri.hpp"
+#include "txn_keys.hpp"
 
 namespace svk::sip {
 namespace {

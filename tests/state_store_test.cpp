@@ -29,6 +29,7 @@
 #include "dialog/dialog.hpp"
 #include "sip/branch.hpp"
 #include "sip/message.hpp"
+#include "txn_keys.hpp"
 
 namespace svk {
 namespace {

@@ -3,6 +3,7 @@
 // manager matching.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -605,10 +606,8 @@ TEST_F(ManagerTest, TerminatedTransactionsAreRemoved) {
 
 TEST_F(ManagerTest, AckAfter2xxIsNewRequest) {
   auto invite = make_request(Method::kInvite);
-  manager.create_server(invite, wire.sender(), ServerCallbacks{});
-  auto* server = manager.find_server(*invite);
-  ASSERT_NE(server, nullptr);
-  server->respond(make_response(*invite, 200));
+  manager.create_server(invite, wire.sender(), ServerCallbacks{})
+      .respond(make_response(*invite, 200));
   sim.run();  // removal event
   Message ack = Message::request(
       Method::kAck, invite->request_uri(), invite->from(), invite->to(),
@@ -674,10 +673,8 @@ TEST_F(ManagerTest, CrashedPeerInviteServerDrainsViaTimerH) {
   int timeouts = 0;
   ServerCallbacks callbacks;
   callbacks.on_timeout = [&] { ++timeouts; };
-  manager.create_server(invite, wire.sender(), std::move(callbacks));
-  auto* server = manager.find_server(*invite);
-  ASSERT_NE(server, nullptr);
-  server->respond(make_response(*invite, 486));
+  manager.create_server(invite, wire.sender(), std::move(callbacks))
+      .respond(make_response(*invite, 486));
   sim.run();  // the ACK never comes: the upstream peer crashed
   EXPECT_EQ(timeouts, 1);
   EXPECT_EQ(manager.active_count(), 0u);
@@ -689,12 +686,13 @@ TEST_F(ManagerTest, StatefulRelayDrainsWhenDownstreamCrashes) {
   // Timer B answers 408 upstream, timer H then reaps the server leg; no
   // transaction and no simulator event may survive the drain.
   auto invite = make_request(Method::kInvite);
-  manager.create_server(invite, wire.sender(), ServerCallbacks{});
+  TxnHandle server;
+  manager.create_server(invite, wire.sender(), ServerCallbacks{}, &server);
 
   auto fwd = make_request(Method::kInvite, "z9hG4bK-fwd");
   ClientCallbacks callbacks;
   callbacks.on_timeout = [&] {
-    if (auto* srv = manager.find_server(*invite)) {
+    if (auto* srv = manager.find_server(server)) {
       srv->respond(make_response(*invite, 408));
     }
   };
@@ -707,6 +705,176 @@ TEST_F(ManagerTest, StatefulRelayDrainsWhenDownstreamCrashes) {
   EXPECT_GE(wire.count_status(408), 1);
   EXPECT_EQ(manager.active_count(), 0u);
   EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Linger records: a transaction in J, K or D keeps no machine
+// ---------------------------------------------------------------------------
+
+TEST_F(ManagerTest, RecordReplaysFinalDuringTimerJ) {
+  auto bye = make_request(Method::kBye);
+  manager.create_server(bye, wire.sender(), ServerCallbacks{})
+      .respond(make_response(*bye, 200));
+  EXPECT_EQ(manager.record_count(), 1u);
+  EXPECT_EQ(manager.active_count(), 1u);
+  // A retransmitted BYE is answered with the last response, once per copy.
+  EXPECT_EQ(manager.dispatch(bye), Dispatch::kHandledByServerTxn);
+  EXPECT_EQ(manager.dispatch(bye), Dispatch::kHandledByServerTxn);
+  EXPECT_EQ(wire.count_status(200), 3);
+  EXPECT_TRUE(manager.has_server(*bye));
+  EXPECT_EQ(manager.machine_count(), 1u);  // detached, freed by a later event
+  sim.run();
+  EXPECT_EQ(sim.now(), timers.timer_j());
+  EXPECT_EQ(manager.active_count(), 0u);
+  EXPECT_EQ(manager.dispatch(bye), Dispatch::kNewRequest);
+}
+
+TEST_F(ManagerTest, RecordAbsorbsRetransmittedFinalDuringTimerK) {
+  auto bye = make_request(Method::kBye);
+  std::vector<int> codes;
+  ClientCallbacks callbacks;
+  callbacks.on_response = [&](const MessagePtr& m) {
+    codes.push_back(m->status_code());
+  };
+  manager.create_client(bye, wire.sender(), std::move(callbacks));
+  const MessagePtr ok = make_response(*bye, 200);
+  EXPECT_EQ(manager.dispatch(ok), Dispatch::kHandledByClientTxn);
+  EXPECT_EQ(manager.record_count(), 1u);
+  EXPECT_EQ(manager.dispatch(ok), Dispatch::kHandledByClientTxn);
+  EXPECT_EQ(codes, (std::vector<int>{200}));
+  EXPECT_EQ(wire.sent.size(), 1u);  // the BYE; nothing answers a 200
+  sim.run();
+  EXPECT_EQ(sim.now(), timers.timer_k());
+  EXPECT_EQ(manager.dispatch(ok), Dispatch::kStrayResponse);
+}
+
+TEST_F(ManagerTest, RecordReAcksRetransmitted4xxDuringTimerD) {
+  auto invite = make_request(Method::kInvite);
+  manager.create_client(invite, wire.sender(), ClientCallbacks{});
+  const MessagePtr busy = make_response(*invite, 486);
+  EXPECT_EQ(manager.dispatch(busy), Dispatch::kHandledByClientTxn);
+  EXPECT_EQ(manager.record_count(), 1u);
+  ASSERT_EQ(wire.count_method(Method::kAck), 1);
+  const MessagePtr first_ack = wire.sent.back();
+  EXPECT_EQ(manager.dispatch(busy), Dispatch::kHandledByClientTxn);
+  ASSERT_EQ(wire.count_method(Method::kAck), 2);
+  // The re-ACK is rebuilt from the retained INVITE exactly as the first.
+  const MessagePtr& re_ack = wire.sent.back();
+  EXPECT_EQ(re_ack->top_via().branch, invite->top_via().branch);
+  EXPECT_EQ(re_ack->cseq().seq, invite->cseq().seq);
+  EXPECT_EQ(re_ack->to().tag, first_ack->to().tag);
+  // A retransmitted 2xx is absorbed without an ACK.
+  EXPECT_EQ(manager.dispatch(make_response(*invite, 200)),
+            Dispatch::kHandledByClientTxn);
+  EXPECT_EQ(wire.count_method(Method::kAck), 2);
+  sim.run();
+  EXPECT_EQ(sim.now(), timers.timer_d());
+  EXPECT_EQ(manager.active_count(), 0u);
+}
+
+TEST_F(ManagerTest, ExpiryTickOrderDecidesWhatARetransmissionSees) {
+  // Timer J fires at (32 s, the key reserved when the final was sent), and
+  // the record leaves the table at a removal event scheduled then. A
+  // retransmission on that tick keyed before the timer sees the Completed
+  // transaction (the final is replayed), one keyed after it sees it
+  // Terminated (absorbed, nothing sent), and one after the removal starts
+  // a new transaction: the same three outcomes a machine had.
+  auto bye = make_request(Method::kBye);
+  auto& server = manager.create_server(bye, wire.sender(), ServerCallbacks{});
+  std::vector<Dispatch> seen;
+  std::vector<std::size_t> replays;
+  auto probe = [&] {
+    seen.push_back(manager.dispatch(bye));
+    replays.push_back(static_cast<std::size_t>(wire.count_status(200)));
+  };
+  const SimTime expiry = timers.timer_j();
+  sim.schedule_at(expiry, probe);          // key before the timer's
+  server.respond(make_response(*bye, 200));
+  sim.schedule_at(expiry, probe);          // key after the timer's
+  sim.schedule_at(expiry + SimTime::nanos(1), probe);
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<Dispatch>{Dispatch::kHandledByServerTxn,
+                                         Dispatch::kHandledByServerTxn,
+                                         Dispatch::kNewRequest}));
+  EXPECT_EQ(replays, (std::vector<std::size_t>{2, 2, 2}));
+}
+
+TEST_F(ManagerTest, HandleToARecordResolvesToNull) {
+  auto bye = make_request(Method::kBye);
+  TxnHandle server_handle;
+  manager.create_server(bye, wire.sender(), ServerCallbacks{},
+                        &server_handle);
+  ServerTransaction* server = manager.find_server(server_handle);
+  ASSERT_NE(server, nullptr);
+  server->respond(make_response(*bye, 200));
+  EXPECT_EQ(manager.find_server(server_handle), nullptr);
+
+  auto fwd = make_request(Method::kBye, "z9hG4bK-fwd");
+  TxnHandle client_handle;
+  manager.create_client(fwd, wire.sender(), ClientCallbacks{},
+                        &client_handle);
+  ASSERT_NE(manager.find_client(client_handle), nullptr);
+  manager.dispatch(make_response(*fwd, 200));
+  EXPECT_EQ(manager.find_client(client_handle), nullptr);
+  EXPECT_EQ(manager.active_count(), 2u);
+  sim.run();
+  EXPECT_EQ(manager.find_server(server_handle), nullptr);
+  EXPECT_EQ(manager.active_count(), 0u);
+}
+
+TEST_F(ManagerTest, RecordsKeepNoMachineAndOneWheelEventPerTimer) {
+  // Many transactions lingering on each timer: one pending event per lane,
+  // and the machines are freed once a later event retires another.
+  constexpr int kCalls = 50;
+  std::vector<MessagePtr> requests;
+  for (int i = 0; i < kCalls; ++i) {
+    sim.schedule(SimTime::millis(i), [&, i] {
+      const std::string n = std::to_string(i);
+      auto bye = make_request(Method::kBye, "z9hG4bK-s" + n, "c" + n);
+      manager.create_server(bye, wire.sender(), ServerCallbacks{})
+          .respond(make_response(*bye, 200));
+      auto fwd = make_request(Method::kBye, "z9hG4bK-k" + n, "c" + n);
+      manager.create_client(fwd, wire.sender(), ClientCallbacks{});
+      manager.dispatch(make_response(*fwd, 200));
+      auto invite = make_request(Method::kInvite, "z9hG4bK-d" + n, "c" + n);
+      manager.create_client(invite, wire.sender(), ClientCallbacks{});
+      manager.dispatch(make_response(*invite, 503));
+    });
+  }
+  sim.run_until(SimTime::seconds(1.0));
+  EXPECT_EQ(manager.active_count(), 3u * kCalls);
+  EXPECT_EQ(manager.record_count(), 3u * kCalls);
+  EXPECT_LE(manager.machine_count(), 3u);  // the last event's, not yet freed
+  EXPECT_EQ(sim.pending_count(), 3u);      // one expiry per lane
+  sim.run();
+  EXPECT_EQ(manager.active_count(), 0u);
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST(ManagerLifetimeTest, DestroyedWithPendingRecordsFreesEverything) {
+  // Records of every lane, detached machines not yet freed, and live
+  // machines: destroying the manager must release them all (the sanitizer
+  // build checks for leaks) and leave no event that calls back into it.
+  sim::Simulator sim;
+  WireLog wire;
+  {
+    TransactionManager manager(sim, TimerConfig{});
+    auto bye = make_request(Method::kBye, "z9hG4bK-j");
+    manager.create_server(bye, wire.sender(), ServerCallbacks{})
+        .respond(make_response(*bye, 200));
+    auto fwd = make_request(Method::kBye, "z9hG4bK-k");
+    manager.create_client(fwd, wire.sender(), ClientCallbacks{});
+    manager.dispatch(make_response(*fwd, 200));
+    auto invite = make_request(Method::kInvite, "z9hG4bK-d");
+    manager.create_client(invite, wire.sender(), ClientCallbacks{});
+    manager.dispatch(make_response(*invite, 486));
+    manager.create_client(make_request(Method::kInvite, "z9hG4bK-live"),
+                          wire.sender(), ClientCallbacks{});
+    EXPECT_EQ(manager.record_count(), 3u);
+    EXPECT_EQ(manager.active_count(), 4u);
+  }
+  EXPECT_EQ(sim.pending_count(), 0u);
+  sim.run();
 }
 
 TEST_F(ManagerTest, UserTerminatedCallbackRuns) {
