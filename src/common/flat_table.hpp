@@ -20,6 +20,10 @@
 // Correctness never rests on hash uniqueness: equal hashes fall through to
 // the caller's predicate, exactly like a bucketed map. A hash of 0 marks an
 // empty slot; real hashes are nudged off 0 internally.
+//
+// There is deliberately no iteration: slot order follows the hash values,
+// and with nothing able to observe it, a key hash can change without
+// changing any result. Walk the slab behind the table instead.
 #pragma once
 
 #include <cassert>
@@ -112,15 +116,6 @@ class FlatTable {
     --size_;
     ++stats_.erases;
     return true;
-  }
-
-  /// Visits every entry as `f(std::uint64_t hash, Value&)`, in slot order.
-  /// The table must not be mutated from inside `f`.
-  template <typename F>
-  void for_each(F&& f) {
-    for (Slot& slot : slots_) {
-      if (slot.hash != kEmpty) f(slot.hash, slot.value);
-    }
   }
 
   void clear() {

@@ -6,20 +6,16 @@
 
 namespace svk::dialog {
 
-using common::fnv1a;
-
-DialogId DialogId::make(const std::string& call_id, std::string tag1,
+DialogId DialogId::make(std::string_view call_id, std::string tag1,
                         std::string tag2) {
   if (tag2 < tag1) std::swap(tag1, tag2);
-  return DialogId{call_id, std::move(tag1), std::move(tag2)};
+  return DialogId{sip::InlineText(call_id), std::move(tag1), std::move(tag2)};
 }
 
 std::uint64_t dialog_id_hash(std::string_view call_id, std::string_view tag_a,
                              std::string_view tag_b) noexcept {
-  std::uint64_t h = fnv1a(call_id);
-  h = fnv1a(tag_a, h);
-  h = fnv1a(tag_b, h);
-  return h;
+  return common::key_hash(tag_b,
+                          common::key_hash(tag_a, common::key_hash(call_id)));
 }
 
 std::size_t DialogIdHash::operator()(const DialogId& id) const noexcept {

@@ -6,11 +6,12 @@
 // Figure 3 profile.
 //
 // Records live in a Slab (stable addresses, freelist reuse); the table is a
-// FlatTable of (precomputed id hash, slab handle). The only owning strings
-// are inside the Dialog record itself (its id — the key-inside-value
-// layout of DESIGN.md §12); lookups hash Call-ID + tags straight off the
-// message into a DialogProbe and compare views, so the in-dialog hot path
-// (match on every BYE, confirm on every 2xx) allocates nothing.
+// FlatTable of (precomputed id hash, slab handle). The only owned text is
+// the Dialog record's id (the key-inside-value layout of DESIGN.md §12):
+// an inline Call-ID and two short tags. Lookups hash Call-ID + tags
+// straight off the message into a DialogProbe and compare views, so the
+// in-dialog hot path (match on every BYE, confirm on every 2xx) allocates
+// nothing.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +29,11 @@ namespace svk::dialog {
 /// from either direction (caller's BYE vs callee's BYE), so the key
 /// normalizes tag order.
 struct DialogId {
-  std::string call_id;
+  sip::InlineText call_id;
   std::string tag_a;  // lexicographically smaller tag
   std::string tag_b;
 
-  [[nodiscard]] static DialogId make(const std::string& call_id,
+  [[nodiscard]] static DialogId make(std::string_view call_id,
                                      std::string tag1, std::string tag2);
 
   friend bool operator==(const DialogId&, const DialogId&) = default;

@@ -20,8 +20,9 @@
 //
 // A capture of a const std::string (a const local, or a const& parameter,
 // captured by copy) is a const member: the closure's move then copies the
-// string, which can throw, so the closure goes to the heap. Call sites
-// capture such strings through a non-const copy (`[id = call_id]`).
+// string, which can throw, so the closure goes to the heap. Per-call sites
+// capture a handle to the state that holds the string instead (the user
+// agents' call stores, workload/call_table.hpp).
 #pragma once
 
 #include <cstddef>

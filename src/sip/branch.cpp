@@ -56,10 +56,9 @@ Branch stateless_branch(std::string_view incoming_branch,
 
 std::uint64_t txn_key_hash(std::string_view branch, std::string_view sent_by,
                            Method method) noexcept {
-  std::uint64_t h = fnv1a(branch);
-  h = fnv1a(sent_by, h);
-  h ^= static_cast<std::uint64_t>(method) * common::kGolden64;
-  return h;
+  const std::uint64_t h = common::key_hash(
+      branch, common::kGolden64 * (static_cast<std::uint64_t>(method) + 1));
+  return common::key_hash(sent_by, h);
 }
 
 TransactionKey server_key(const Message& req) {

@@ -39,7 +39,7 @@ struct TransactionKey {
                          const TransactionKey&) = default;
 };
 
-/// A non-owning transaction probe: the precomputed 64-bit FNV-1a key hash
+/// A non-owning transaction probe: the precomputed 64-bit key hash
 /// plus views of the key fields, read straight off an incoming message.
 /// This is what the flat state tables match against — no TransactionKey
 /// temporary, no string copies, no allocation per dispatch. The views
@@ -60,8 +60,8 @@ struct TxnProbe {
   }
 };
 
-/// The hash every transaction probe and table entry uses: FNV-1a over
-/// branch and sent-by, with the method folded in.
+/// The hash every transaction probe and table entry uses: common::key_hash
+/// over branch and sent-by, with the method folded into the seed.
 [[nodiscard]] std::uint64_t txn_key_hash(std::string_view branch,
                                          std::string_view sent_by,
                                          Method method) noexcept;

@@ -1,13 +1,15 @@
-// The Via branch parameter, stored inline.
+// Short per-call text stored inline: Via branches, Call-IDs and
+// extension-header values.
 //
-// A branch is per-transaction unique, so it cannot be interned like the
-// Via's protocol and sent-by. The branches this simulator generates are
-// 16-26 characters ("z9hG4bK-<element>-<counter>", "z9hG4bK-sl<hash>"),
-// just past std::string's 15-character small-string buffer, so as a
-// std::string every Via copy on the forward path cost a malloc. A Branch is
-// 32 bytes, the size of a std::string, and holds up to 31 characters
-// inline. Longer values (only a parser can produce them) fall back to one
-// heap block.
+// These values are unique per transaction or per call, so they cannot be
+// interned like hosts and header names. The ones this simulator generates
+// are 16-29 characters ("z9hG4bK-<element>-<counter>", "<host>-<n>"
+// Call-IDs) and host-valued headers up to 18, just past std::string's
+// 15-character small-string buffer, so as std::strings every copy on the
+// forward path (a Via stack, a response's identity block, a clone's
+// headers) cost a malloc. An InlineText is 32 bytes, the size of a
+// std::string, and holds up to 31 characters inline. Longer values (only a
+// parser or a test can produce them) fall back to one heap block.
 #pragma once
 
 #include <cstddef>
@@ -18,36 +20,36 @@
 
 namespace svk::sip {
 
-/// A branch token: up to kInlineCapacity characters inline, longer ones on
-/// the heap. Implicitly convertible to std::string_view, like Token.
-class Branch {
+/// Text of up to kInlineCapacity characters inline, longer on the heap.
+/// Implicitly convertible to std::string_view, like Token.
+class InlineText {
  public:
   static constexpr std::size_t kInlineCapacity = 31;
 
-  Branch() noexcept = default;
-  // NOLINTNEXTLINE(google-explicit-constructor): branches are plain values
-  Branch(std::string_view text) { assign(text); }
+  InlineText() noexcept = default;
+  // NOLINTNEXTLINE(google-explicit-constructor): plain text values
+  InlineText(std::string_view text) { assign(text); }
   // NOLINTNEXTLINE(google-explicit-constructor)
-  Branch(const char* text) : Branch(std::string_view(text)) {}
+  InlineText(const char* text) : InlineText(std::string_view(text)) {}
   // NOLINTNEXTLINE(google-explicit-constructor)
-  Branch(const std::string& text) : Branch(std::string_view(text)) {}
+  InlineText(const std::string& text) : InlineText(std::string_view(text)) {}
 
-  Branch(const Branch& other) {
+  InlineText(const InlineText& other) {
     if (other.is_inline()) {
       std::memcpy(bytes_, other.bytes_, sizeof(bytes_));
     } else {
       assign(other.view());
     }
   }
-  Branch(Branch&& other) noexcept {
+  InlineText(InlineText&& other) noexcept {
     std::memcpy(bytes_, other.bytes_, sizeof(bytes_));
     other.bytes_[kTagByte] = 0;
   }
-  Branch& operator=(const Branch& other) {
-    if (this != &other) *this = Branch(other);
+  InlineText& operator=(const InlineText& other) {
+    if (this != &other) *this = InlineText(other);
     return *this;
   }
-  Branch& operator=(Branch&& other) noexcept {
+  InlineText& operator=(InlineText&& other) noexcept {
     if (this != &other) {
       release();
       std::memcpy(bytes_, other.bytes_, sizeof(bytes_));
@@ -55,7 +57,7 @@ class Branch {
     }
     return *this;
   }
-  ~Branch() { release(); }
+  ~InlineText() { release(); }
 
   [[nodiscard]] bool is_inline() const noexcept {
     return tag() != kHeapTag;
@@ -73,11 +75,11 @@ class Branch {
   operator std::string_view() const noexcept { return view(); }
   [[nodiscard]] std::string str() const { return std::string(view()); }
 
-  friend bool operator==(const Branch& a, std::string_view b) noexcept {
+  friend bool operator==(const InlineText& a, std::string_view b) noexcept {
     return a.view() == b;
   }
-  friend std::ostream& operator<<(std::ostream& os, const Branch& b) {
-    return os << b.view();
+  friend std::ostream& operator<<(std::ostream& os, const InlineText& t) {
+    return os << t.view();
   }
 
  private:
@@ -101,7 +103,7 @@ class Branch {
     return n;
   }
 
-  /// Fills a freshly constructed (not yet owning) Branch.
+  /// Fills a freshly constructed (not yet owning) InlineText.
   void assign(std::string_view text) {
     if (text.size() <= kInlineCapacity) {
       std::memcpy(bytes_, text.data(), text.size());
@@ -123,6 +125,9 @@ class Branch {
   alignas(8) char bytes_[kInlineCapacity + 1] = {};
 };
 
-static_assert(sizeof(Branch) == 32);
+static_assert(sizeof(InlineText) == 32);
+
+/// The Via branch parameter: per-transaction unique, so kept inline.
+using Branch = InlineText;
 
 }  // namespace svk::sip

@@ -77,13 +77,13 @@ const Identity& SharedIdentity::empty() noexcept {
 }  // namespace detail
 
 Message Message::request(Method method, Uri request_uri, NameAddr from,
-                         NameAddr to, std::string call_id, CSeq cseq) {
+                         NameAddr to, std::string_view call_id, CSeq cseq) {
   Message msg;
   msg.is_request_ = true;
   msg.method_ = method;
   msg.id_ = detail::SharedIdentity(
       detail::Identity{std::move(request_uri), std::move(from), std::move(to),
-                       std::move(call_id), cseq, std::nullopt, {}});
+                       InlineText(call_id), cseq, std::nullopt, {}});
   return msg;
 }
 
@@ -113,14 +113,14 @@ std::optional<std::string_view> Message::header(
   return std::nullopt;
 }
 
-void Message::set_header(Token name, std::string value) {
+void Message::set_header(Token name, std::string_view value) {
   for (auto& [key, existing] : extra_) {
     if (key == name) {
-      existing = std::move(value);
+      existing = InlineText(value);
       return;
     }
   }
-  extra_.emplace_back(name, std::move(value));
+  extra_.emplace_back(name, value);
 }
 
 void Message::remove_header(std::string_view name) {
@@ -203,7 +203,7 @@ std::string Message::to_wire() const {
   append_name_addr(out, "From", ids.from);
   append_name_addr(out, "To", ids.to);
   out += "Call-ID: ";
-  out += ids.call_id;
+  out += ids.call_id.view();
   out += "\r\n";
   out += "CSeq: ";
   out += std::to_string(ids.cseq.seq);
@@ -221,7 +221,7 @@ std::string Message::to_wire() const {
   for (const auto& [key, value] : extra_) {
     out += key.view();
     out += ": ";
-    out += value;
+    out += value.view();
     out += "\r\n";
   }
   out += "Content-Length: ";

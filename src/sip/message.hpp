@@ -11,12 +11,14 @@
 // so a forwarded clone copies a pointer instead of those strings. The Via
 // stack lives in a small-inline vector (no malloc for the common 1–4
 // entries), stored bottom-first so push_via/pop_via — the per-hop
-// operations — are O(1) at the back. Each Via keeps its branch inline
-// (via_branch.hpp), so copying the stack copies bytes. Via protocol and
-// sent-by, URI scheme and host, the reason phrase and extension-header
-// names are interned Tokens (pointer copies). finish() allocates the shared block from a
-// freelist-backed pool (see message_pool.hpp), as do identity blocks, so a
-// warm forward path creates and releases messages without the allocator.
+// operations — are O(1) at the back. Via branches, the Call-ID and
+// extension-header values are InlineText (inline_text.hpp), so copying a
+// Via stack, a header list or an identity block copies bytes. Via protocol
+// and sent-by, URI scheme and host, the reason phrase and extension-header
+// names are interned Tokens (pointer copies). finish() allocates the
+// shared block from a freelist-backed pool (see message_pool.hpp), as do
+// identity blocks, so a warm forward path creates and releases messages
+// without the allocator.
 #pragma once
 
 #include <atomic>
@@ -33,7 +35,7 @@
 #include "sip/message_pool.hpp"
 #include "sip/methods.hpp"
 #include "sip/uri.hpp"
-#include "sip/via_branch.hpp"
+#include "sip/inline_text.hpp"
 
 namespace svk::sip {
 
@@ -92,12 +94,13 @@ using MessagePtr = std::shared_ptr<const Message>;
 namespace detail {
 
 /// The fields that identify a call and that a forwarding hop leaves alone:
-/// every clone of a message shares one copy of them.
+/// every clone of a message shares one copy of them. The Call-ID is inline
+/// text, so building or detaching a block copies it without the allocator.
 struct Identity {
   Uri request_uri;
   NameAddr from;
   NameAddr to;
-  std::string call_id;
+  InlineText call_id;
   CSeq cseq;
   std::optional<NameAddr> contact;
   std::string body;
@@ -154,12 +157,14 @@ class Message {
   using ViaList = SmallVector<Via, 4>;
   /// Empty on most messages, so a plain vector (24 B, no inline slots).
   using RouteList = std::vector<Uri>;
-  using HeaderList = SmallVector<std::pair<Token, std::string>, 2>;
+  /// Extension headers: interned names, inline values (the proxies'
+  /// host-valued X-Stateful marks fit, so a clone copies them as bytes).
+  using HeaderList = SmallVector<std::pair<Token, InlineText>, 2>;
 
   /// Creates a request with the mandatory header skeleton.
   [[nodiscard]] static Message request(Method method, Uri request_uri,
                                        NameAddr from, NameAddr to,
-                                       std::string call_id, CSeq cseq);
+                                       std::string_view call_id, CSeq cseq);
 
   /// Creates a response to `req` per RFC 3261 8.2.6: Vias, From, To,
   /// Call-ID and CSeq are copied from the request.
@@ -196,7 +201,7 @@ class Message {
   [[nodiscard]] const NameAddr& to() const { return id_.get().to; }
   [[nodiscard]] NameAddr& to() { return id_.mut().to; }
 
-  [[nodiscard]] const std::string& call_id() const { return id_.get().call_id; }
+  [[nodiscard]] const InlineText& call_id() const { return id_.get().call_id; }
   [[nodiscard]] const CSeq& cseq() const { return id_.get().cseq; }
 
   [[nodiscard]] const std::optional<NameAddr>& contact() const {
@@ -223,10 +228,10 @@ class Message {
   [[nodiscard]] std::optional<std::string_view> header(
       std::string_view name) const;
   /// Sets (replacing any existing value of) an extension header.
-  void set_header(Token name, std::string value);
+  void set_header(Token name, std::string_view value);
   /// Interns `name`; per-call sites should pass a pre-interned Token.
-  void set_header(std::string_view name, std::string value) {
-    set_header(Token(name), std::move(value));
+  void set_header(std::string_view name, std::string_view value) {
+    set_header(Token(name), value);
   }
   void remove_header(std::string_view name);
   [[nodiscard]] const HeaderList& extension_headers() const { return extra_; }

@@ -274,7 +274,7 @@ Result<Message> Parser::parse(std::string_view wire) {
       ids.to = std::move(na).value();
       saw_to = true;
     } else if (name == "Call-ID" || name == "i") {
-      ids.call_id = std::string(value);
+      ids.call_id = value;
       saw_call_id = true;
     } else if (name == "CSeq") {
       const auto space = value.find(' ');
@@ -317,7 +317,7 @@ Result<Message> Parser::parse(std::string_view wire) {
       }
       content_length = static_cast<std::size_t>(length);
     } else {
-      msg.extra_.emplace_back(Token(name), std::string(value));
+      msg.extra_.emplace_back(Token(name), value);
     }
   }
 

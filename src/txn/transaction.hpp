@@ -25,11 +25,10 @@
 namespace svk::txn {
 
 /// Inline capacity of the transaction layer's callables. The largest
-/// per-call captures in src/ fit: a proxy's client timeout callback (this,
-/// the server transaction's handle and the request) and a UAC's per-call
-/// callbacks (this and the Call-ID). A UA's registration callback, off the
-/// call path, spills to the heap. With the ops pointer a callable is 48
-/// bytes, and a transaction holds three.
+/// per-call capture in src/ fits: a proxy's client timeout callback (this,
+/// the server transaction's handle and the request). The user agents'
+/// callbacks capture this and an 8-byte slab handle or index. With the ops
+/// pointer a callable is 48 bytes, and a transaction holds three.
 inline constexpr std::size_t kCallbackInline = 40;
 
 /// Inline capacity of a wire-send function: every SendFn in src/ captures

@@ -2,12 +2,20 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 #include <utility>
 
 #include "obs/trace.hpp"
 #include "proxy/auth.hpp"
 
 namespace svk::workload {
+namespace {
+
+/// Decimal digits of the widest call counter.
+constexpr std::size_t kMaxCounterDigits =
+    std::numeric_limits<std::uint64_t>::digits10 + 1;
+
+}  // namespace
 
 Uac::Uac(sim::Simulator& sim, proxy::SipNetwork& network, Rng rng,
          UacConfig config)
@@ -18,7 +26,10 @@ Uac::Uac(sim::Simulator& sim, proxy::SipNetwork& network, Rng rng,
       host_token_(config_.host),
       domain_token_(config_.target_domain),
       txns_(sim, config_.timers),
-      branches_(config_.address.value() | (1ULL << 32)) {
+      branches_(config_.address.value() | (1ULL << 32)),
+      call_id_text_(config_.host + "-") {
+  // Room for the widest counter, so appending one never reallocates.
+  call_id_text_.reserve(call_id_text_.size() + kMaxCounterDigits);
   network_.attach(config_.address,
                   [this](Address from, const sip::MessagePtr& msg) {
                     on_datagram(from, msg);
@@ -113,17 +124,20 @@ void Uac::place_call() {
   const std::string callee =
       "user" + std::to_string(n % static_cast<std::uint64_t>(
                                       std::max(1, config_.num_callees)));
-  // Not const: callbacks below capture it by copy, and a const member
-  // would make their move a copy that can throw, which sends them to the
-  // heap (sim/event_action.hpp).
-  std::string call_id = config_.host + "-" + std::to_string(n);
+  // "<host>-<n>": the counter replaces the previous call's after the
+  // prefix kept in call_id_text_, whose capacity already fits it.
+  char digits[kMaxCounterDigits];
+  const char* digits_end =
+      std::to_chars(digits, digits + sizeof(digits), n).ptr;
+  call_id_text_.resize(config_.host.size() + 1);
+  call_id_text_.append(digits, static_cast<std::size_t>(digits_end - digits));
   const std::string from_tag = "uac" + std::to_string(n);
 
   sip::Uri request_uri(callee, domain_token_);
   sip::Message invite = sip::Message::request(
       sip::Method::kInvite, request_uri,
       sip::NameAddr{"", sip::Uri("caller", host_token_), from_tag},
-      sip::NameAddr{"", request_uri, ""}, call_id,
+      sip::NameAddr{"", request_uri, ""}, call_id_text_,
       sip::CSeq{1, sip::Method::kInvite});
   invite.push_via(sip::Via{sip::Via::udp(), host_token_, branches_.next()});
   invite.set_max_forwards(config_.max_forwards);
@@ -132,21 +146,20 @@ void Uac::place_call() {
   maybe_attach_credentials(invite);
   auto invite_ptr = std::move(invite).finish();
 
+  // Call-IDs carry a per-UAC counter, so the table never holds this one.
   Call call;
-  call.call_id = call_id;
-  call.from_tag = from_tag;
-  call.invite_sent = sim_.now();
   call.invite = invite_ptr;
-  calls_.emplace(call_id, std::move(call));
+  call.invite_sent = sim_.now();
+  const common::SlabHandle handle = calls_.insert(std::move(call));
 
   txn::ClientCallbacks callbacks;
-  callbacks.on_response = [this, call_id](const sip::MessagePtr& msg) {
-    on_invite_response(call_id, msg);
+  callbacks.on_response = [this, handle](const sip::MessagePtr& msg) {
+    on_invite_response(handle, msg);
   };
-  callbacks.on_timeout = [this, call_id] {
+  callbacks.on_timeout = [this, handle] {
     ++metrics_.calls_failed;
     ++metrics_.calls_timed_out;
-    calls_.erase(call_id);
+    calls_.erase(handle);
   };
   txns_.create_client(invite_ptr, sender(),
                       std::move(callbacks));
@@ -154,14 +167,14 @@ void Uac::place_call() {
   if (config_.cancel_probability > 0.0 &&
       rng_.bernoulli(config_.cancel_probability)) {
     sim_.schedule(config_.ring_abandon_after,
-                  [this, call_id] { send_cancel(call_id); });
+                  [this, handle] { send_cancel(handle); });
   }
 }
 
-void Uac::send_cancel(const std::string& call_id) {
-  const auto it = calls_.find(call_id);
-  if (it == calls_.end() || it->second.established) return;  // answered
-  Call& call = it->second;
+void Uac::send_cancel(common::SlabHandle handle) {
+  Call* found = calls_.get(handle);
+  if (found == nullptr || found->established) return;  // answered
+  Call& call = *found;
   call.cancelled = true;
 
   // RFC 3261 9.1: the CANCEL copies the INVITE's request-URI, Via (same
@@ -177,11 +190,11 @@ void Uac::send_cancel(const std::string& call_id) {
                       txn::ClientCallbacks{});
 }
 
-void Uac::on_invite_response(const std::string& call_id,
+void Uac::on_invite_response(common::SlabHandle handle,
                              const sip::MessagePtr& msg) {
-  const auto it = calls_.find(call_id);
-  if (it == calls_.end()) return;
-  Call& call = it->second;
+  Call* found = calls_.get(handle);
+  if (found == nullptr) return;
+  Call& call = *found;
   const int code = msg->status_code();
 
   if (sip::is_provisional(code)) {
@@ -207,10 +220,9 @@ void Uac::on_invite_response(const std::string& call_id,
                           msg->record_routes().rend());
     send_ack(call, *msg);
     if (config_.hold_time > SimTime{}) {
-      // `id` is a non-const copy, so the event stays inline.
-      sim_.schedule(config_.hold_time, [this, id = call_id] { send_bye(id); });
+      sim_.schedule(config_.hold_time, [this, handle] { send_bye(handle); });
     } else {
-      send_bye(call_id);
+      send_bye(handle);
     }
     return;
   }
@@ -227,14 +239,13 @@ void Uac::on_invite_response(const std::string& call_id,
     ++metrics_.calls_failed;
     if (code == sip::status::kServiceUnavailable) ++metrics_.calls_rejected;
   }
-  calls_.erase(it);
+  calls_.erase(handle);
 }
 
 void Uac::send_ack(Call& call, const sip::Message& ok) {
   sip::Message ack = sip::Message::request(
-      sip::Method::kAck, call.remote_target,
-      sip::NameAddr{"", sip::Uri("caller", host_token_), call.from_tag},
-      ok.to(), call.call_id, sip::CSeq{1, sip::Method::kAck});
+      sip::Method::kAck, call.remote_target, call.invite->from(), ok.to(),
+      call.invite->call_id(), sip::CSeq{1, sip::Method::kAck});
   ack.push_via(sip::Via{sip::Via::udp(), host_token_, branches_.next()});
   ack.routes() = call.route_set;
   auto ack_ptr = std::move(ack).finish();
@@ -242,28 +253,25 @@ void Uac::send_ack(Call& call, const sip::Message& ok) {
   network_.send(config_.address, config_.first_hop, ack_ptr);
 }
 
-void Uac::send_bye(const std::string& call_id) {
-  const auto it = calls_.find(call_id);
-  if (it == calls_.end()) return;
-  Call& call = it->second;
+void Uac::send_bye(common::SlabHandle handle) {
+  Call* found = calls_.get(handle);
+  if (found == nullptr) return;
+  Call& call = *found;
 
   sip::Message bye = sip::Message::request(
-      sip::Method::kBye, call.remote_target,
-      sip::NameAddr{"", sip::Uri("caller", host_token_), call.from_tag},
+      sip::Method::kBye, call.remote_target, call.invite->from(),
       sip::NameAddr{"", sip::Uri(call.invite->request_uri().user(),
                                  domain_token_),
                     call.to_tag},
-      call.call_id, sip::CSeq{2, sip::Method::kBye});
+      call.invite->call_id(), sip::CSeq{2, sip::Method::kBye});
   bye.push_via(sip::Via{sip::Via::udp(), host_token_, branches_.next()});
   bye.set_max_forwards(config_.max_forwards);
   bye.routes() = call.route_set;
   maybe_attach_credentials(bye);
   auto bye_ptr = std::move(bye).finish();
 
-  // `id` is a non-const copy of the caller's Call-ID, so both callbacks
-  // stay inline.
   txn::ClientCallbacks callbacks;
-  callbacks.on_response = [this, id = call_id](const sip::MessagePtr& msg) {
+  callbacks.on_response = [this, handle](const sip::MessagePtr& msg) {
     if (!sip::is_final(msg->status_code())) return;
     if (sip::is_success(msg->status_code())) {
       ++metrics_.calls_completed;
@@ -277,12 +285,12 @@ void Uac::send_bye(const std::string& call_id) {
       }
       ++metrics_.calls_failed;
     }
-    calls_.erase(id);
+    calls_.erase(handle);
   };
-  callbacks.on_timeout = [this, id = call_id] {
+  callbacks.on_timeout = [this, handle] {
     ++metrics_.calls_failed;
     ++metrics_.calls_timed_out;
-    calls_.erase(id);
+    calls_.erase(handle);
   };
   txns_.create_client(bye_ptr, sender(),
                       std::move(callbacks));
@@ -299,9 +307,9 @@ void Uac::on_datagram(Address from, const sip::MessagePtr& msg) {
   // retransmitting its 200 (our ACK was lost or slow) — re-ACK.
   if (sip::is_success(msg->status_code()) &&
       msg->cseq().method == sip::Method::kInvite) {
-    const auto it = calls_.find(msg->call_id());
-    if (it != calls_.end() && it->second.ack) {
-      network_.send(config_.address, config_.first_hop, it->second.ack);
+    const Call* call = calls_.get(calls_.find(msg->call_id()));
+    if (call != nullptr && call->ack) {
+      network_.send(config_.address, config_.first_hop, call->ack);
     }
   }
 }

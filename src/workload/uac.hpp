@@ -7,16 +7,17 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/slab.hpp"
 #include "common/types.hpp"
 #include "proxy/proxy.hpp"
 #include "sim/simulator.hpp"
 #include "sip/branch.hpp"
 #include "sip/message.hpp"
 #include "txn/manager.hpp"
+#include "workload/call_table.hpp"
 #include "workload/metrics.hpp"
 
 namespace svk::workload {
@@ -76,6 +77,10 @@ class Uac {
   [[nodiscard]] const UacConfig& config() const { return config_; }
   /// Calls currently in flight (diagnostics).
   [[nodiscard]] std::size_t open_calls() const { return calls_.size(); }
+  /// Allocations made by the open-call store (steady-state check).
+  [[nodiscard]] CallTableStats call_store_stats() const {
+    return calls_.stats();
+  }
   [[nodiscard]] const txn::TransactionManager& transactions() const {
     return txns_;
   }
@@ -85,11 +90,10 @@ class Uac {
   }
 
  private:
+  /// One open call. Its Call-ID and From tag are read off the INVITE.
   struct Call {
-    std::string call_id;
-    std::string from_tag;
-    SimTime invite_sent;
     sip::MessagePtr invite;
+    SimTime invite_sent;
     sip::MessagePtr ack;             // replayed on retransmitted 200s
     sip::Message::RouteList route_set;  // reversed Record-Route from the 200
     sip::Uri remote_target;          // 200's Contact
@@ -104,11 +108,11 @@ class Uac {
   /// backoff deadline (SIPp's -rsa behavior; RFC 3261 21.5.4).
   void apply_retry_after(const sip::Message& response);
   void on_datagram(Address from, const sip::MessagePtr& msg);
-  void on_invite_response(const std::string& call_id,
+  void on_invite_response(common::SlabHandle handle,
                           const sip::MessagePtr& msg);
   void send_ack(Call& call, const sip::Message& ok);
-  void send_bye(const std::string& call_id);
-  void send_cancel(const std::string& call_id);
+  void send_bye(common::SlabHandle handle);
+  void send_cancel(common::SlabHandle handle);
   /// Sends towards the first hop.
   [[nodiscard]] txn::SendFn sender();
   void maybe_attach_credentials(sip::Message& request) const;
@@ -125,7 +129,10 @@ class Uac {
   sip::BranchGenerator branches_;
   /// Mutable so the const accessor can refresh `retransmissions`.
   mutable UacMetrics metrics_;
-  std::unordered_map<std::string, Call> calls_;
+  CallTable<Call, &Call::invite> calls_;
+  /// "<host>-" and the current call's counter. Its capacity is reserved
+  /// for the widest counter, so formatting a Call-ID never allocates.
+  std::string call_id_text_;
   bool running_{false};
   sim::EventId next_call_timer_{0};
   /// No new calls before this time (503 Retry-After backoff).

@@ -18,12 +18,8 @@ Uas::Uas(sim::Simulator& sim, proxy::SipNetwork& network, UasConfig config)
 }
 
 Uas::~Uas() {
-  for (auto& [call_id, pending] : pending_200_) {
-    sim_.cancel(pending.timer);
-  }
-  for (auto& [call_id, pending] : ringing_) {
-    sim_.cancel(pending.timer);
-  }
+  pending_200_.for_each([this](Pending200& p) { sim_.cancel(p.timer); });
+  ringing_.for_each([this](PendingAnswer& p) { sim_.cancel(p.timer); });
   network_.detach(config_.address);
 }
 
@@ -58,10 +54,10 @@ void Uas::on_datagram(Address from, const sip::MessagePtr& msg) {
 void Uas::handle_invite(Address from, const sip::MessagePtr& msg) {
   // A retransmitted INVITE whose transaction already ended with our 200:
   // replay the 200 (we are still waiting for the ACK).
-  if (const auto it = pending_200_.find(msg->call_id());
-      it != pending_200_.end()) {
+  if (const Pending200* pending =
+          pending_200_.get(pending_200_.find(msg->call_id()))) {
     ++metrics_.retransmitted_200;
-    network_.send(config_.address, it->second.peer, it->second.response);
+    network_.send(config_.address, pending->peer, pending->response);
     return;
   }
 
@@ -79,35 +75,33 @@ void Uas::handle_invite(Address from, const sip::MessagePtr& msg) {
 
   const std::string tag = "uas" + std::to_string(++tag_counter_);
 
-  sip::Message ringing = sip::Message::response(*msg, sip::status::kRinging);
-  ringing.to().tag = tag;
-  server_txn.respond(std::move(ringing).finish());
+  sip::Message ring = sip::Message::response(*msg, sip::status::kRinging);
+  ring.to().tag = tag;
+  server_txn.respond(std::move(ring).finish());
 
-  PendingAnswer pending;
-  pending.invite = msg;
-  pending.server_txn = server_handle;
-  pending.tag = tag;
-  pending.peer = from;
-  // Not const: the answer event captures it by copy, and a const member
-  // would make the event's move a copy that can throw, which sends it to
-  // the heap (sim/event_action.hpp).
-  std::string call_id = msg->call_id();
-  if (config_.answer_delay > SimTime{}) {
-    pending.timer = sim_.schedule(config_.answer_delay,
-                                  [this, call_id] { answer(call_id); });
-    ringing_.emplace(call_id, std::move(pending));
-  } else {
-    ringing_.emplace(call_id, std::move(pending));
-    answer(call_id);
+  PendingAnswer pending{msg, server_handle, tag, from};
+  if (config_.answer_delay <= SimTime{}) {
+    answer(std::move(pending));
+    return;
   }
+  // A second INVITE for a Call-ID that is still ringing (it came by
+  // another branch) leaves the first entry in place; its answer event
+  // still fires, as a no-op.
+  const common::SlabHandle ringing =
+      ringing_.find(msg->call_id()).null()
+          ? ringing_.insert(std::move(pending))
+          : common::SlabHandle{};
+  const sim::EventId timer = sim_.schedule(
+      config_.answer_delay, [this, ringing] { answer(ringing); });
+  if (PendingAnswer* entry = ringing_.get(ringing)) entry->timer = timer;
 }
 
-void Uas::answer(const std::string& call_id) {
-  const auto it = ringing_.find(call_id);
-  if (it == ringing_.end()) return;
-  PendingAnswer ringing = std::move(it->second);
-  ringing_.erase(it);
+void Uas::answer(common::SlabHandle ringing) {
+  if (ringing_.get(ringing) == nullptr) return;  // cancelled, or a duplicate
+  answer(ringing_.take(ringing));
+}
 
+void Uas::answer(PendingAnswer ringing) {
   sip::Message ok = sip::Message::response(*ringing.invite, sip::status::kOk);
   ok.to().tag = ringing.tag;
   ok.set_contact(sip::NameAddr{"", contact_uri(), ""});
@@ -118,16 +112,15 @@ void Uas::answer(const std::string& call_id) {
     network_.send(config_.address, ringing.peer, ok_ptr);
   }
 
-  // RFC 3261 13.3.1.4: the UAS core retransmits the 2xx until ACKed.
-  Pending200 pending;
-  pending.response = ok_ptr;
-  pending.peer = ringing.peer;
-  pending.interval = config_.timers.t1;
-  pending.deadline = sim_.now() + 64 * config_.timers.t1;
-  // `id` is a non-const copy, so the event stays inline.
-  pending.timer = sim_.schedule(
-      pending.interval, [this, id = call_id] { retransmit_200(id); });
-  pending_200_.emplace(call_id, std::move(pending));
+  // RFC 3261 13.3.1.4: the UAS core retransmits the 2xx until ACKed. A
+  // retransmitted INVITE is answered from this entry, so no second call
+  // with its Call-ID starts ringing while it exists.
+  const SimTime interval = config_.timers.t1;
+  const common::SlabHandle pending = pending_200_.insert(
+      Pending200{ok_ptr, ringing.peer, 0, interval,
+                 sim_.now() + 64 * config_.timers.t1});
+  pending_200_.get(pending)->timer = sim_.schedule(
+      interval, [this, pending] { retransmit_200(pending); });
 }
 
 void Uas::handle_cancel(Address from, const sip::MessagePtr& msg) {
@@ -142,11 +135,10 @@ void Uas::handle_cancel(Address from, const sip::MessagePtr& msg) {
   cancel_txn.respond(
       sip::Message::response(*msg, sip::status::kOk).finish());
 
-  const auto it = ringing_.find(msg->call_id());
-  if (it == ringing_.end()) return;  // too late: already answered
-  PendingAnswer ringing = std::move(it->second);
+  const common::SlabHandle handle = ringing_.find(msg->call_id());
+  if (handle.null()) return;  // too late: already answered
+  PendingAnswer ringing = ringing_.take(handle);
   sim_.cancel(ringing.timer);
-  ringing_.erase(it);
   ++metrics_.cancels_received;
 
   if (auto* invite_txn = txns_.find_server(ringing.server_txn)) {
@@ -157,36 +149,38 @@ void Uas::handle_cancel(Address from, const sip::MessagePtr& msg) {
   }
 }
 
-void Uas::retransmit_200(const std::string& call_id) {
-  const auto it = pending_200_.find(call_id);
-  if (it == pending_200_.end()) return;
-  Pending200& pending = it->second;
-  if (sim_.now() >= pending.deadline) {
-    pending_200_.erase(it);  // give up; the call never got its ACK
+void Uas::retransmit_200(common::SlabHandle handle) {
+  Pending200* pending = pending_200_.get(handle);
+  if (pending == nullptr) return;
+  if (sim_.now() >= pending->deadline) {
+    pending_200_.erase(handle);  // give up; the call never got its ACK
     return;
   }
   ++metrics_.retransmitted_200;
-  network_.send(config_.address, pending.peer, pending.response);
-  pending.interval = std::min(2 * pending.interval, config_.timers.t2);
-  pending.timer = sim_.schedule(
-      pending.interval, [this, id = call_id] { retransmit_200(id); });
+  network_.send(config_.address, pending->peer, pending->response);
+  pending->interval = std::min(2 * pending->interval, config_.timers.t2);
+  pending->timer = sim_.schedule(
+      pending->interval, [this, handle] { retransmit_200(handle); });
 }
 
 void Uas::handle_ack(const sip::MessagePtr& msg) {
-  const auto it = pending_200_.find(msg->call_id());
-  if (it == pending_200_.end()) return;  // duplicate ACK
-  sim_.cancel(it->second.timer);
-  pending_200_.erase(it);
+  const common::SlabHandle handle = pending_200_.find(msg->call_id());
+  const Pending200* pending = pending_200_.get(handle);
+  if (pending == nullptr) return;  // duplicate ACK
+  sim_.cancel(pending->timer);
+  pending_200_.erase(handle);
   ++metrics_.calls_established;
 }
 
 void Uas::register_with(Address registrar, const std::string& aor,
                         SimTime expires, bool auto_refresh) {
-  send_register(registrar, aor, expires, auto_refresh);
+  registrations_.push_back(Registration{registrar, aor, expires, auto_refresh});
+  send_register(registrations_.size() - 1);
 }
 
-void Uas::send_register(Address registrar, const std::string& aor,
-                        SimTime expires, bool auto_refresh) {
+void Uas::send_register(std::size_t registration) {
+  const Registration& r = registrations_[registration];
+  const std::string& aor = r.aor;
   const auto at = aor.find('@');
   const std::string user = aor.substr(0, at);
   const std::string domain =
@@ -206,25 +200,24 @@ void Uas::send_register(Address registrar, const std::string& aor,
           std::to_string(register_counter_)});
   reg.set_contact(sip::NameAddr{"", contact_uri(), ""});
   reg.set_header("Expires",
-                 std::to_string(static_cast<long>(expires.to_seconds())));
+                 std::to_string(static_cast<long>(r.expires.to_seconds())));
 
   txn::ClientCallbacks callbacks;
-  callbacks.on_response = [this, registrar, aor, expires, auto_refresh](
+  callbacks.on_response = [this, registration](
                               const sip::MessagePtr& response) {
     if (!sip::is_success(response->status_code())) return;
     ++registrations_confirmed_;
-    if (auto_refresh) {
+    const Registration& refreshed = registrations_[registration];
+    if (refreshed.auto_refresh) {
       // Renew at half-life (common UA behaviour).
-      sim_.schedule(SimTime::seconds(expires.to_seconds() / 2.0),
-                    [this, registrar, aor, expires, auto_refresh] {
-                      send_register(registrar, aor, expires, auto_refresh);
-                    });
+      sim_.schedule(SimTime::seconds(refreshed.expires.to_seconds() / 2.0),
+                    [this, registration] { send_register(registration); });
     }
   };
   txns_.create_client(
       std::move(reg).finish(),
-      [this, registrar](const sip::MessagePtr& m) {
-        network_.send(config_.address, registrar, m);
+      [this, to = r.registrar](const sip::MessagePtr& m) {
+        network_.send(config_.address, to, m);
       },
       std::move(callbacks));
 }

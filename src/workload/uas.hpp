@@ -8,14 +8,16 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
+#include "common/slab.hpp"
 #include "common/types.hpp"
 #include "proxy/proxy.hpp"
 #include "sim/simulator.hpp"
 #include "sip/branch.hpp"
 #include "sip/message.hpp"
 #include "txn/manager.hpp"
+#include "workload/call_table.hpp"
 #include "workload/metrics.hpp"
 
 namespace svk::workload {
@@ -62,16 +64,27 @@ class Uas {
     txns_.set_conformance_tap(tap);
   }
 
+  /// Calls ringing or awaiting their ACK (diagnostics).
+  [[nodiscard]] std::size_t open_calls() const {
+    return ringing_.size() + pending_200_.size();
+  }
+  /// Allocations made by the ringing and 200-retransmission stores
+  /// (steady-state check).
+  [[nodiscard]] CallTableStats call_store_stats() const {
+    return ringing_.stats() + pending_200_.stats();
+  }
+
  private:
   void on_datagram(Address from, const sip::MessagePtr& msg);
   void handle_invite(Address from, const sip::MessagePtr& msg);
   void handle_bye(Address from, const sip::MessagePtr& msg);
   void handle_ack(const sip::MessagePtr& msg);
   void handle_cancel(Address from, const sip::MessagePtr& msg);
-  void answer(const std::string& call_id);
-  void retransmit_200(const std::string& call_id);
-  void send_register(Address registrar, const std::string& aor,
-                     SimTime expires, bool auto_refresh);
+  struct PendingAnswer;  // defined with the call stores below
+  void answer(common::SlabHandle ringing);
+  void answer(PendingAnswer ringing);
+  void retransmit_200(common::SlabHandle pending);
+  void send_register(std::size_t registration);
 
   sim::Simulator& sim_;
   proxy::SipNetwork& network_;
@@ -84,7 +97,16 @@ class Uas {
   std::uint64_t register_counter_{0};
   std::uint64_t registrations_confirmed_{0};
 
-  /// 200-OK retransmission state per call awaiting ACK.
+  /// One register_with() call; its refreshes capture the index.
+  struct Registration {
+    Address registrar;
+    std::string aor;
+    SimTime expires;
+    bool auto_refresh = false;
+  };
+  std::vector<Registration> registrations_;
+
+  /// 200-OK retransmission state per call awaiting ACK, keyed by the 200.
   struct Pending200 {
     sip::MessagePtr response;
     Address peer;
@@ -92,9 +114,10 @@ class Uas {
     SimTime interval;
     SimTime deadline;
   };
-  std::unordered_map<std::string, Pending200> pending_200_;
+  CallTable<Pending200, &Pending200::response> pending_200_;
 
-  /// Calls ringing (180 sent, 200 pending) — cancellable.
+  /// Calls ringing (180 sent, 200 pending) — cancellable. Used only with a
+  /// nonzero answer_delay; otherwise a call is answered on arrival.
   struct PendingAnswer {
     sip::MessagePtr invite;
     /// Handle of the INVITE server transaction: O(1) generation-checked
@@ -104,7 +127,7 @@ class Uas {
     Address peer;
     sim::EventId timer = 0;
   };
-  std::unordered_map<std::string, PendingAnswer> ringing_;
+  CallTable<PendingAnswer, &PendingAnswer::invite> ringing_;
 };
 
 }  // namespace svk::workload

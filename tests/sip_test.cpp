@@ -299,22 +299,72 @@ TEST(MessageTest, CloneIsIndependent) {
 
 TEST(MessageTest, SharedIdentityIsReleasedOnAnyThread) {
   // Clones that share one identity block are dropped on other threads; the
-  // last release frees it exactly once (checked under the sanitizers).
-  const MessagePtr original = make_invite().finish();
-  std::vector<MessagePtr> clones;
-  for (int i = 0; i < 64; ++i) clones.push_back(clone(*original).finish());
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&clones, t] {
-      for (std::size_t i = static_cast<std::size_t>(t); i < clones.size();
-           i += 4) {
-        EXPECT_EQ(clones[i]->call_id(), "call-1");
-        clones[i].reset();
-      }
-    });
+  // last release frees it exactly once (checked under the sanitizers). The
+  // block's Call-ID is inline text, or a heap block past 31 characters.
+  for (const std::string& call_id : {std::string("call-1"),
+                                    std::string(40, 'c')}) {
+    Message invite = make_invite();
+    invite = Message::request(invite.method(), invite.request_uri(),
+                              invite.from(), invite.to(), call_id,
+                              invite.cseq());
+    const MessagePtr original = std::move(invite).finish();
+    std::vector<MessagePtr> clones;
+    for (int i = 0; i < 64; ++i) clones.push_back(clone(*original).finish());
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&clones, &call_id, t] {
+        for (std::size_t i = static_cast<std::size_t>(t); i < clones.size();
+             i += 4) {
+          EXPECT_EQ(clones[i]->call_id(), call_id);
+          clones[i].reset();
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(original->call_id(), call_id);
   }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(original->call_id(), "call-1");
+}
+
+TEST(MessageTest, CallIdAndHeaderValuesAreInlineText) {
+  // The simulator's Call-IDs ("<host>-<n>", at most 29 characters) and
+  // host-valued X-Stateful marks are kept inline, so a response, a clone
+  // or a detached identity copies them without the allocator.
+  const std::string call_id = "uac15.main.client.net-1234567";
+  Message invite = Message::request(
+      Method::kInvite, Uri("user0", "cc.gatech.edu"),
+      NameAddr{"", Uri("caller", "uac15.main.client.net"), "uac1234567"},
+      NameAddr{"", Uri("user0", "cc.gatech.edu"), ""}, call_id,
+      CSeq{1, Method::kInvite});
+  invite.push_via(Via{"SIP/2.0/UDP", "uac15.main.client.net", "z9hG4bK-1"});
+  invite.set_header("X-Stateful", "proxy0.example.net");
+  EXPECT_TRUE(invite.call_id().is_inline());
+  EXPECT_TRUE(invite.extension_headers().front().second.is_inline());
+
+  const Message response = Message::response(invite, 200);
+  EXPECT_EQ(response.call_id(), call_id);
+  EXPECT_TRUE(response.call_id().is_inline());
+  Message fwd = clone(invite);
+  fwd.set_request_uri(Uri("user0", "uas0.cc.gatech.edu"));  // detaches
+  EXPECT_NE(&fwd.call_id(), &invite.call_id());
+  EXPECT_EQ(fwd.call_id(), call_id);
+  EXPECT_EQ(fwd.header("X-Stateful"), "proxy0.example.net");
+
+  // Replacing a value keeps one entry; longer values move to the heap and
+  // survive the wire round trip.
+  const std::string long_value(40, 'v');
+  fwd.set_header("X-Stateful", long_value);
+  ASSERT_EQ(fwd.extension_headers().size(), 1u);
+  EXPECT_FALSE(fwd.extension_headers().front().second.is_inline());
+  const std::string long_call_id = call_id + "-" + std::string(20, '9');
+  fwd = Message::request(fwd.method(), fwd.request_uri(), fwd.from(),
+                         fwd.to(), long_call_id, fwd.cseq());
+  fwd.push_via(Via{"SIP/2.0/UDP", "p1.example.com", "z9hG4bK-2"});
+  fwd.set_header("X-Stateful", long_value);
+  EXPECT_FALSE(fwd.call_id().is_inline());
+  const auto parsed = Parser::parse(fwd.to_wire());
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  EXPECT_EQ(parsed.value().call_id(), long_call_id);
+  EXPECT_EQ(parsed.value().header("X-Stateful"), long_value);
 }
 
 TEST(MessageTest, HeaderCountReflectsContents) {

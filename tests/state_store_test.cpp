@@ -2,11 +2,14 @@
 // FlatTable, the generation-tagged Slab, and the precomputed-key probes the
 // state layer runs on. Covers:
 //
-//   * pinned hash constants — the FNV-1a / mixing constants feed transaction
-//     keys, dialog ids and the network's per-datagram RNG seeds, so any
-//     drift silently changes every golden digest;
-//   * probe ≡ legacy-key equivalence — txn_key_hash / dialog_id_hash must
-//     produce bit-identical hashes to the owning-key hashers they replaced;
+//   * pinned hash constants — the FNV-1a constants feed the wire text of
+//     stateless branches and the location service's AOR hash, and the
+//     mixing constants the network's per-datagram RNG seeds, so any drift
+//     silently changes every golden digest;
+//   * key_hash, the state tables' hash: every byte and the length count,
+//     and generated branches and Call-IDs spread over the low bits;
+//   * probe ≡ owning-key equivalence — txn_key_hash / dialog_id_hash over
+//     a message's views equal the hashers over owning keys;
 //   * a seeded property test churning FlatTable+Slab against a
 //     std::unordered_map oracle (same finds, same survivors);
 //   * backward-shift deletion under forced hash collisions;
@@ -57,9 +60,8 @@ TEST(HashConstants, Fnv1aReferenceVectors) {
 
 TEST(HashConstants, ChainedFnv1aEqualsConcatenated) {
   // Chaining through the seed parameter must equal hashing the
-  // concatenation — this is what lets multi-part keys hash without
-  // materializing a joined string (location's user '@' host, dialog's
-  // call-id + tags).
+  // concatenation — this is what lets the location service hash an AOR as
+  // user '@' host without materializing the joined string.
   const std::uint64_t chained = common::fnv1a(
       "host", common::fnv1a_byte('@', common::fnv1a("user")));
   EXPECT_EQ(chained, common::fnv1a("user@host"));
@@ -75,7 +77,60 @@ TEST(HashConstants, CounterSeedFormula) {
 }
 
 // ---------------------------------------------------------------------------
-// Probe ≡ legacy key-hash equivalence
+// key_hash
+// ---------------------------------------------------------------------------
+
+TEST(KeyHash, EveryByteAndTheLengthCount) {
+  // 29 characters: three whole words and a last word overlapping the
+  // third, the longest Call-ID shape on the benchmark beds.
+  const std::string key = "uac15.main.client.net-1234567";
+  ASSERT_EQ(key.size(), 29u);
+  const std::uint64_t base = common::key_hash(key);
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    std::string flipped = key;
+    flipped[i] ^= 0x01;
+    EXPECT_NE(common::key_hash(flipped), base) << "byte " << i;
+  }
+  for (std::size_t n = 0; n < key.size(); ++n) {
+    EXPECT_NE(common::key_hash(std::string_view(key).substr(0, n)), base)
+        << "prefix " << n;
+  }
+  EXPECT_NE(common::key_hash(key, 1), base);  // the seed counts too
+  EXPECT_NE(common::key_hash(std::string(8, '\0')),
+            common::key_hash(std::string(7, '\0')));
+}
+
+TEST(KeyHash, GeneratedKeysSpreadOverTheLowBits) {
+  // FlatTable picks a slot by the low bits. Hash 2^16 generated branches
+  // (16 elements' generators) and 2^16 Call-IDs (16 UACs' "<host>-<n>")
+  // into 2^12 buckets: no bucket may hold more than twice the mean. The
+  // two sets are pooled so the mean is 32: at a mean of 16, a perfectly
+  // random hash already overflows 2x in about half of all key sets.
+  constexpr std::size_t kPerSet = std::size_t{1} << 16;
+  constexpr std::size_t kBuckets = std::size_t{1} << 12;
+  std::vector<std::uint32_t> buckets(kBuckets, 0);
+  const auto add = [&](std::string_view key) {
+    ++buckets[common::key_hash(key) & (kBuckets - 1)];
+  };
+  for (std::uint64_t element = 0; element < 16; ++element) {
+    sip::BranchGenerator branches(element | (std::uint64_t{1} << 32));
+    for (std::size_t i = 0; i < kPerSet / 16; ++i) add(branches.next());
+  }
+  for (int uac = 0; uac < 16; ++uac) {
+    const std::string host = "uac" + std::to_string(uac) + ".main.client.net";
+    for (std::size_t n = 1; n <= kPerSet / 16; ++n) {
+      add(host + "-" + std::to_string(n));
+    }
+  }
+  const std::uint32_t mean = 2 * kPerSet / kBuckets;
+  ASSERT_EQ(mean, 32u);
+  const std::uint32_t fullest = *std::max_element(buckets.begin(),
+                                                  buckets.end());
+  EXPECT_LE(fullest, 2 * mean);
+}
+
+// ---------------------------------------------------------------------------
+// Probe ≡ owning-key hash equivalence
 // ---------------------------------------------------------------------------
 
 TEST(ProbeEquivalence, TxnKeyHashMatchesLegacyHasher) {
@@ -171,12 +226,12 @@ class StoreUnderTest {
  public:
   void insert(const std::string& key, std::uint64_t value) {
     const common::SlabHandle slot = slab_.emplace(Entry{key, value});
-    table_.insert(common::fnv1a(key), slot);
+    table_.insert(common::key_hash(key), slot);
   }
 
   [[nodiscard]] const Entry* find(std::string_view key) {
     common::SlabHandle* slot = table_.find(
-        common::fnv1a(key),
+        common::key_hash(key),
         [&](const common::SlabHandle& h) { return slab_.get(h)->key == key; });
     return slot != nullptr ? slab_.get(*slot) : nullptr;
   }
@@ -185,7 +240,7 @@ class StoreUnderTest {
     Entry* found = nullptr;
     common::SlabHandle handle;
     const bool erased = table_.erase(
-        common::fnv1a(key), [&](const common::SlabHandle& h) {
+        common::key_hash(key), [&](const common::SlabHandle& h) {
           Entry* e = slab_.get(h);
           if (e->key != key) return false;
           found = e;

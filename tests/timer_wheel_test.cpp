@@ -456,10 +456,14 @@ TEST(MessagePoolTest, MessageLayoutStaysWithinBudget) {
   // by-value part of a message is what a stateful run's memory scales
   // with. The call identity lives in a shared block; Uri is two Tokens, the
   // user, the port and an (empty) parameter vector. A Via is two Tokens,
-  // the inline branch (32 B) and the overload-control rate.
+  // the inline branch (32 B) and the overload-control rate. The identity
+  // block holds the request-URI, From, To, Contact, the body and the
+  // inline Call-ID (32 B, the size of the std::string it replaced); every
+  // response and J record keeps one.
   EXPECT_LE(sizeof(svk::sip::Message), 512u);
   EXPECT_LE(sizeof(svk::sip::Uri), 80u);
   EXPECT_LE(sizeof(svk::sip::Via), 56u);
+  EXPECT_LE(sizeof(svk::sip::detail::Identity), 592u);
 }
 
 // ---------------------------------------------------------------------------
@@ -479,8 +483,8 @@ TEST(InternTest, RepeatedViaStringsDoNotGrowTheTable) {
   EXPECT_LE(intern_table_size(), before + 2);
 
   // Whole calls: per-call users, tags, Call-IDs, branches and header values
-  // stay strings. Only hosts, reason phrases and header names are interned,
-  // and all of them by the first call.
+  // are stored by value, never interned. Only hosts, reason phrases and
+  // header names are interned, and all of them by the first call.
   const Token caller_host{"intern-caller.test"};
   const Token callee_host{"intern-callee.test"};
   const Token proxy_host{"intern-proxy.test"};

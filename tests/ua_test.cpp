@@ -1,6 +1,7 @@
 // Direct tests of the user-agent layer: the UAS's 2xx retransmission
-// machinery (RFC 3261 13.3.1.4), duplicate handling, and the UAC's
-// response-path behaviours, driven by a scripted peer over the simulated
+// machinery (RFC 3261 13.3.1.4), duplicate handling, CANCEL while ringing,
+// the UAC's response-path behaviours and the Call-ID-indexed call stores
+// (workload/call_table.hpp), driven by a scripted peer over the simulated
 // network (no proxy in between).
 #include <gtest/gtest.h>
 
@@ -44,6 +45,32 @@ class Peer {
       if (m->is_response() && m->status_code() == code) ++n;
     }
     return n;
+  }
+  /// Responses with `code` to a request with `method` (CSeq method).
+  [[nodiscard]] int count_status(int code, Method method) const {
+    int n = 0;
+    for (const auto& m : inbox_) {
+      if (m->is_response() && m->status_code() == code &&
+          m->cseq().method == method) {
+        ++n;
+      }
+    }
+    return n;
+  }
+  [[nodiscard]] int count_requests(Method method) const {
+    int n = 0;
+    for (const auto& m : inbox_) {
+      if (m->is_request() && m->method() == method) ++n;
+    }
+    return n;
+  }
+  /// The last request with `method` received, or null.
+  [[nodiscard]] MessagePtr last_request(Method method) const {
+    MessagePtr found;
+    for (const auto& m : inbox_) {
+      if (m->is_request() && m->method() == method) found = m;
+    }
+    return found;
   }
 
  private:
@@ -198,6 +225,175 @@ TEST_F(UaFixture, UacIgnoresStrayRequests) {
   peer->send(*bed->registry().resolve("uac.test"), make_invite("to-uac"));
   bed->sim().run_until(SimTime::millis(100));
   EXPECT_EQ(uac.metrics().calls_attempted, 0u);
+}
+
+// A UAC whose first hop is the scripted peer; it places one call at 1 s
+// and then stops.
+Uac& add_one_call_uac(TestBed& bed, Address first_hop, UacConfig config) {
+  config.host = "uac.test";
+  config.first_hop = first_hop;
+  config.target_domain = "peer.test";
+  config.call_rate_cps = 1.0;
+  Uac& uac = bed.add_uac(std::move(config));
+  uac.start();
+  bed.sim().run_until(SimTime::millis(1010));
+  uac.stop();
+  return uac;
+}
+
+Message answer_with(const Message& invite, int code) {
+  Message response = Message::response(invite, code);
+  response.to().tag = "callee-tag";
+  response.set_contact(NameAddr{"", Uri("bob", "peer.test"), ""});
+  return response;
+}
+
+TEST_F(UaFixture, UacReAcksA200RetransmittedAfterItsTransactionEnded) {
+  UacConfig config;
+  config.hold_time = SimTime::seconds(30.0);  // the call stays open
+  Uac& uac = add_one_call_uac(*bed, peer->address(), std::move(config));
+  const Address uac_address = uac.config().address;
+  const MessagePtr invite = peer->last_request(Method::kInvite);
+  ASSERT_TRUE(invite);
+
+  const Message ok = answer_with(*invite, 200);
+  peer->send(uac_address, ok);
+  bed->sim().run_until(SimTime::millis(1100));
+  ASSERT_EQ(peer->count_requests(Method::kAck), 1);
+  const MessagePtr ack = peer->last_request(Method::kAck);
+  EXPECT_EQ(uac.metrics().calls_established, 1u);
+  EXPECT_EQ(uac.open_calls(), 1u);
+
+  // A 2xx ends the INVITE client transaction, so the retransmitted 200 is
+  // stray: the UAC finds the call by its Call-ID and replays the same ACK.
+  peer->send(uac_address, ok);
+  bed->sim().run_until(SimTime::millis(1200));
+  ASSERT_EQ(peer->count_requests(Method::kAck), 2);
+  const MessagePtr replayed = peer->last_request(Method::kAck);
+  EXPECT_EQ(replayed->top_via().branch, ack->top_via().branch);
+  EXPECT_EQ(replayed->call_id(), invite->call_id());
+  EXPECT_EQ(uac.metrics().calls_established, 1u);  // not a second call
+}
+
+TEST_F(UaFixture, TimersAndResponsesForAnErasedCallAreIgnored) {
+  UacConfig config;
+  config.cancel_probability = 1.0;  // every call schedules its CANCEL
+  config.ring_abandon_after = SimTime::millis(500);
+  Uac& uac = add_one_call_uac(*bed, peer->address(), std::move(config));
+  const Address uac_address = uac.config().address;
+  const MessagePtr invite = peer->last_request(Method::kInvite);
+  ASSERT_TRUE(invite);
+
+  // A 486 ends the call before its CANCEL timer fires; the transaction
+  // ACKs the 486 itself.
+  peer->send(uac_address, answer_with(*invite, 486));
+  bed->sim().run_until(SimTime::millis(1100));
+  EXPECT_EQ(uac.open_calls(), 0u);
+  EXPECT_EQ(uac.metrics().calls_failed, 1u);
+  EXPECT_EQ(peer->count_requests(Method::kAck), 1);
+
+  // The CANCEL timer reaches the erased call through a stale handle.
+  bed->sim().run_until(SimTime::seconds(3.0));
+  EXPECT_EQ(peer->count_requests(Method::kCancel), 0);
+  EXPECT_EQ(uac.metrics().calls_cancelled, 0u);
+
+  // Once timer D has ended the transaction, a late 200 for the call is
+  // stray and misses the Call-ID index: no ACK, no established call.
+  bed->sim().run_until(SimTime::seconds(40.0));
+  peer->send(uac_address, answer_with(*invite, 200));
+  bed->sim().run_until(SimTime::seconds(41.0));
+  EXPECT_EQ(peer->count_requests(Method::kAck), 1);
+  EXPECT_EQ(uac.metrics().calls_established, 0u);
+  EXPECT_EQ(uac.open_calls(), 0u);
+}
+
+TEST_F(UaFixture, CancelWhileRingingFindsTheCallByCallId) {
+  UasConfig config;
+  config.host = "slow.test";
+  config.answer_delay = SimTime::seconds(1.0);
+  Uas& slow = bed->add_uas(config);
+
+  Message invite = make_invite("c-cancel");
+  invite.set_request_uri(Uri("bob", "slow.test"));
+  peer->send(slow.config().address, invite);
+  bed->sim().run_until(SimTime::millis(200));
+  EXPECT_EQ(slow.open_calls(), 1u);
+
+  // RFC 3261 9.1: the CANCEL copies the INVITE's Via branch and Call-ID.
+  Message cancel = Message::request(
+      Method::kCancel, invite.request_uri(), invite.from(), invite.to(),
+      invite.call_id(), CSeq{1, Method::kCancel});
+  cancel.push_via(invite.top_via());
+  peer->send(slow.config().address, cancel);
+  bed->sim().run_until(SimTime::seconds(2.0));
+
+  EXPECT_EQ(slow.metrics().cancels_received, 1u);
+  EXPECT_EQ(peer->count_status(200, Method::kCancel), 1);
+  // The 487 is retransmitted until ACKed, which the peer never does.
+  EXPECT_GE(peer->count_status(487, Method::kInvite), 1);
+  EXPECT_EQ(peer->count_status(200, Method::kInvite), 0);  // never answered
+  EXPECT_EQ(slow.open_calls(), 0u);
+}
+
+TEST_F(UaFixture, SecondBranchOfARingingCallKeepsTheFirstEntry) {
+  UasConfig config;
+  config.host = "slow.test";
+  config.answer_delay = SimTime::seconds(1.0);
+  Uas& slow = bed->add_uas(config);
+
+  Message first = make_invite("c-twice");
+  first.set_request_uri(Uri("bob", "slow.test"));
+  Message second = first;
+  second.top_via().branch = "z9hG4bK-other-branch";
+  peer->send(slow.config().address, first);
+  bed->sim().run_until(SimTime::millis(100));
+  peer->send(slow.config().address, second);
+  bed->sim().run_until(SimTime::millis(200));
+  EXPECT_EQ(peer->count_status(180), 2);  // one per server transaction
+  EXPECT_EQ(slow.open_calls(), 1u);
+
+  // The first entry is answered once; the second INVITE's answer event
+  // finds no entry of its own and does nothing.
+  bed->sim().run_until(SimTime::millis(1300));
+  EXPECT_EQ(peer->count_status(200, Method::kInvite), 1);
+  EXPECT_EQ(slow.metrics().invites_received, 2u);
+}
+
+TEST(UaStoreTest, SteadyLoadMakesNoStoreAllocations) {
+  // A UAC calling a UAS directly at a fixed pace: 2 s of ringing and 5 s
+  // of hold keep about 1400 calls open at the UAC and 400 ringing at the
+  // UAS, several slab chunks each. Once the population has plateaued,
+  // calls come and go through the freelists and settled indexes.
+  TestBed bed(5);
+  UasConfig uas_config;
+  uas_config.host = "uas.test";
+  uas_config.answer_delay = SimTime::seconds(2.0);
+  Uas& uas = bed.add_uas(uas_config);
+  UacConfig uac_config;
+  uac_config.host = "uac.test";
+  uac_config.first_hop = uas.config().address;
+  uac_config.target_domain = "uas.test";
+  uac_config.call_rate_cps = 200.0;
+  uac_config.hold_time = SimTime::seconds(5.0);
+  Uac& uac = bed.add_uac(uac_config);
+  bed.start_load();
+
+  bed.sim().run_until(SimTime::seconds(10.0));
+  const CallTableStats uac_warm = uac.call_store_stats();
+  const CallTableStats uas_warm = uas.call_store_stats();
+  const std::uint64_t completed_warm = uac.metrics().calls_completed;
+  EXPECT_GT(uac.open_calls(), 1000u);
+  EXPECT_GT(uas.open_calls(), 300u);
+  EXPECT_GT(uac_warm.chunk_allocs, 1u);
+  EXPECT_GT(uac_warm.grows, 1u);
+  EXPECT_GT(uas_warm.chunk_allocs, 1u);
+
+  bed.sim().run_until(SimTime::seconds(30.0));
+  EXPECT_GT(uac.metrics().calls_completed, completed_warm + 3000);
+  EXPECT_EQ(uac.call_store_stats().chunk_allocs, uac_warm.chunk_allocs);
+  EXPECT_EQ(uac.call_store_stats().grows, uac_warm.grows);
+  EXPECT_EQ(uas.call_store_stats().chunk_allocs, uas_warm.chunk_allocs);
+  EXPECT_EQ(uas.call_store_stats().grows, uas_warm.grows);
 }
 
 }  // namespace
