@@ -65,9 +65,6 @@ class TxnOracle final : public txn::ConformanceTap {
   [[nodiscard]] std::uint64_t events_checked() const {
     return events_checked_;
   }
-  [[nodiscard]] std::uint64_t shadows_created() const {
-    return shadows_created_;
-  }
 
  private:
   /// One wire send, as the RFC predicts it or as production performed it.

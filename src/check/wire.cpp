@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "sip/parser.hpp"
+
 namespace svk::check {
 namespace {
 
@@ -56,6 +58,21 @@ void WireChecker::check_cseq(const sip::Message& msg) {
                  std::to_string(hist.max_seq) + " was already used");
   }
   if (seq > hist.max_seq) hist.max_seq = seq;
+}
+
+void WireChecker::check_round_trip(Address from, const sip::Message& msg) {
+  const std::string text = msg.to_wire();
+  const auto parsed = sip::Parser::parse(text);
+  if (parsed.ok() && parsed.value().to_wire() == text) return;
+  const std::string what =
+      msg.is_request() ? std::string(sip::to_string(msg.method()))
+                       : "response " + std::to_string(msg.status_code());
+  log_.add("wire.round_trip", sim_.now(),
+           host_name(from) + " sent " + what + " " + msg.call_id().str() +
+               (parsed.ok() ? " whose wire text re-serializes differently "
+                              "after a parse"
+                            : " whose wire text does not parse: " +
+                                  parsed.error().message));
 }
 
 void WireChecker::check_request_send(Address from, const sip::Message& msg) {
@@ -141,6 +158,7 @@ void WireChecker::check_response_send(Address from, Address to,
 void WireChecker::on_send(Address from, Address to,
                           const sip::MessagePtr& msg) {
   ++datagrams_seen_;
+  check_round_trip(from, *msg);
   if (msg->is_request() && msg->method() == sip::Method::kOptions) return;
   if (msg->is_response() && msg->cseq().method == sip::Method::kOptions) {
     return;

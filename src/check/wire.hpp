@@ -4,6 +4,15 @@
 // taps and verifies per-hop SIP discipline the transaction oracle cannot
 // see, because it spans hosts:
 //
+//   * Wire text round trip — every datagram sent, OPTIONS included, is
+//     serialized with Message::to_wire, parsed back with sip::Parser, and
+//     serialized again; the parse must succeed and the two texts must be
+//     equal byte for byte. Runs pass messages as objects and never
+//     serialize them, so this is what proves that every simulated message
+//     (X-Stateful, X-Overload and the Via oc parameter included) is valid
+//     SIP text. Bytes, not fields, are compared: to_wire prints the oc
+//     rate to three decimals, so a parsed rate need not equal the sent
+//     double.
 //   * Via stack balance — a request leaves a host with that host's own Via
 //     on top (section 16.6 step 8); a response arrives at exactly the host
 //     named by its top Via (section 18.2.2 return routing). An unbalanced
@@ -21,8 +30,9 @@
 //     exactly the silent-shed bug class). Enforced at drain; optional,
 //     because crash faults legitimately strand in-flight requests.
 //
-// OPTIONS is excluded throughout: the overload-control plane uses it as a
-// fire-and-forget rate-feedback carrier with no response path.
+// OPTIONS is excluded from all but the round trip: the overload-control
+// plane uses it as a fire-and-forget rate-feedback carrier with no
+// response path.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +67,6 @@ class WireChecker {
   /// for runs with crash faults, which legitimately strand requests.
   void at_drain(bool expect_all_answered);
 
-  /// Delivered-but-unanswered requests currently tracked.
-  [[nodiscard]] std::size_t open_requests() const { return open_.size(); }
   [[nodiscard]] std::uint64_t datagrams_seen() const {
     return datagrams_seen_;
   }
@@ -83,6 +91,7 @@ class WireChecker {
                                                std::uint32_t seq,
                                                sip::Method method);
 
+  void check_round_trip(Address from, const sip::Message& msg);
   void check_request_send(Address from, const sip::Message& msg);
   void check_response_send(Address from, Address to, const sip::Message& msg);
   void check_cseq(const sip::Message& msg);

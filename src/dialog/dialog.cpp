@@ -18,11 +18,6 @@ std::uint64_t dialog_id_hash(std::string_view call_id, std::string_view tag_a,
                           common::key_hash(tag_a, common::key_hash(call_id)));
 }
 
-std::size_t DialogIdHash::operator()(const DialogId& id) const noexcept {
-  return static_cast<std::size_t>(
-      dialog_id_hash(id.call_id, id.tag_a, id.tag_b));
-}
-
 DialogProbe DialogProbe::make(std::string_view call_id, std::string_view tag1,
                               std::string_view tag2) {
   if (tag2 < tag1) std::swap(tag1, tag2);

@@ -39,10 +39,6 @@ struct DialogId {
   friend bool operator==(const DialogId&, const DialogId&) = default;
 };
 
-struct DialogIdHash {
-  std::size_t operator()(const DialogId& id) const noexcept;
-};
-
 /// Non-owning dialog lookup key: the precomputed id hash plus views of the
 /// normalized (call_id, tag_a, tag_b) triple. Views borrow from the probed
 /// message; a probe must not outlive it.
@@ -62,7 +58,8 @@ struct DialogProbe {
   }
 };
 
-/// The hash DialogProbe and DialogIdHash share.
+/// The hash of a normalized (call_id, tag_a, tag_b) triple, as DialogProbe
+/// and the dialog table use it.
 [[nodiscard]] std::uint64_t dialog_id_hash(std::string_view call_id,
                                            std::string_view tag_a,
                                            std::string_view tag_b) noexcept;
@@ -115,11 +112,6 @@ class DialogManager {
   [[nodiscard]] std::uint64_t created_count() const { return created_; }
   [[nodiscard]] std::uint64_t expired_count() const { return expired_; }
   [[nodiscard]] std::uint64_t abandoned_count() const { return abandoned_; }
-
-  /// Allocation events ever made by the store (perf-gate counter).
-  [[nodiscard]] std::uint64_t store_allocs() const {
-    return slab_.stats().chunk_allocs + table_.stats().grows;
-  }
 
  private:
   [[nodiscard]] Dialog* find(const DialogProbe& probe);

@@ -2,9 +2,6 @@
 // the paper's Section 3.1 measurement.
 #pragma once
 
-#include <array>
-#include <string>
-
 #include "profile/cost_model.hpp"
 
 namespace svk::profile {
@@ -28,10 +25,6 @@ class CpuProfiler {
 
   /// Snapshot-diff support for windowed profiles.
   [[nodiscard]] CostVector snapshot() const { return totals_; }
-
-  /// Renders a Figure-3-style breakdown (one line per block, app blocks
-  /// only), normalized per call when `calls` > 0.
-  [[nodiscard]] std::string format_breakdown(double calls = 0.0) const;
 
  private:
   CostVector totals_;

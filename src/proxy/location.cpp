@@ -48,44 +48,13 @@ void LocationService::register_binding(std::string_view aor,
   table_.insert(hash, h);
 }
 
-void LocationService::unregister(std::string_view aor) {
-  const std::uint64_t hash = fnv1a(aor);
-  common::SlabHandle* slot =
-      table_.find(hash, [&](const common::SlabHandle& h) {
-        return slab_.get(h)->aor == aor;
-      });
-  if (slot == nullptr) return;
-  const common::SlabHandle h = *slot;
-  table_.erase(hash, [&](const common::SlabHandle& v) { return v == h; });
-  slab_.erase(h);
-}
-
-std::optional<Binding> LocationService::lookup(std::string_view aor,
-                                               SimTime now) const {
-  ++queries_;
-  const common::SlabHandle* slot =
-      table_.find(fnv1a(aor), [&](const common::SlabHandle& h) {
-        return slab_.get(h)->aor == aor;
-      });
-  if (slot == nullptr) return std::nullopt;
-  const Binding& binding = slab_.get(*slot)->binding;
-  if (binding.expires_at < now) return std::nullopt;
-  return binding;
-}
-
 std::optional<Binding> LocationService::lookup_uri(const sip::Uri& uri,
                                                    SimTime now) const {
-  return lookup_hashed(aor_hash_parts(uri.user(), uri.host()), uri.user(),
-                       uri.host(), now);
-}
-
-std::optional<Binding> LocationService::lookup_hashed(std::uint64_t hash,
-                                                      std::string_view user,
-                                                      std::string_view host,
-                                                      SimTime now) const {
   ++queries_;
-  const common::SlabHandle* slot =
-      table_.find(hash, [&](const common::SlabHandle& h) {
+  const std::string_view user = uri.user();
+  const std::string_view host = uri.host();
+  const common::SlabHandle* slot = table_.find(
+      aor_hash_parts(user, host), [&](const common::SlabHandle& h) {
         return aor_matches(slab_.get(h)->aor, user, host);
       });
   if (slot == nullptr) return std::nullopt;

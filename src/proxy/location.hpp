@@ -5,10 +5,10 @@
 //
 // Storage follows the flat state-store layout (DESIGN.md §12): entries live
 // in a Slab and the index is a FlatTable of (AOR hash, slab handle) — the
-// AOR string is owned once, inside the entry. The hot-path query is
-// lookup_uri, which hashes user '@' host straight off the request URI's
-// parts and compares piecewise, so the per-call routing lookup neither
-// builds the "user@host" string nor allocates.
+// AOR string is owned once, inside the entry. The one query, lookup_uri,
+// hashes user '@' host straight off the request URI's parts and compares
+// piecewise, so the per-call routing lookup neither builds the
+// "user@host" string nor allocates.
 #pragma once
 
 #include <cstdint>
@@ -37,15 +37,10 @@ class LocationService {
   void register_binding(std::string_view aor, sip::Uri contact,
                         SimTime expires_at = SimTime::max());
 
-  void unregister(std::string_view aor);
-
-  /// Looks up the current contact for the given address-of-record.
+  /// Looks up the current contact for the address-of-record user '@' host
+  /// of `uri` (port and parameters ignored) without materializing the AOR
+  /// string: hashes and compares the user/host parts in place.
   /// Bindings whose expiry has passed `now` are treated as absent.
-  [[nodiscard]] std::optional<Binding> lookup(std::string_view aor,
-                                              SimTime now = SimTime{}) const;
-
-  /// lookup for `uri.aor()` without materializing the AOR string: hashes
-  /// and compares the user/host parts in place.
   [[nodiscard]] std::optional<Binding> lookup_uri(const sip::Uri& uri,
                                                   SimTime now) const;
 
@@ -57,11 +52,6 @@ class LocationService {
     std::string aor;
     Binding binding;
   };
-
-  [[nodiscard]] std::optional<Binding> lookup_hashed(std::uint64_t hash,
-                                                     std::string_view user,
-                                                     std::string_view host,
-                                                     SimTime now) const;
 
   common::Slab<Entry> slab_;
   common::FlatTable<common::SlabHandle> table_;

@@ -230,11 +230,6 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
     path_index = decision->path_index;
     delegable = !decision->local;
     if (decision->local) {
-      if (msg->method() == sip::Method::kRegister) {
-        // We are the registrar for this domain.
-        handle_register(from, msg);
-        return;
-      }
       const auto resolved = resolve_local_target(fwd.request_uri());
       if (!resolved) {
         ++stats_.route_failures;
@@ -678,39 +673,6 @@ void ProxyServer::handle_cancel(Address from, const sip::MessagePtr& msg) {
                           sip::stateless_branch(msg->top_via().branch,
                                                 config_.host)});
     send_charged(target, std::move(fwd).finish());
-  });
-}
-
-void ProxyServer::handle_register(Address from, const sip::MessagePtr& msg) {
-  // Registrar processing: bind the To AOR to the Contact for the requested
-  // lifetime and answer 200 through a server transaction (which absorbs
-  // REGISTER retransmissions).
-  const CostVector cost =
-      CpuCostModel::forward(config_.stateless_mode, MsgKind::kOther);
-  spend(cost, [this, from, msg] {
-    if (txns_.dispatch(msg) == txn::Dispatch::kHandledByServerTxn) return;
-    int expires_s = 3600;
-    if (const auto header = msg->header("Expires")) {
-      std::from_chars(header->data(), header->data() + header->size(),
-                      expires_s);
-    }
-    const std::string aor = msg->to().uri.aor();
-    if (msg->contact()) {
-      if (expires_s <= 0) {
-        location_->unregister(aor);
-      } else {
-        location_->register_binding(
-            aor, msg->contact()->uri,
-            sim_.now() + SimTime::seconds(static_cast<double>(expires_s)));
-      }
-      ++stats_.registrations;
-    }
-    auto& txn = txns_.create_server(msg, sender_to(from),
-                                    txn::ServerCallbacks{});
-    sip::Message ok = sip::Message::response(*msg, sip::status::kOk);
-    ok.set_header("Expires", std::to_string(expires_s));
-    stamp_oc(ok);
-    txn.respond(std::move(ok).finish());
   });
 }
 

@@ -121,7 +121,6 @@ struct ProxyStats {
   std::uint64_t rejected_483 = 0;        // 483 Too Many Hops sent
   std::uint64_t dialogs_expired = 0;     // early dialogs reaped by the sweep
   std::uint64_t dialogs_abandoned = 0;   // early dialogs ended by failure
-  std::uint64_t registrations = 0;       // REGISTER bindings accepted
   std::uint64_t overload_signals_sent = 0;
   std::uint64_t overload_signals_received = 0;
   std::uint64_t overload_signals_dropped = 0;  // shed by overload_signal_loss
@@ -154,7 +153,6 @@ struct ProxyStats {
       {"proxy.rejected_483", &ProxyStats::rejected_483},
       {"proxy.dialogs_expired", &ProxyStats::dialogs_expired},
       {"proxy.dialogs_abandoned", &ProxyStats::dialogs_abandoned},
-      {"proxy.registrations", &ProxyStats::registrations},
       {"proxy.overload_signals_sent", &ProxyStats::overload_signals_sent},
       {"proxy.overload_signals_received",
        &ProxyStats::overload_signals_received},
@@ -225,10 +223,6 @@ class ProxyServer {
   /// Routes and forwards a new transaction-creating request (decision made
   /// at admission; effects deferred `after` the CPU service completes).
   void plan_new_request(Address from, const sip::MessagePtr& msg);
-
-  /// Registrar role (RFC 3261 10.3): accepts REGISTER for domains this
-  /// proxy delivers locally, updating the location service.
-  void handle_register(Address from, const sip::MessagePtr& msg);
 
   /// CANCEL handling (RFC 3261 16.10): answer the CANCEL, and either
   /// cancel our own downstream INVITE (stateful relay) or pass the CANCEL

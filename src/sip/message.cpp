@@ -123,23 +123,6 @@ void Message::set_header(Token name, std::string_view value) {
   extra_.emplace_back(name, value);
 }
 
-void Message::remove_header(std::string_view name) {
-  auto* keep = extra_.begin();
-  for (auto& entry : extra_) {
-    if (entry.first != name) {
-      if (keep != &entry) *keep = std::move(entry);
-      ++keep;
-    }
-  }
-  while (extra_.end() != keep) extra_.pop_back();
-}
-
-std::size_t Message::header_count() const {
-  std::size_t n = vias_.size() + 4;  // From, To, Call-ID, CSeq
-  n += routes_.size() + record_routes_.size() + extra_.size();
-  if (contact()) ++n;
-  return n;
-}
 
 std::string Message::to_wire() const {
   const detail::Identity& ids = id_.get();

@@ -233,7 +233,6 @@ class Message {
   void set_header(std::string_view name, std::string_view value) {
     set_header(Token(name), value);
   }
-  void remove_header(std::string_view name);
   [[nodiscard]] const HeaderList& extension_headers() const { return extra_; }
 
   // -- Body ----------------------------------------------------------------
@@ -242,10 +241,6 @@ class Message {
 
   /// Serializes to RFC 3261 wire format (CRLF line endings).
   [[nodiscard]] std::string to_wire() const;
-
-  /// Number of header lines a stateless forwarder must at least touch;
-  /// used by the cost model's lazy-parsing account.
-  [[nodiscard]] std::size_t header_count() const;
 
   /// Shares this message immutably. The control block and payload come
   /// from the thread-local message pool in one allocation, recycled when

@@ -100,10 +100,6 @@ void Uri::set_param(std::string name, std::string value) {
   params_.emplace_back(std::move(name), std::move(value));
 }
 
-std::string Uri::aor() const {
-  return user_.empty() ? host_.str() : user_ + "@" + host_.str();
-}
-
 std::string Uri::to_string() const {
   std::string out = scheme_.str() + ":";
   if (!user_.empty()) {

@@ -50,10 +50,6 @@ class Uri {
     return params_;
   }
 
-  /// "user@host" — the canonical address-of-record key used by the location
-  /// service and the authentication realm.
-  [[nodiscard]] std::string aor() const;
-
   [[nodiscard]] std::string to_string() const;
 
   /// Equality over scheme, user, host and port (parameters excluded, as in

@@ -32,7 +32,6 @@ void TransactionManager::LingerLane::push(Record&& record) {
       bigger[seq & (bigger.size() - 1)] = std::move(at(seq));
     }
     ring = std::move(bigger);
-    ++grows;
   }
   at(tail++) = std::move(record);
 }
@@ -179,14 +178,6 @@ std::size_t TransactionManager::record_count() const {
 std::size_t TransactionManager::active_count() const {
   return machine_count() - retired_clients_.size() -
          retired_servers_.size() + record_count();
-}
-
-std::uint64_t TransactionManager::store_allocs() const {
-  std::uint64_t n = client_slab_.stats().chunk_allocs +
-                    server_slab_.stats().chunk_allocs +
-                    clients_.stats().grows + servers_.stats().grows;
-  for (const LingerLane& lane : lanes_) n += lane.grows;
-  return n;
 }
 
 sip::TxnProbe TransactionManager::request_probe(const sip::MessagePtr& msg) {

@@ -131,10 +131,6 @@ class TransactionManager {
   }
   [[nodiscard]] std::size_t record_count() const;
 
-  /// State-store allocation counters, aggregated over both sides (perf
-  /// tests pin that these stop moving once the pool is warm).
-  [[nodiscard]] std::uint64_t store_allocs() const;
-
   /// Node id used for trace events (the owning element's address); 0 until
   /// set. Tracing reads the simulator's observability sinks.
   void set_trace_tid(std::uint32_t tid) { trace_tid_ = tid; }
@@ -177,7 +173,6 @@ class TransactionManager {
     std::uint64_t due = 0;
     std::uint64_t tail = 0;
     sim::EventId event = 0;  // expiry of record `due`; 0 when none pending
-    std::uint64_t grows = 0;
 
     [[nodiscard]] Record& at(std::uint64_t seq) {
       return ring[seq & (ring.size() - 1)];

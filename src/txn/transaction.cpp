@@ -42,8 +42,7 @@ ClientTransaction::~ClientTransaction() { cancel_timers(); }
 void ClientTransaction::cancel_timers() {
   sim_.cancel(rtx_timer_);
   sim_.cancel(timeout_timer_);
-  sim_.cancel(linger_timer_);
-  rtx_timer_ = timeout_timer_ = linger_timer_ = 0;
+  rtx_timer_ = timeout_timer_ = 0;
 }
 
 void ClientTransaction::wire_send(const sip::MessagePtr& msg) {
@@ -84,7 +83,8 @@ void ClientTransaction::arm_retransmit(SimTime interval) {
         (!is_invite_ && state_ == ClientState::kProceeding);
     if (retransmitting) {
       ++retransmits_;
-      if (manager_ != nullptr) ++manager_->retransmits_;
+      assert(manager_ != nullptr);  // a record has no retransmit timer
+      ++manager_->retransmits_;
       wire_send(request_);
       // Timer A doubles unbounded; timer E doubles capped at T2; in the
       // non-INVITE Proceeding state retransmission continues at T2 flat.
@@ -112,19 +112,7 @@ void ClientTransaction::enter_completed_invite(
   sim_.cancel(rtx_timer_);
   sim_.cancel(timeout_timer_);
   rtx_timer_ = timeout_timer_ = 0;
-  linger(timers_.timer_d());
-}
-
-void ClientTransaction::linger(SimTime delay) {
-  if (manager_ != nullptr) {
-    manager_->retire(*this);
-    return;
-  }
-  linger_timer_ = sim_.schedule(delay, [this] {
-    linger_timer_ = 0;
-    terminate();
-    notify(ClientEvent::kTimerLinger);
-  });
+  manager_->retire(*this);  // timer D runs on the record
 }
 
 void ClientTransaction::terminate() {
@@ -136,7 +124,8 @@ void ClientTransaction::terminate() {
 
 void ClientTransaction::notify_terminated() {
   if (callbacks_.on_terminated) callbacks_.on_terminated();
-  if (manager_ != nullptr) manager_->schedule_client_removal(handle_);
+  assert(manager_ != nullptr);  // a record has no timer left to fire
+  manager_->schedule_client_removal(handle_);
 }
 
 void ClientTransaction::receive_response(const sip::MessagePtr& response) {
@@ -188,7 +177,7 @@ void ClientTransaction::receive_response_impl(
         sim_.cancel(rtx_timer_);
         sim_.cancel(timeout_timer_);
         rtx_timer_ = timeout_timer_ = 0;
-        linger(timers_.timer_k());
+        manager_->retire(*this);  // timer K runs on the record
       }
       return;
     }
@@ -240,7 +229,8 @@ void ServerTransaction::terminate() {
 
 void ServerTransaction::notify_terminated() {
   if (callbacks_.on_terminated) callbacks_.on_terminated();
-  if (manager_ != nullptr) manager_->schedule_server_removal(handle_);
+  assert(manager_ != nullptr);  // a record has no timer left to fire
+  manager_->schedule_server_removal(handle_);
 }
 
 void ServerTransaction::wire_send(const sip::MessagePtr& msg) {
@@ -265,7 +255,11 @@ void ServerTransaction::receive_request_impl(const sip::MessagePtr& request) {
       sim_.cancel(rtx_timer_);
       sim_.cancel(timeout_timer_);
       rtx_timer_ = timeout_timer_ = 0;
-      arm_linger(timers_.timer_i());
+      linger_timer_ = sim_.schedule(timers_.timer_i(), [this] {
+        linger_timer_ = 0;
+        terminate();
+        notify(ServerEvent::kTimerLinger);
+      });
       if (callbacks_.on_ack) callbacks_.on_ack(request);
     }
     // ACK retransmissions in Confirmed are absorbed silently.
@@ -333,22 +327,9 @@ void ServerTransaction::respond_impl(const sip::MessagePtr& response) {
       });
     }
   } else {
-    // Timer J: a managed machine becomes a linger record.
     state_ = ServerState::kCompleted;
-    if (manager_ != nullptr) {
-      manager_->retire(*this);
-    } else {
-      arm_linger(timers_.timer_j());
-    }
+    manager_->retire(*this);  // timer J runs on the record
   }
-}
-
-void ServerTransaction::arm_linger(SimTime delay) {
-  linger_timer_ = sim_.schedule(delay, [this] {
-    linger_timer_ = 0;
-    terminate();
-    notify(ServerEvent::kTimerLinger);
-  });
 }
 
 void ServerTransaction::arm_response_retransmit(SimTime interval) {

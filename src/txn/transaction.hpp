@@ -48,10 +48,9 @@ struct ClientCallbacks {
   Callback<void(const sip::MessagePtr&)> on_response;
   /// Timer B/F fired with no final response.
   Callback<void()> on_timeout;
-  /// Machine reached Terminated (owner may destroy it). A managed
-  /// transaction that lingers in Completed (non-INVITE, or INVITE after a
-  /// non-2xx final) must not set it: it ends as a linger record, which
-  /// runs no user callbacks.
+  /// Machine reached Terminated. A transaction that lingers in Completed
+  /// (non-INVITE, or INVITE after a non-2xx final) must not set it: it
+  /// ends as a linger record, which runs no user callbacks.
   Callback<void()> on_terminated;
 };
 
@@ -60,8 +59,8 @@ struct ServerCallbacks {
   Callback<void(const sip::MessagePtr&)> on_ack;
   /// Timer H fired: no ACK for our non-2xx final.
   Callback<void()> on_timeout;
-  /// As ClientCallbacks::on_terminated; a managed non-INVITE server
-  /// transaction must not set it.
+  /// As ClientCallbacks::on_terminated; a non-INVITE server transaction
+  /// must not set it.
   Callback<void()> on_terminated;
 };
 
@@ -91,24 +90,15 @@ struct TxnHandle {
   [[nodiscard]] bool null() const { return slot.null(); }
 };
 
-/// Client transaction (RFC 3261 17.1). Construct, then call start().
+/// Client transaction (RFC 3261 17.1). Only a TransactionManager builds
+/// one (create_client), and it retires the machine into a linger record
+/// when timer D or K would start.
 class ClientTransaction {
  public:
-  /// \param is_invite  selects the INVITE (17.1.1) vs non-INVITE (17.1.2)
-  ///                   machine
-  ClientTransaction(sim::Simulator& sim, const TimerConfig& timers,
-                    bool is_invite, sip::MessagePtr request, SendFn send,
-                    ClientCallbacks callbacks);
   ~ClientTransaction();
 
   ClientTransaction(const ClientTransaction&) = delete;
   ClientTransaction& operator=(const ClientTransaction&) = delete;
-
-  /// Transmits the request and arms the timers.
-  void start();
-
-  /// Feeds a response matched to this transaction.
-  void receive_response(const sip::MessagePtr& response);
 
   [[nodiscard]] ClientState state() const { return state_; }
   [[nodiscard]] const sip::MessagePtr& request() const { return request_; }
@@ -116,11 +106,21 @@ class ClientTransaction {
   [[nodiscard]] bool is_invite() const { return is_invite_; }
 
  private:
+  friend class TransactionManager;
+  friend class common::Slab<ClientTransaction>;  // constructs in place
+
+  /// \param is_invite  selects the INVITE (17.1.1) vs non-INVITE (17.1.2)
+  ///                   machine
+  ClientTransaction(sim::Simulator& sim, const TimerConfig& timers,
+                    bool is_invite, sip::MessagePtr request, SendFn send,
+                    ClientCallbacks callbacks);
+
+  /// Transmits the request and arms the timers.
+  void start();
+  /// Feeds a response matched to this transaction.
+  void receive_response(const sip::MessagePtr& response);
   void receive_response_impl(const sip::MessagePtr& response);
   void enter_completed_invite(const sip::MessagePtr& response);
-  /// Completed: waits out timer D or K (`delay`). A managed machine becomes
-  /// a linger record in its manager; a standalone one keeps its own timer.
-  void linger(SimTime delay);
   void send_ack_for(const sip::MessagePtr& response);
   void arm_retransmit(SimTime interval);
   void fire_timeout();
@@ -146,36 +146,27 @@ class ClientTransaction {
   TxnId tap_id_{0};
   /// Removal hook: the owning manager and this entry's handle. The manager
   /// sets both right after placing the transaction in its slab (the handle
-  /// exists only then), before any event can fire. Null when the
-  /// transaction is used without a manager, and once it has become a
-  /// linger record.
+  /// exists only then), before any event can fire. Null only once the
+  /// transaction has become a linger record.
   TransactionManager* manager_{nullptr};
   TxnHandle handle_;
-  friend class TransactionManager;
 
   ClientState state_;
   SimTime rtx_interval_;
   int retransmits_{0};
   sim::EventId rtx_timer_{0};
-  sim::EventId timeout_timer_{0};  // B or F
-  sim::EventId linger_timer_{0};   // D or K, standalone machines only
+  sim::EventId timeout_timer_{0};  // B, C or F
 };
 
-/// Server transaction (RFC 3261 17.2). Construct with the initial request.
+/// Server transaction (RFC 3261 17.2). Only a TransactionManager builds
+/// one (create_server); a non-INVITE machine is retired into a linger
+/// record when timer J would start.
 class ServerTransaction {
  public:
-  ServerTransaction(sim::Simulator& sim, const TimerConfig& timers,
-                    bool is_invite, sip::MessagePtr request, SendFn send,
-                    ServerCallbacks callbacks);
   ~ServerTransaction();
 
   ServerTransaction(const ServerTransaction&) = delete;
   ServerTransaction& operator=(const ServerTransaction&) = delete;
-
-  /// Feeds a retransmitted request or an ACK matched to this transaction.
-  /// Retransmissions are absorbed: the last response (if any) is replayed
-  /// and nothing propagates to the transaction user.
-  void receive_request(const sip::MessagePtr& request);
 
   /// Transaction user supplies a response to send toward the request
   /// source. Drives the state machine per its class (1xx/2xx/3xx-6xx).
@@ -187,11 +178,20 @@ class ServerTransaction {
   [[nodiscard]] bool is_invite() const { return is_invite_; }
 
  private:
+  friend class TransactionManager;
+  friend class common::Slab<ServerTransaction>;  // constructs in place
+
+  ServerTransaction(sim::Simulator& sim, const TimerConfig& timers,
+                    bool is_invite, sip::MessagePtr request, SendFn send,
+                    ServerCallbacks callbacks);
+
+  /// Feeds a retransmitted request or an ACK matched to this transaction.
+  /// Retransmissions are absorbed: the last response (if any) is replayed
+  /// and nothing propagates to the transaction user.
+  void receive_request(const sip::MessagePtr& request);
   void receive_request_impl(const sip::MessagePtr& request);
   void respond_impl(const sip::MessagePtr& response);
   void arm_response_retransmit(SimTime interval);
-  /// Arms timer I or J on this machine.
-  void arm_linger(SimTime delay);
   void terminate();
   /// Runs the user's on_terminated, then the manager's removal hook.
   void notify_terminated();
@@ -209,22 +209,18 @@ class ServerTransaction {
   ServerCallbacks callbacks_;
   ConformanceTap* tap_{nullptr};
   TxnId tap_id_{0};
-  /// Removal hook: the owning manager and this entry's handle. The manager
-  /// sets both right after placing the transaction in its slab (the handle
-  /// exists only then), before any event can fire. Null when the
-  /// transaction is used without a manager, and once it has become a
-  /// linger record.
+  /// Removal hook, as on ClientTransaction: null only once the
+  /// transaction has become a linger record.
   TransactionManager* manager_{nullptr};
   TxnHandle handle_;
-  friend class TransactionManager;
 
   ServerState state_;
   sip::MessagePtr last_response_;
   SimTime rtx_interval_;
   int absorbed_{0};
-  sim::EventId rtx_timer_{0};     // G
-  sim::EventId timeout_timer_{0}; // H
-  sim::EventId linger_timer_{0};  // I, or J on a standalone machine
+  sim::EventId rtx_timer_{0};      // G
+  sim::EventId timeout_timer_{0};  // H
+  sim::EventId linger_timer_{0};   // I
 };
 
 }  // namespace svk::txn

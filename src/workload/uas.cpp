@@ -24,11 +24,8 @@ Uas::~Uas() {
 }
 
 void Uas::on_datagram(Address from, const sip::MessagePtr& msg) {
-  if (!msg->is_request()) {
-    // Responses to our own REGISTER transactions.
-    (void)txns_.dispatch(msg);
-    return;
-  }
+  // The UAS sends no request of its own, so no response is for it.
+  if (!msg->is_request()) return;
 
   const txn::Dispatch dispatch = txns_.dispatch(msg);
   if (dispatch == txn::Dispatch::kHandledByServerTxn) return;
@@ -170,56 +167,6 @@ void Uas::handle_ack(const sip::MessagePtr& msg) {
   sim_.cancel(pending->timer);
   pending_200_.erase(handle);
   ++metrics_.calls_established;
-}
-
-void Uas::register_with(Address registrar, const std::string& aor,
-                        SimTime expires, bool auto_refresh) {
-  registrations_.push_back(Registration{registrar, aor, expires, auto_refresh});
-  send_register(registrations_.size() - 1);
-}
-
-void Uas::send_register(std::size_t registration) {
-  const Registration& r = registrations_[registration];
-  const std::string& aor = r.aor;
-  const auto at = aor.find('@');
-  const std::string user = aor.substr(0, at);
-  const std::string domain =
-      at == std::string::npos ? aor : aor.substr(at + 1);
-
-  sip::Message reg = sip::Message::request(
-      sip::Method::kRegister, sip::Uri("", domain),
-      sip::NameAddr{"", sip::Uri(user, domain),
-                    "reg" + std::to_string(++register_counter_)},
-      sip::NameAddr{"", sip::Uri(user, domain), ""},
-      config_.host + "-reg-" + std::to_string(register_counter_),
-      sip::CSeq{static_cast<std::uint32_t>(register_counter_),
-                sip::Method::kRegister});
-  reg.push_via(sip::Via{
-      "SIP/2.0/UDP", config_.host,
-      std::string(sip::kMagicCookie) + "-reg-" + config_.host + "-" +
-          std::to_string(register_counter_)});
-  reg.set_contact(sip::NameAddr{"", contact_uri(), ""});
-  reg.set_header("Expires",
-                 std::to_string(static_cast<long>(r.expires.to_seconds())));
-
-  txn::ClientCallbacks callbacks;
-  callbacks.on_response = [this, registration](
-                              const sip::MessagePtr& response) {
-    if (!sip::is_success(response->status_code())) return;
-    ++registrations_confirmed_;
-    const Registration& refreshed = registrations_[registration];
-    if (refreshed.auto_refresh) {
-      // Renew at half-life (common UA behaviour).
-      sim_.schedule(SimTime::seconds(refreshed.expires.to_seconds() / 2.0),
-                    [this, registration] { send_register(registration); });
-    }
-  };
-  txns_.create_client(
-      std::move(reg).finish(),
-      [this, to = r.registrar](const sip::MessagePtr& m) {
-        network_.send(config_.address, to, m);
-      },
-      std::move(callbacks));
 }
 
 void Uas::handle_bye(Address from, const sip::MessagePtr& msg) {

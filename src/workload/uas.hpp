@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/slab.hpp"
 #include "common/types.hpp"
@@ -49,16 +48,6 @@ class Uas {
     return sip::Uri("", host_token_);
   }
 
-  /// Registers `aor` ("user@domain") with the given registrar proxy via a
-  /// real REGISTER transaction (RFC 3261 10). With `auto_refresh`, the
-  /// binding is renewed at half its lifetime for the rest of the run.
-  void register_with(Address registrar, const std::string& aor,
-                     SimTime expires, bool auto_refresh = false);
-
-  [[nodiscard]] std::uint64_t registrations_confirmed() const {
-    return registrations_confirmed_;
-  }
-
   /// Installs a conformance tap on this UAS's transactions (txn/tap.hpp).
   void set_conformance_tap(txn::ConformanceTap* tap) {
     txns_.set_conformance_tap(tap);
@@ -84,7 +73,6 @@ class Uas {
   void answer(common::SlabHandle ringing);
   void answer(PendingAnswer ringing);
   void retransmit_200(common::SlabHandle pending);
-  void send_register(std::size_t registration);
 
   sim::Simulator& sim_;
   proxy::SipNetwork& network_;
@@ -94,17 +82,6 @@ class Uas {
   txn::TransactionManager txns_;
   UasMetrics metrics_;
   std::uint64_t tag_counter_{0};
-  std::uint64_t register_counter_{0};
-  std::uint64_t registrations_confirmed_{0};
-
-  /// One register_with() call; its refreshes capture the index.
-  struct Registration {
-    Address registrar;
-    std::string aor;
-    SimTime expires;
-    bool auto_refresh = false;
-  };
-  std::vector<Registration> registrations_;
 
   /// 200-OK retransmission state per call awaiting ACK, keyed by the 200.
   struct Pending200 {

@@ -1,5 +1,5 @@
-// Tests for the registrar role (REGISTER, binding lifetimes, refresh) and
-// call cancellation (CANCEL through stateful and stateless proxies).
+// Tests for call cancellation (CANCEL through stateful and stateless
+// proxies) and for routing to a callee the location service does not know.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,8 +15,9 @@ namespace {
 using proxy::ProxyConfig;
 using proxy::RouteTable;
 
-/// One proxy serving example.com locally; a UAS and a UAC. Registration is
-/// NOT pre-provisioned — tests drive it via real REGISTERs.
+/// One proxy serving example.com locally, the registrar of its location
+/// service; a UAS and a UAC. No binding is pre-provisioned: each test
+/// installs the ones it needs.
 class RegistrarFixture : public ::testing::Test {
  protected:
   void build(bool stateful = true, SimTime answer_delay = SimTime{}) {
@@ -60,24 +61,8 @@ class RegistrarFixture : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// REGISTER
+// Routing without a binding
 // ---------------------------------------------------------------------------
-
-TEST_F(RegistrarFixture, RegisterCreatesBindingAndCallsSucceed) {
-  build();
-  uas->register_with(proxy_addr, "user0@example.com",
-                     SimTime::seconds(3600.0));
-  bed->sim().run_until(SimTime::seconds(0.5));
-  EXPECT_EQ(uas->registrations_confirmed(), 1u);
-  EXPECT_EQ(proxy->stats().registrations, 1u);
-  ASSERT_TRUE(bed->location()->lookup("user0@example.com").has_value());
-
-  Uac& uac = add_caller(10.0);
-  uac.start();
-  bed->sim().run_until(SimTime::seconds(3.0));
-  EXPECT_GT(uac.metrics().calls_completed, 20u);
-  EXPECT_EQ(uac.metrics().calls_failed, 0u);
-}
 
 TEST_F(RegistrarFixture, UnregisteredUserGets404) {
   build();
@@ -87,97 +72,6 @@ TEST_F(RegistrarFixture, UnregisteredUserGets404) {
   EXPECT_EQ(uac.metrics().calls_completed, 0u);
   EXPECT_GT(uac.metrics().calls_failed, 10u);
   EXPECT_GT(proxy->stats().route_failures, 10u);
-}
-
-TEST_F(RegistrarFixture, BindingExpires) {
-  build();
-  uas->register_with(proxy_addr, "user0@example.com",
-                     SimTime::seconds(2.0));
-  bed->sim().run_until(SimTime::seconds(0.5));
-  ASSERT_TRUE(bed->location()
-                  ->lookup("user0@example.com", bed->sim().now())
-                  .has_value());
-
-  Uac& uac = add_caller(10.0);
-  uac.start();
-  bed->sim().run_until(SimTime::seconds(10.0));
-  // Calls before t=2.5 succeed; later ones 404.
-  EXPECT_GT(uac.metrics().calls_completed, 5u);
-  EXPECT_GT(uac.metrics().calls_failed, 10u);
-  EXPECT_FALSE(bed->location()
-                   ->lookup("user0@example.com", bed->sim().now())
-                   .has_value());
-}
-
-TEST_F(RegistrarFixture, AutoRefreshKeepsBindingAlive) {
-  build();
-  uas->register_with(proxy_addr, "user0@example.com",
-                     SimTime::seconds(2.0), /*auto_refresh=*/true);
-  Uac& uac = add_caller(10.0);
-  uac.start();
-  bed->sim().run_until(SimTime::seconds(10.0));
-  EXPECT_GT(uas->registrations_confirmed(), 3u);  // refreshed repeatedly
-  EXPECT_GT(uac.metrics().calls_completed, 80u);
-  EXPECT_EQ(uac.metrics().calls_failed, 0u);
-}
-
-TEST_F(RegistrarFixture, ZeroExpiresUnregisters) {
-  build();
-  uas->register_with(proxy_addr, "user0@example.com",
-                     SimTime::seconds(3600.0));
-  bed->sim().run_until(SimTime::seconds(0.5));
-  ASSERT_TRUE(bed->location()->lookup("user0@example.com").has_value());
-  uas->register_with(proxy_addr, "user0@example.com", SimTime{});
-  bed->sim().run_until(SimTime::seconds(1.0));
-  EXPECT_FALSE(bed->location()
-                   ->lookup("user0@example.com", bed->sim().now())
-                   .has_value());
-}
-
-TEST_F(RegistrarFixture, RegisterForRemoteDomainIsForwarded) {
-  // Two proxies: p0 routes example.com to p1 (the registrar).
-  bed = std::make_unique<TestBed>(6);
-  const Address p0_addr = bed->declare_host("p0.test");
-  const Address p1_addr = bed->declare_host("p1.test");
-  RouteTable routes0;
-  routes0.add_route("example.com", {p1_addr});
-  ProxyConfig config0;
-  config0.host = "p0.test";
-  bed->add_proxy(std::move(config0), std::move(routes0),
-                 std::make_unique<proxy::AlwaysStateless>());
-  RouteTable routes1;
-  routes1.add_local("example.com");
-  ProxyConfig config1;
-  config1.host = "p1.test";
-  auto& p1 = bed->add_proxy(std::move(config1), std::move(routes1),
-                            std::make_unique<proxy::AlwaysStateful>());
-  UasConfig uas_config;
-  uas_config.host = "uas0.example.com";
-  Uas& remote_uas = bed->add_uas(uas_config);
-
-  remote_uas.register_with(p0_addr, "user0@example.com",
-                           SimTime::seconds(3600.0));
-  bed->sim().run_until(SimTime::seconds(1.0));
-  EXPECT_EQ(remote_uas.registrations_confirmed(), 1u);
-  EXPECT_EQ(p1.stats().registrations, 1u);
-  EXPECT_TRUE(bed->location()->lookup("user0@example.com").has_value());
-}
-
-TEST_F(RegistrarFixture, ReRegistrationReplacesContact) {
-  build();
-  uas->register_with(proxy_addr, "user0@example.com",
-                     SimTime::seconds(3600.0));
-  // A second device registers the same AOR.
-  UasConfig other_config;
-  other_config.host = "uas1.example.com";
-  Uas& other = bed->add_uas(other_config);
-  bed->sim().run_until(SimTime::seconds(0.5));
-  other.register_with(proxy_addr, "user0@example.com",
-                      SimTime::seconds(3600.0));
-  bed->sim().run_until(SimTime::seconds(1.0));
-  const auto binding = bed->location()->lookup("user0@example.com");
-  ASSERT_TRUE(binding.has_value());
-  EXPECT_EQ(binding->contact.host(), "uas1.example.com");
 }
 
 // ---------------------------------------------------------------------------

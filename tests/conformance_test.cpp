@@ -13,12 +13,18 @@
 //                    Max-Forwards 2 still completes (the last hop forwards
 //                    it carrying 0);
 //   * dialog drain — dialog-stateful proxies hold zero dialogs after load
-//                    stops and SIP timers drain.
+//                    stops and SIP timers drain;
+//   * wire text    — every checked run round-trips every datagram through
+//                    to_wire and the parser; one planted datagram the
+//                    parser rejects is reported once, naming its sender
+//                    and Call-ID.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "check/run_checker.hpp"
+#include "sip/message.hpp"
 #include "workload/runner.hpp"
 #include "workload/scenarios.hpp"
 
@@ -183,6 +189,68 @@ TEST(ConformanceTest, MutationSmokeCatchesPredecrementBug) {
     if (violation.kind == "wire.premature_483") saw_premature_483 = true;
   }
   EXPECT_TRUE(saw_premature_483) << checker.log().summary();
+}
+
+// ---------------------------------------------------------------------------
+// Wire text: a datagram the parser rejects is caught
+// ---------------------------------------------------------------------------
+
+constexpr char kPlantedCallId[] = "planted-crlf-1";
+
+/// A checked run of the two-series chain. With a non-null `planted_by`,
+/// the first UAC also sends the first UAS an OPTIONS whose X- header value
+/// holds a CRLF, so its wire text breaks into a header line with no colon,
+/// and `planted_by` receives that UAC's host name. Returns the
+/// wire.round_trip violations.
+std::vector<check::Violation> round_trip_violations(std::string* planted_by) {
+  auto bed = series_chain(
+      2, scaled(PolicyKind::kStaticChainFirstStateful))(50.0);
+  check::RunChecker& checker = bed->enable_checking();
+  if (planted_by != nullptr) {
+    const UacConfig& uac = bed->uacs().front()->config();
+    *planted_by = uac.host;
+    const Address to = bed->uases().front()->config().address;
+    bed->sim().schedule_at(SimTime::seconds(1.0), [&bed, uac, to] {
+      sip::Message options = sip::Message::request(
+          sip::Method::kOptions, sip::Uri("", "uas.example.com"),
+          sip::NameAddr{"", sip::Uri("probe", uac.host), "t1"},
+          sip::NameAddr{"", sip::Uri("", "uas.example.com"), ""},
+          kPlantedCallId, sip::CSeq{1, sip::Method::kOptions});
+      options.push_via(sip::Via{"SIP/2.0/UDP", uac.host, "z9hG4bK-planted"});
+      options.set_header("X-Planted", "a\r\nb");
+      bed->network().send(uac.address, to, std::move(options).finish());
+    });
+  }
+  bed->start_load();
+  bed->sim().run_until(SimTime::seconds(3.0));
+  bed->stop_load();
+  bed->sim().run_until(SimTime::seconds(43.0));
+  checker.finish();
+
+  EXPECT_GT(checker.wire().datagrams_seen(), 0u);
+  std::vector<check::Violation> found;
+  for (const check::Violation& v : checker.log().entries()) {
+    if (v.kind == "wire.round_trip") {
+      found.push_back(v);
+    } else {
+      ADD_FAILURE() << "unexpected violation: " << v.kind << " " << v.detail;
+    }
+  }
+  return found;
+}
+
+TEST(ConformanceTest, PlantedUnparseableDatagramIsReportedOnce) {
+  // The bed alone round-trips every datagram; the planted one is the only
+  // report.
+  EXPECT_TRUE(round_trip_violations(nullptr).empty());
+  std::string sender;
+  const std::vector<check::Violation> found = round_trip_violations(&sender);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_TRUE(found[0].detail.starts_with(sender + " sent OPTIONS "))
+      << found[0].detail;
+  EXPECT_NE(found[0].detail.find(kPlantedCallId), std::string::npos)
+      << found[0].detail;
+  EXPECT_EQ(found[0].at, SimTime::seconds(1.0));
 }
 
 }  // namespace

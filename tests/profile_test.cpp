@@ -239,14 +239,5 @@ TEST(ProfilerTest, PerCallWorkSumsToFigure3Bar) {
   EXPECT_DOUBLE_EQ(profiler.application_events(), 707.0);
 }
 
-TEST(ProfilerTest, BreakdownFormatsAllBlocks) {
-  CpuProfiler profiler;
-  profiler.charge(CpuCostModel::forward(kDialogStatefulAuth, MsgKind::kInvite));
-  const std::string text = profiler.format_breakdown();
-  EXPECT_NE(text.find("Parsing"), std::string::npos);
-  EXPECT_NE(text.find("Authentication"), std::string::npos);
-  EXPECT_NE(text.find("TOTAL"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace svk::profile

@@ -33,22 +33,34 @@ using workload::UasConfig;
 // ---------------------------------------------------------------------------
 
 TEST(LocationServiceTest, RegisterLookupUnregister) {
+  // A registered AOR resolves to its contact; an unregistered one, a
+  // same-user other domain and an expired binding do not.
   LocationService loc;
   loc.register_binding("user0@example.com", Uri("", "uas0.example.com"));
-  const auto hit = loc.lookup("user0@example.com");
+  const auto hit = loc.lookup_uri(Uri("user0", "example.com"), SimTime{});
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->contact.host(), "uas0.example.com");
-  EXPECT_FALSE(loc.lookup("ghost@example.com").has_value());
-  loc.unregister("user0@example.com");
-  EXPECT_FALSE(loc.lookup("user0@example.com").has_value());
-  EXPECT_EQ(loc.query_count(), 3u);
+  EXPECT_FALSE(
+      loc.lookup_uri(Uri("ghost", "example.com"), SimTime{}).has_value());
+  EXPECT_FALSE(
+      loc.lookup_uri(Uri("user0", "example.org"), SimTime{}).has_value());
+  loc.register_binding("user1@example.com", Uri("", "uas1.example.com"),
+                       SimTime::seconds(2.0));
+  EXPECT_TRUE(loc.lookup_uri(Uri("user1", "example.com"),
+                             SimTime::seconds(2.0))
+                  .has_value());
+  EXPECT_FALSE(loc.lookup_uri(Uri("user1", "example.com"),
+                              SimTime::seconds(3.0))
+                   .has_value());
+  EXPECT_EQ(loc.query_count(), 5u);
 }
 
 TEST(LocationServiceTest, ReRegisterReplacesBinding) {
   LocationService loc;
   loc.register_binding("u@d", Uri("", "old.host"));
   loc.register_binding("u@d", Uri("", "new.host"));
-  EXPECT_EQ(loc.lookup("u@d")->contact.host(), "new.host");
+  EXPECT_EQ(loc.lookup_uri(Uri("u", "d"), SimTime{})->contact.host(),
+            "new.host");
   EXPECT_EQ(loc.size(), 1u);
 }
 

@@ -61,41 +61,65 @@ struct WireLog {
 };
 
 // ---------------------------------------------------------------------------
-// INVITE client transaction (17.1.1)
+// The four RFC 3261 machines, built as runs build them: by a
+// TransactionManager, fed through dispatch, and ending in a linger record
+// where timer D, J or K starts. A fixture holds the machine's handle; it
+// resolves to null once the machine has become a record or been removed.
 // ---------------------------------------------------------------------------
 
-class InviteClientTest : public ::testing::Test {
+class TxnFixture : public ::testing::Test {
  protected:
   sim::Simulator sim;
   TimerConfig timers;
+  TransactionManager manager{sim, timers};
   WireLog wire;
+  TxnHandle handle;
+};
+
+// ---------------------------------------------------------------------------
+// INVITE client transaction (17.1.1)
+// ---------------------------------------------------------------------------
+
+/// A client machine for `request()`, recording what it passes up.
+class ClientFixture : public TxnFixture {
+ protected:
   int timeouts = 0;
-  int terminated = 0;
   std::vector<int> responses;
 
-  std::unique_ptr<ClientTransaction> make() {
+  [[nodiscard]] virtual const MessagePtr& request() const = 0;
+  void start() {
     ClientCallbacks callbacks;
     callbacks.on_response = [this](const MessagePtr& m) {
       responses.push_back(m->status_code());
     };
     callbacks.on_timeout = [this] { ++timeouts; };
-    callbacks.on_terminated = [this] { ++terminated; };
-    auto txn = std::make_unique<ClientTransaction>(
-        sim, timers, /*is_invite=*/true, make_request(Method::kInvite),
-        wire.sender(), std::move(callbacks));
-    txn->start();
-    return txn;
+    manager.create_client(request(), wire.sender(), std::move(callbacks),
+                          &handle);
+  }
+  [[nodiscard]] ClientTransaction* txn() {
+    return manager.find_client(handle);
+  }
+  /// A response from the far end, as the element's dispatch sees it.
+  Dispatch receive(int code) {
+    return manager.dispatch(make_response(*request(), code));
   }
 };
 
+class InviteClientTest : public ClientFixture {
+ protected:
+  MessagePtr invite = make_request(Method::kInvite);
+  [[nodiscard]] const MessagePtr& request() const override { return invite; }
+};
+
 TEST_F(InviteClientTest, SendsImmediately) {
-  auto txn = make();
+  start();
   EXPECT_EQ(wire.count_method(Method::kInvite), 1);
-  EXPECT_EQ(txn->state(), ClientState::kCalling);
+  ASSERT_NE(txn(), nullptr);
+  EXPECT_EQ(txn()->state(), ClientState::kCalling);
 }
 
 TEST_F(InviteClientTest, TimerADoublesRetransmissions) {
-  auto txn = make();
+  start();
   // Retransmits at 0.5, 1.5, 3.5, 7.5, 15.5, 31.5s (then timer B at 32s).
   sim.run_until(SimTime::millis(400));
   EXPECT_EQ(wire.count_method(Method::kInvite), 1);
@@ -105,23 +129,24 @@ TEST_F(InviteClientTest, TimerADoublesRetransmissions) {
   EXPECT_EQ(wire.count_method(Method::kInvite), 3);
   sim.run_until(SimTime::millis(3600));
   EXPECT_EQ(wire.count_method(Method::kInvite), 4);
-  EXPECT_EQ(txn->retransmit_count(), 3);
+  EXPECT_EQ(txn()->retransmit_count(), 3);
+  EXPECT_EQ(manager.retransmit_count(), 3u);
 }
 
 TEST_F(InviteClientTest, TimerBTimesOut) {
-  auto txn = make();
+  start();
   sim.run_until(SimTime::seconds(40.0));
   EXPECT_EQ(timeouts, 1);
-  EXPECT_EQ(terminated, 1);
-  EXPECT_EQ(txn->state(), ClientState::kTerminated);
+  EXPECT_EQ(txn(), nullptr);  // Terminated and removed
+  EXPECT_EQ(manager.active_count(), 0u);
   // 64*T1 = 32s window: initial + retransmits at 0.5,1.5,3.5,7.5,15.5,31.5.
   EXPECT_EQ(wire.count_method(Method::kInvite), 7);
 }
 
 TEST_F(InviteClientTest, ProvisionalStopsRetransmission) {
-  auto txn = make();
-  txn->receive_response(make_response(*txn->request(), 100));
-  EXPECT_EQ(txn->state(), ClientState::kProceeding);
+  start();
+  EXPECT_EQ(receive(100), Dispatch::kHandledByClientTxn);
+  EXPECT_EQ(txn()->state(), ClientState::kProceeding);
   sim.run_until(SimTime::seconds(40.0));
   EXPECT_EQ(wire.count_method(Method::kInvite), 1);  // no retransmits
   EXPECT_EQ(timeouts, 0);                            // timer B cancelled
@@ -132,22 +157,21 @@ TEST_F(InviteClientTest, TimerCTimesOutStuckProceeding) {
   // RFC 3261 16.6: a provisional cancels timer B, but the transaction may
   // not wait in Proceeding forever — timer C bounds it. A peer that sends
   // 180 and then crashes must not leak the transaction.
-  auto txn = make();
-  txn->receive_response(make_response(*txn->request(), 180));
-  EXPECT_EQ(txn->state(), ClientState::kProceeding);
+  start();
+  receive(180);
+  EXPECT_EQ(txn()->state(), ClientState::kProceeding);
   sim.run_until(SimTime::seconds(179.0));
   EXPECT_EQ(timeouts, 0);
   sim.run_until(SimTime::seconds(181.0));
   EXPECT_EQ(timeouts, 1);
-  EXPECT_EQ(terminated, 1);
-  EXPECT_EQ(txn->state(), ClientState::kTerminated);
+  EXPECT_EQ(manager.active_count(), 0u);
 }
 
 TEST_F(InviteClientTest, TimerCRefreshesOnEveryProvisional) {
-  auto txn = make();
-  txn->receive_response(make_response(*txn->request(), 100));
+  start();
+  receive(100);
   sim.run_until(SimTime::seconds(100.0));
-  txn->receive_response(make_response(*txn->request(), 180));  // refresh
+  receive(180);  // refresh
   sim.run_until(SimTime::seconds(250.0));
   EXPECT_EQ(timeouts, 0);  // clock restarted at 100s; fires at 280s
   sim.run_until(SimTime::seconds(281.0));
@@ -159,9 +183,9 @@ TEST_F(InviteClientTest, TimerCRefreshesAcrossManyProvisionals) {
   // must never let timer C fire while provisionals keep arriving, and the
   // refreshes must reschedule the same timer rather than accumulate armed
   // events in the simulator.
-  auto txn = make();
+  start();
   for (int i = 0; i < 12; ++i) {
-    txn->receive_response(make_response(*txn->request(), 183));
+    receive(183);
     sim.run_until(SimTime::seconds(20.0 * (i + 1)));
     EXPECT_EQ(timeouts, 0);
   }
@@ -178,101 +202,94 @@ TEST_F(InviteClientTest, DuplicateFinalAbsorbedWithoutTimerChurn) {
   // Retransmitted non-2xx finals in Completed are re-ACKed but must not
   // touch timer D: the transaction still terminates 32s after the FIRST
   // final, and draining leaves no armed events behind.
-  auto txn = make();
-  txn->receive_response(make_response(*txn->request(), 486));
+  start();
+  receive(486);
   sim.run_until(SimTime::seconds(10.0));
-  txn->receive_response(make_response(*txn->request(), 486));
+  EXPECT_EQ(receive(486), Dispatch::kHandledByClientTxn);
   EXPECT_EQ(wire.count_method(Method::kAck), 2);
   EXPECT_EQ(responses, (std::vector<int>{486}));
   sim.run_until(SimTime::seconds(31.0));
-  EXPECT_EQ(txn->state(), ClientState::kCompleted);  // D not restarted early
+  EXPECT_EQ(manager.active_count(), 1u);  // D not restarted early
   sim.run_until(SimTime::seconds(33.0));
-  EXPECT_EQ(txn->state(), ClientState::kTerminated);
+  EXPECT_EQ(manager.active_count(), 0u);
   sim.run();
   EXPECT_EQ(sim.pending_count(), 0u);
 }
 
 TEST_F(InviteClientTest, FinalResponseCancelsTimerC) {
-  auto txn = make();
-  txn->receive_response(make_response(*txn->request(), 180));
-  txn->receive_response(make_response(*txn->request(), 200));
-  EXPECT_EQ(txn->state(), ClientState::kTerminated);
+  start();
+  receive(180);
+  receive(200);
+  EXPECT_EQ(txn()->state(), ClientState::kTerminated);
   sim.run_until(SimTime::seconds(200.0));
   EXPECT_EQ(timeouts, 0);
+  EXPECT_EQ(manager.active_count(), 0u);
 }
 
 TEST_F(InviteClientTest, TwoHundredTerminatesImmediately) {
-  auto txn = make();
-  txn->receive_response(make_response(*txn->request(), 200));
-  EXPECT_EQ(txn->state(), ClientState::kTerminated);
-  EXPECT_EQ(terminated, 1);
-  // No ACK from the transaction for 2xx (TU's responsibility).
+  start();
+  receive(200);
+  EXPECT_EQ(txn()->state(), ClientState::kTerminated);
+  // No ACK from the transaction for 2xx (TU's responsibility), and no
+  // linger: the removal is the next event.
   EXPECT_EQ(wire.count_method(Method::kAck), 0);
+  EXPECT_EQ(manager.record_count(), 0u);
+  sim.run();
+  EXPECT_EQ(sim.now(), SimTime{});
+  EXPECT_EQ(manager.active_count(), 0u);
 }
 
 TEST_F(InviteClientTest, NonTwoHundredAcksAndLingers) {
-  auto txn = make();
-  txn->receive_response(make_response(*txn->request(), 486));
-  EXPECT_EQ(txn->state(), ClientState::kCompleted);
+  start();
+  EXPECT_EQ(receive(486), Dispatch::kHandledByClientTxn);
+  EXPECT_EQ(txn(), nullptr);  // Completed: a timer-D record
+  EXPECT_EQ(manager.record_count(), 1u);
   EXPECT_EQ(wire.count_method(Method::kAck), 1);
   EXPECT_EQ(responses, (std::vector<int>{486}));
 
   // A retransmitted final is absorbed and re-ACKed, not passed up.
-  txn->receive_response(make_response(*txn->request(), 486));
+  EXPECT_EQ(receive(486), Dispatch::kHandledByClientTxn);
   EXPECT_EQ(wire.count_method(Method::kAck), 2);
   EXPECT_EQ(responses, (std::vector<int>{486}));
 
   // Timer D fires at 32s.
+  sim.run_until(SimTime::seconds(31.0));
+  EXPECT_EQ(manager.active_count(), 1u);
   sim.run_until(SimTime::seconds(33.0));
-  EXPECT_EQ(txn->state(), ClientState::kTerminated);
+  EXPECT_EQ(manager.active_count(), 0u);
+  EXPECT_EQ(receive(486), Dispatch::kStrayResponse);
 }
 
 TEST_F(InviteClientTest, AckForNon2xxCopiesBranch) {
-  auto txn = make();
-  txn->receive_response(make_response(*txn->request(), 404));
+  start();
+  receive(404);
   ASSERT_EQ(wire.count_method(Method::kAck), 1);
   const MessagePtr& ack = wire.sent.back();
-  EXPECT_EQ(ack->top_via().branch, txn->request()->top_via().branch);
+  EXPECT_EQ(ack->top_via().branch, invite->top_via().branch);
   EXPECT_EQ(ack->cseq().method, Method::kAck);
-  EXPECT_EQ(ack->cseq().seq, txn->request()->cseq().seq);
+  EXPECT_EQ(ack->cseq().seq, invite->cseq().seq);
 }
 
 TEST_F(InviteClientTest, ProvisionalThen200) {
-  auto txn = make();
-  txn->receive_response(make_response(*txn->request(), 180));
-  txn->receive_response(make_response(*txn->request(), 200));
+  start();
+  receive(180);
+  receive(200);
   EXPECT_EQ(responses, (std::vector<int>{180, 200}));
-  EXPECT_EQ(txn->state(), ClientState::kTerminated);
+  EXPECT_EQ(txn()->state(), ClientState::kTerminated);
 }
 
 // ---------------------------------------------------------------------------
 // Non-INVITE client transaction (17.1.2)
 // ---------------------------------------------------------------------------
 
-class NonInviteClientTest : public ::testing::Test {
+class NonInviteClientTest : public ClientFixture {
  protected:
-  sim::Simulator sim;
-  TimerConfig timers;
-  WireLog wire;
-  int timeouts = 0;
-  std::vector<int> responses;
-
-  std::unique_ptr<ClientTransaction> make() {
-    ClientCallbacks callbacks;
-    callbacks.on_response = [this](const MessagePtr& m) {
-      responses.push_back(m->status_code());
-    };
-    callbacks.on_timeout = [this] { ++timeouts; };
-    auto txn = std::make_unique<ClientTransaction>(
-        sim, timers, /*is_invite=*/false, make_request(Method::kBye),
-        wire.sender(), std::move(callbacks));
-    txn->start();
-    return txn;
-  }
+  MessagePtr bye = make_request(Method::kBye);
+  [[nodiscard]] const MessagePtr& request() const override { return bye; }
 };
 
 TEST_F(NonInviteClientTest, TimerECapsAtT2) {
-  auto txn = make();
+  start();
   // E fires at 0.5, 1.5, 3.5, 7.5, then every 4s (T2 cap).
   sim.run_until(SimTime::seconds(11.6));
   // Sends: t=0, .5, 1.5, 3.5, 7.5, 11.5 -> 6 transmissions.
@@ -280,26 +297,30 @@ TEST_F(NonInviteClientTest, TimerECapsAtT2) {
 }
 
 TEST_F(NonInviteClientTest, TimerFTimesOutAt64T1) {
-  auto txn = make();
+  start();
   sim.run_until(SimTime::seconds(33.0));
   EXPECT_EQ(timeouts, 1);
-  EXPECT_EQ(txn->state(), ClientState::kTerminated);
+  EXPECT_EQ(manager.active_count(), 0u);
 }
 
 TEST_F(NonInviteClientTest, FinalEntersCompletedThenTimerK) {
-  auto txn = make();
-  txn->receive_response(make_response(*txn->request(), 200));
-  EXPECT_EQ(txn->state(), ClientState::kCompleted);
+  start();
+  EXPECT_EQ(receive(200), Dispatch::kHandledByClientTxn);
+  EXPECT_EQ(txn(), nullptr);  // Completed: a timer-K record
+  EXPECT_EQ(manager.record_count(), 1u);
   EXPECT_EQ(responses, (std::vector<int>{200}));
   // Timer K = T4 = 5s.
+  sim.run_until(SimTime::seconds(4.9));
+  EXPECT_EQ(manager.active_count(), 1u);
   sim.run_until(SimTime::seconds(5.5));
-  EXPECT_EQ(txn->state(), ClientState::kTerminated);
+  EXPECT_EQ(manager.active_count(), 0u);
+  EXPECT_EQ(receive(200), Dispatch::kStrayResponse);
 }
 
 TEST_F(NonInviteClientTest, ProvisionalKeepsRetransmittingAtT2) {
-  auto txn = make();
-  txn->receive_response(make_response(*txn->request(), 100));
-  EXPECT_EQ(txn->state(), ClientState::kProceeding);
+  start();
+  receive(100);
+  EXPECT_EQ(txn()->state(), ClientState::kProceeding);
   const int before = wire.count_method(Method::kBye);
   sim.run_until(SimTime::seconds(9.0));
   EXPECT_GT(wire.count_method(Method::kBye), before);
@@ -309,34 +330,35 @@ TEST_F(NonInviteClientTest, ProvisionalKeepsRetransmittingAtT2) {
 }
 
 TEST_F(NonInviteClientTest, RetransmittedFinalAbsorbed) {
-  auto txn = make();
-  txn->receive_response(make_response(*txn->request(), 200));
-  txn->receive_response(make_response(*txn->request(), 200));
+  start();
+  receive(200);
+  EXPECT_EQ(receive(200), Dispatch::kHandledByClientTxn);
   EXPECT_EQ(responses, (std::vector<int>{200}));
+  EXPECT_EQ(wire.sent.size(), 1u);  // the BYE; nothing answers a 200
 }
 
 // ---------------------------------------------------------------------------
 // INVITE server transaction (17.2.1)
 // ---------------------------------------------------------------------------
 
-class InviteServerTest : public ::testing::Test {
+class InviteServerTest : public TxnFixture {
  protected:
-  sim::Simulator sim;
-  TimerConfig timers;
-  WireLog wire;
   int acks = 0;
   int timeouts = 0;
 
   MessagePtr invite = make_request(Method::kInvite);
 
-  std::unique_ptr<ServerTransaction> make() {
+  void start() {
     ServerCallbacks callbacks;
     callbacks.on_ack = [this](const MessagePtr&) { ++acks; };
     callbacks.on_timeout = [this] { ++timeouts; };
-    return std::make_unique<ServerTransaction>(
-        sim, timers, /*is_invite=*/true, invite, wire.sender(),
-        std::move(callbacks));
+    manager.create_server(invite, wire.sender(), std::move(callbacks),
+                          &handle);
   }
+  [[nodiscard]] ServerTransaction* txn() {
+    return manager.find_server(handle);
+  }
+  void respond(int code) { txn()->respond(make_response(*invite, code)); }
 
   MessagePtr ack_for(const MessagePtr& inv) {
     Message ack = Message::request(
@@ -348,33 +370,34 @@ class InviteServerTest : public ::testing::Test {
 };
 
 TEST_F(InviteServerTest, StartsProceeding) {
-  auto txn = make();
-  EXPECT_EQ(txn->state(), ServerState::kProceeding);
+  start();
+  EXPECT_EQ(txn()->state(), ServerState::kProceeding);
 }
 
 TEST_F(InviteServerTest, RetransmittedInviteReplaysProvisional) {
-  auto txn = make();
-  txn->respond(make_response(*invite, 100));
+  start();
+  respond(100);
   EXPECT_EQ(wire.count_status(100), 1);
-  txn->receive_request(invite);
+  EXPECT_EQ(manager.dispatch(invite), Dispatch::kHandledByServerTxn);
   EXPECT_EQ(wire.count_status(100), 2);
-  EXPECT_EQ(txn->absorbed_count(), 1);
+  EXPECT_EQ(txn()->absorbed_count(), 1);
 }
 
 TEST_F(InviteServerTest, TwoHundredTerminatesImmediately) {
-  auto txn = make();
-  txn->respond(make_response(*invite, 200));
-  EXPECT_EQ(txn->state(), ServerState::kTerminated);
+  start();
+  respond(200);
+  EXPECT_EQ(txn()->state(), ServerState::kTerminated);
   EXPECT_EQ(wire.count_status(200), 1);
   // No retransmissions from the transaction (UAS core owns 2xx rtx).
   sim.run_until(SimTime::seconds(10.0));
   EXPECT_EQ(wire.count_status(200), 1);
+  EXPECT_EQ(manager.active_count(), 0u);
 }
 
 TEST_F(InviteServerTest, Non2xxRetransmitsOnTimerG) {
-  auto txn = make();
-  txn->respond(make_response(*invite, 486));
-  EXPECT_EQ(txn->state(), ServerState::kCompleted);
+  start();
+  respond(486);
+  EXPECT_EQ(txn()->state(), ServerState::kCompleted);
   EXPECT_EQ(wire.count_status(486), 1);
   // G fires at 0.5, 1.5, 3.5, 7.5... (doubling, capped at T2).
   sim.run_until(SimTime::millis(1600));
@@ -382,25 +405,27 @@ TEST_F(InviteServerTest, Non2xxRetransmitsOnTimerG) {
 }
 
 TEST_F(InviteServerTest, AckStopsRetransmissionAndConfirms) {
-  auto txn = make();
-  txn->respond(make_response(*invite, 486));
+  start();
+  respond(486);
   sim.run_until(SimTime::millis(600));
   const int sent_so_far = wire.count_status(486);
-  txn->receive_request(ack_for(invite));
-  EXPECT_EQ(txn->state(), ServerState::kConfirmed);
+  EXPECT_EQ(manager.dispatch(ack_for(invite)),
+            Dispatch::kHandledByServerTxn);
+  EXPECT_EQ(txn()->state(), ServerState::kConfirmed);
   EXPECT_EQ(acks, 1);
   sim.run_until(SimTime::seconds(3.0));
   EXPECT_EQ(wire.count_status(486), sent_so_far);  // G stopped
   // Timer I (T4=5s) then terminates.
   sim.run_until(SimTime::seconds(6.0));
-  EXPECT_EQ(txn->state(), ServerState::kTerminated);
+  EXPECT_EQ(manager.active_count(), 0u);
 }
 
 TEST_F(InviteServerTest, DuplicateAckAbsorbedInConfirmed) {
-  auto txn = make();
-  txn->respond(make_response(*invite, 486));
-  txn->receive_request(ack_for(invite));
-  txn->receive_request(ack_for(invite));
+  start();
+  respond(486);
+  manager.dispatch(ack_for(invite));
+  EXPECT_EQ(manager.dispatch(ack_for(invite)),
+            Dispatch::kHandledByServerTxn);
   EXPECT_EQ(acks, 1);
 }
 
@@ -409,17 +434,17 @@ TEST_F(InviteServerTest, DuplicateFinalDoesNotExtendTimerH) {
   // response after the first was already sent) must be a no-op: the wire
   // sees one status line, timer H still fires 64*T1 after the FIRST final
   // (not the second), and no orphaned timer event survives the drain.
-  auto txn = make();
-  txn->respond(make_response(*invite, 486));
+  start();
+  respond(486);
   sim.run_until(SimTime::seconds(10.0));
-  txn->respond(make_response(*invite, 503));  // late second final: ignored
+  respond(503);  // late second final: ignored
   EXPECT_EQ(wire.count_status(503), 0);
-  EXPECT_EQ(txn->state(), ServerState::kCompleted);
+  EXPECT_EQ(txn()->state(), ServerState::kCompleted);
   sim.run_until(SimTime::seconds(31.9));
   EXPECT_EQ(timeouts, 0);
   sim.run_until(SimTime::seconds(32.1));  // H at 32s, not 42s
   EXPECT_EQ(timeouts, 1);
-  EXPECT_EQ(txn->state(), ServerState::kTerminated);
+  EXPECT_EQ(manager.active_count(), 0u);
   sim.run();
   EXPECT_EQ(sim.pending_count(), 0u);
 }
@@ -428,117 +453,121 @@ TEST_F(InviteServerTest, ProvisionalAfterFinalIgnored) {
   // A straggling 180 arriving at the TU after the final must not drag the
   // transaction back to Proceeding: timer G would then retransmit the
   // provisional as "last response" and timers G/H would be stranded armed.
-  auto txn = make();
-  txn->respond(make_response(*invite, 486));
-  txn->respond(make_response(*invite, 180));  // late provisional: ignored
+  start();
+  respond(486);
+  respond(180);  // late provisional: ignored
   EXPECT_EQ(wire.count_status(180), 0);
-  EXPECT_EQ(txn->state(), ServerState::kCompleted);
+  EXPECT_EQ(txn()->state(), ServerState::kCompleted);
   // Timer G keeps retransmitting the *final*, not the provisional.
   sim.run_until(SimTime::millis(1600));
   EXPECT_EQ(wire.count_status(486), 3);
   EXPECT_EQ(wire.count_status(180), 0);
   sim.run();
-  EXPECT_EQ(txn->state(), ServerState::kTerminated);
+  EXPECT_EQ(manager.active_count(), 0u);
   EXPECT_EQ(sim.pending_count(), 0u);
 }
 
 TEST_F(InviteServerTest, AckAbsorptionInConfirmedLeavesOnlyTimerI) {
   // Every duplicate ACK in Confirmed is absorbed without touching timer I;
   // the transaction still terminates at T4 and drains clean.
-  auto txn = make();
-  txn->respond(make_response(*invite, 486));
-  txn->receive_request(ack_for(invite));
-  EXPECT_EQ(txn->state(), ServerState::kConfirmed);
+  start();
+  respond(486);
+  manager.dispatch(ack_for(invite));
+  EXPECT_EQ(txn()->state(), ServerState::kConfirmed);
   for (int i = 0; i < 5; ++i) {
     sim.run_until(SimTime::millis(200 * (i + 1)));
-    txn->receive_request(ack_for(invite));
+    manager.dispatch(ack_for(invite));
   }
   EXPECT_EQ(acks, 1);
-  EXPECT_EQ(txn->state(), ServerState::kConfirmed);
+  EXPECT_EQ(txn()->state(), ServerState::kConfirmed);
   sim.run_until(SimTime::seconds(6.0));  // I = T4 = 5s after first ACK
-  EXPECT_EQ(txn->state(), ServerState::kTerminated);
+  EXPECT_EQ(manager.active_count(), 0u);
   sim.run();
   EXPECT_EQ(sim.pending_count(), 0u);
 }
 
 TEST_F(InviteServerTest, TimerHTimesOutWithoutAck) {
-  auto txn = make();
-  txn->respond(make_response(*invite, 486));
+  start();
+  respond(486);
   sim.run_until(SimTime::seconds(33.0));
   EXPECT_EQ(timeouts, 1);
-  EXPECT_EQ(txn->state(), ServerState::kTerminated);
+  EXPECT_EQ(manager.active_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Non-INVITE server transaction (17.2.2)
 // ---------------------------------------------------------------------------
 
-class NonInviteServerTest : public ::testing::Test {
+class NonInviteServerTest : public TxnFixture {
  protected:
-  sim::Simulator sim;
-  TimerConfig timers;
-  WireLog wire;
   MessagePtr bye = make_request(Method::kBye);
 
-  std::unique_ptr<ServerTransaction> make() {
-    return std::make_unique<ServerTransaction>(
-        sim, timers, /*is_invite=*/false, bye, wire.sender(),
-        ServerCallbacks{});
+  void start() {
+    manager.create_server(bye, wire.sender(), ServerCallbacks{}, &handle);
   }
+  [[nodiscard]] ServerTransaction* txn() {
+    return manager.find_server(handle);
+  }
+  void respond(int code) { txn()->respond(make_response(*bye, code)); }
 };
 
 TEST_F(NonInviteServerTest, StartsTrying) {
-  auto txn = make();
-  EXPECT_EQ(txn->state(), ServerState::kTrying);
+  start();
+  EXPECT_EQ(txn()->state(), ServerState::kTrying);
 }
 
 TEST_F(NonInviteServerTest, RetransmissionInTryingAbsorbedSilently) {
-  auto txn = make();
-  txn->receive_request(bye);
-  EXPECT_EQ(txn->absorbed_count(), 1);
+  start();
+  EXPECT_EQ(manager.dispatch(bye), Dispatch::kHandledByServerTxn);
+  EXPECT_EQ(txn()->absorbed_count(), 1);
   EXPECT_TRUE(wire.sent.empty());  // nothing to replay yet
 }
 
 TEST_F(NonInviteServerTest, RetransmissionInCompletedReplaysFinal) {
-  auto txn = make();
-  txn->respond(make_response(*bye, 200));
-  EXPECT_EQ(txn->state(), ServerState::kCompleted);
-  txn->receive_request(bye);
+  start();
+  respond(200);
+  EXPECT_EQ(txn(), nullptr);  // Completed: a timer-J record
+  EXPECT_EQ(manager.record_count(), 1u);
+  EXPECT_EQ(manager.dispatch(bye), Dispatch::kHandledByServerTxn);
   EXPECT_EQ(wire.count_status(200), 2);
 }
 
 TEST_F(NonInviteServerTest, TimerJTerminates) {
-  auto txn = make();
-  txn->respond(make_response(*bye, 200));
+  start();
+  respond(200);
+  sim.run_until(SimTime::seconds(31.9));
+  EXPECT_EQ(manager.active_count(), 1u);
   sim.run_until(SimTime::seconds(33.0));
-  EXPECT_EQ(txn->state(), ServerState::kTerminated);
+  EXPECT_EQ(manager.active_count(), 0u);
+  EXPECT_EQ(manager.dispatch(bye), Dispatch::kNewRequest);
 }
 
 TEST_F(NonInviteServerTest, DuplicateFinalDoesNotExtendTimerJ) {
-  // Second final from the TU is dropped: one 200 on the wire, timer J still
-  // fires 64*T1 after the first final, and the drain leaves no events.
-  auto txn = make();
-  txn->respond(make_response(*bye, 200));
+  // The first final retires the machine, so the TU's handle no longer
+  // reaches it: a second final cannot be sent, one 200 is on the wire,
+  // timer J still fires 64*T1 after the first final, and the drain leaves
+  // no events.
+  start();
+  respond(200);
   sim.run_until(SimTime::seconds(10.0));
-  txn->respond(make_response(*bye, 503));  // ignored
+  EXPECT_EQ(txn(), nullptr);
   EXPECT_EQ(wire.count_status(503), 0);
   EXPECT_EQ(wire.count_status(200), 1);
   sim.run_until(SimTime::seconds(31.9));
-  EXPECT_EQ(txn->state(), ServerState::kCompleted);  // J at 32s, not 42s
+  EXPECT_EQ(manager.record_count(), 1u);  // J at 32s, not 42s
   sim.run_until(SimTime::seconds(32.1));
-  EXPECT_EQ(txn->state(), ServerState::kTerminated);
+  EXPECT_EQ(manager.active_count(), 0u);
   sim.run();
   EXPECT_EQ(sim.pending_count(), 0u);
 }
 
 TEST_F(NonInviteServerTest, ProvisionalAfterFinalIgnored) {
-  auto txn = make();
-  txn->respond(make_response(*bye, 200));
-  txn->respond(make_response(*bye, 100));  // late provisional: ignored
-  EXPECT_EQ(wire.count_status(100), 0);
-  EXPECT_EQ(txn->state(), ServerState::kCompleted);
-  // Retransmitted request still replays the final, not the provisional.
-  txn->receive_request(bye);
+  // After the final no provisional can reach the transaction (its handle
+  // resolves to null), and a retransmitted request replays the final.
+  start();
+  respond(200);
+  EXPECT_EQ(txn(), nullptr);
+  EXPECT_EQ(manager.dispatch(bye), Dispatch::kHandledByServerTxn);
   EXPECT_EQ(wire.count_status(200), 2);
   EXPECT_EQ(wire.count_status(100), 0);
   sim.run();
@@ -546,8 +575,8 @@ TEST_F(NonInviteServerTest, ProvisionalAfterFinalIgnored) {
 }
 
 TEST_F(NonInviteServerTest, NoTimerGRetransmissions) {
-  auto txn = make();
-  txn->respond(make_response(*bye, 200));
+  start();
+  respond(200);
   sim.run_until(SimTime::seconds(20.0));
   EXPECT_EQ(wire.count_status(200), 1);
 }
