@@ -1,9 +1,9 @@
 // A vector with inline storage for the first N elements.
 //
-// SIP messages hold a handful of tiny header lists (Vias, routes, extension
-// headers) whose common sizes are 0–4 entries. std::vector heap-allocates
-// for the first element, so copy-on-forward of a message paid one malloc per
-// non-empty list. SmallVector keeps up to N elements in the object itself
+// SIP messages hold a handful of tiny header lists (route sets, extension
+// headers, the parser's Vias) whose common sizes are 0–4 entries.
+// std::vector heap-allocates for the first element, so each non-empty list
+// cost a malloc. SmallVector keeps up to N elements in the object itself
 // and only touches the allocator when a list outgrows its inline buffer —
 // which on the simulated topologies essentially never happens.
 //
@@ -127,22 +127,6 @@ class SmallVector {
   void pop_back() {
     --size_;
     data_[size_].~T();
-  }
-
-  /// Inserts before `pos`; shifts the tail right by one. O(distance to end).
-  iterator insert(const_iterator pos, T value) {
-    const size_type at = static_cast<size_type>(pos - data_);
-    emplace_back(std::move(value));  // may reallocate; re-derive pointers
-    std::rotate(data_ + at, data_ + size_ - 1, data_ + size_);
-    return data_ + at;
-  }
-
-  /// Erases the element at `pos`; shifts the tail left. O(distance to end).
-  iterator erase(const_iterator pos) {
-    const size_type at = static_cast<size_type>(pos - data_);
-    std::move(data_ + at + 1, data_ + size_, data_ + at);
-    pop_back();
-    return data_ + at;
   }
 
   template <typename It>

@@ -202,7 +202,7 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
   // Route-set handling (RFC 3261 16.4): strip our own Route entry, then
   // prefer the remaining route set over request-URI routing.
   if (!fwd.routes().empty() && fwd.routes().front().host() == config_.host) {
-    fwd.routes().erase(fwd.routes().begin());
+    fwd.pop_route();
   }
 
   Address target;
@@ -342,8 +342,13 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
     if (dialog_mode_) {
       if (msg->method() == sip::Method::kInvite) {
         dialogs_.create_early(fwd, sim_.now());
-        fwd.record_routes().insert(fwd.record_routes().begin(),
-                                   sip::Uri("", host_token_));
+        // Prepend our Record-Route as one new block over the old entries.
+        sip::RouteList record_routes;
+        record_routes.push_back(sip::Uri("", host_token_));
+        for (const sip::Uri& uri : fwd.record_routes()) {
+          record_routes.push_back(uri);
+        }
+        fwd.set_record_routes(sip::SharedRoutes(std::move(record_routes)));
       } else {
         (void)dialogs_.match(*msg);
       }
@@ -573,7 +578,7 @@ void ProxyServer::respond_local(const sip::Message& req, int code,
 void ProxyServer::stamp_oc(sip::Message& response) const {
   if (overload_ == nullptr || response.vias().empty()) return;
   const double rate = overload_->advertised_rate();
-  if (rate >= 0.0) response.top_via().oc_rate = rate;
+  if (rate >= 0.0) response.mutable_top_via().oc_rate = rate;
 }
 
 void ProxyServer::overload_tick() {

@@ -4,6 +4,9 @@
 #include <shared_mutex>
 #include <unordered_set>
 
+#include "common/flat_table.hpp"
+#include "common/hash.hpp"
+
 namespace svk::sip {
 namespace {
 
@@ -41,14 +44,28 @@ const std::string& empty_string() {
 
 const std::string& intern(std::string_view text) {
   if (text.empty()) return empty_string();
+  // A per-thread cache in front of the locked table: the parser interns
+  // every host and header name it reads, and the vocabulary is bounded, so
+  // after the first sighting a value costs one unlocked lookup. It holds
+  // pointers to the interned strings, which live for the process.
+  thread_local common::FlatTable<const std::string*> cache;
+  const std::uint64_t hash = common::key_hash(text);
+  const auto same = [text](const std::string* s) { return *s == text; };
+  if (const std::string* const* hit = cache.find(hash, same)) return **hit;
   InternTable& t = table();
+  const std::string* interned = nullptr;
   {
     std::shared_lock lock(t.mutex);
-    auto it = t.strings.find(text);
-    if (it != t.strings.end()) return *it;
+    if (auto it = t.strings.find(text); it != t.strings.end()) {
+      interned = &*it;
+    }
   }
-  std::unique_lock lock(t.mutex);
-  return *t.strings.emplace(text).first;
+  if (interned == nullptr) {
+    std::unique_lock lock(t.mutex);
+    interned = &*t.strings.emplace(text).first;
+  }
+  cache.insert(hash, interned);
+  return *interned;
 }
 
 std::size_t intern_table_size() {

@@ -13,15 +13,16 @@
 // is interned once per process, then every further lookup takes the shared
 // path), and node-based, so interned strings have stable addresses for the
 // life of the process — Tokens may be copied freely across threads and
-// outlive the thread that created them.
+// outlive the thread that created them. A per-thread cache sits in front
+// of it, so a value a thread has seen before costs no lock.
 //
 // Only bounded value sets belong here. URI users, tags, Call-IDs, branch
 // parameters and header values are per-call or per-transaction and must
 // stay plain std::string — interning them would grow the table without
 // bound. Per-call code builds from Tokens interned once (a node's host, a
 // static header name), so the run path does not take the lock per call.
-// The parser interns whatever hosts and header names it reads; it is not on
-// the run path.
+// The parser interns whatever hosts and header names it reads; it runs on
+// checked runs only (the wire round trip), through the per-thread cache.
 #pragma once
 
 #include <cstddef>

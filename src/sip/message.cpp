@@ -1,12 +1,21 @@
 #include "sip/message.hpp"
 
 #include <array>
+#include <charconv>
 #include <cstdio>
 #include <new>
 #include <utility>
 
 namespace svk::sip {
 namespace {
+
+/// Appends the decimal form of `value`, without a temporary string.
+template <typename Int>
+void append_int(std::string& out, Int value) {
+  char digits[24];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  out.append(digits, static_cast<std::size_t>(end - digits));
+}
 
 void append_name_addr(std::string& out, std::string_view name,
                       const NameAddr& value) {
@@ -18,7 +27,7 @@ void append_name_addr(std::string& out, std::string_view name,
     out += "\" ";
   }
   out += '<';
-  out += value.uri.to_string();
+  value.uri.append_to(out);
   out += '>';
   if (!value.tag.empty()) {
     out += ";tag=";
@@ -46,44 +55,63 @@ Token default_reason(int status_code) {
 
 }  // namespace
 
-namespace detail {
+const Via& ViaChain::bottom() const noexcept {
+  const Node* node = top_;
+  while (node->below != nullptr) node = node->below;
+  return node->via;
+}
 
-Identity& SharedIdentity::mut() {
-  if (node_ == nullptr) {
-    node_ = make(Identity{});
-  } else if (node_->refs != 1) {
-    Node* own = make(node_->value);
-    release(std::exchange(node_, own));
+void ViaChain::push(Via via) {
+  void* block = detail::pool_allocate(sizeof(Node), PoolKind::kVia);
+  // The new node takes over this chain's reference to the old top.
+  top_ = ::new (block) Node{std::move(via), top_, {1},
+                            static_cast<std::uint32_t>(size() + 1)};
+}
+
+void ViaChain::pop() noexcept {
+  Node* old = std::exchange(top_, top_->below);
+  retain(top_);
+  release(old);
+}
+
+Via& ViaChain::mutable_top() {
+  if (top_->refs.load(std::memory_order_acquire) != 1) {
+    retain(top_->below);
+    void* block = detail::pool_allocate(sizeof(Node), PoolKind::kVia);
+    Node* own = ::new (block) Node{top_->via, top_->below, {1}, top_->depth};
+    release(std::exchange(top_, own));
   }
-  return node_->value;
+  return top_->via;
 }
 
-SharedIdentity::Node* SharedIdentity::make(Identity value) {
-  void* block = pool_allocate(sizeof(Node), PoolKind::kIdentity);
-  return ::new (block) Node{std::move(value)};
+void ViaChain::release(Node* node) noexcept {
+  // Iterative, so dropping a long unshared chain does not recurse.
+  while (node != nullptr &&
+         node->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    Node* below = node->below;
+    node->~Node();
+    detail::pool_deallocate(node, sizeof(Node), PoolKind::kVia);
+    node = below;
+  }
 }
 
-void SharedIdentity::release(Node* node) noexcept {
-  if (node == nullptr || --node->refs != 0) return;
-  node->~Node();
-  pool_deallocate(node, sizeof(Node), PoolKind::kIdentity);
+bool operator==(const ViaChain& a, const ViaChain& b) noexcept {
+  if (a.size() != b.size()) return false;
+  auto it = b.begin();
+  for (const Via& via : a) {
+    if (!(via == *it++)) return false;
+  }
+  return true;
 }
-
-const Identity& SharedIdentity::empty() noexcept {
-  static const Identity none;
-  return none;
-}
-
-}  // namespace detail
 
 Message Message::request(Method method, Uri request_uri, NameAddr from,
                          NameAddr to, std::string_view call_id, CSeq cseq) {
   Message msg;
   msg.is_request_ = true;
-  msg.method_ = method;
+  msg.method_ = static_cast<std::uint8_t>(method);
   msg.id_ = detail::SharedIdentity(
       detail::Identity{std::move(request_uri), std::move(from), std::move(to),
-                       InlineText(call_id), cseq, std::nullopt, {}});
+                       InlineText(call_id), cseq, std::nullopt});
   return msg;
 }
 
@@ -91,73 +119,84 @@ Message Message::response(const Message& req, int status_code,
                           std::string_view reason) {
   Message msg;
   msg.is_request_ = false;
-  msg.status_code_ = status_code;
+  msg.status_code_ = static_cast<std::int16_t>(status_code);
   msg.reason_ = reason.empty() ? default_reason(status_code) : Token(reason);
   msg.vias_ = req.vias_;
   // A response keeps the request's From, To, Call-ID and CSeq, but not its
-  // request-URI, Contact or body, so it gets a block of its own.
+  // request-URI or Contact, so it gets an identity block of its own.
   const detail::Identity& ids = req.id_.get();
   msg.id_ = detail::SharedIdentity(detail::Identity{
-      {}, ids.from, ids.to, ids.call_id, ids.cseq, std::nullopt, {}});
+      {}, ids.from, ids.to, ids.call_id, ids.cseq, std::nullopt});
   // Record-Route is mirrored into responses so the caller learns the
   // dialog route set (RFC 3261 16.7/12.1.1).
   msg.record_routes_ = req.record_routes_;
   return msg;
 }
 
+void Message::pop_route() {
+  const RouteList& routes = routes_.get();
+  if (routes.size() == 1) {
+    routes_ = SharedRoutes();
+    return;
+  }
+  RouteList rest;
+  rest.assign(routes.begin() + 1, routes.end());
+  routes_ = SharedRoutes(std::move(rest));
+}
+
 std::optional<std::string_view> Message::header(
     std::string_view name) const {
-  for (const auto& [key, value] : extra_) {
+  for (const auto& [key, value] : extra_.get()) {
     if (key == name) return std::string_view(value);
   }
   return std::nullopt;
 }
 
 void Message::set_header(Token name, std::string_view value) {
-  for (auto& [key, existing] : extra_) {
+  HeaderList& headers = extra_.mut();
+  for (auto& [key, existing] : headers) {
     if (key == name) {
       existing = InlineText(value);
       return;
     }
   }
-  extra_.emplace_back(name, value);
+  headers.emplace_back(name, value);
 }
-
 
 std::string Message::to_wire() const {
   const detail::Identity& ids = id_.get();
+  const std::string& body = body_.get();
+  const HeaderList& headers = extra_.get();
   // Size the buffer once: per-header constants cover the literal parts
   // ("Via: ", ";branch=", CRLFs...), variable parts are summed exactly for
   // the repeated headers and estimated generously for the name-addr lines.
-  std::size_t estimate = 192 + ids.body.size() + ids.call_id.size() +
+  std::size_t estimate = 192 + body.size() + ids.call_id.size() +
                          reason_.size() + 96 * (2 + (ids.contact ? 1 : 0));
   for (const Via& via : vias_) {
     estimate += 16 + via.protocol.size() + via.sent_by.size() +
                 via.branch.size() + (via.oc_rate >= 0.0 ? 24 : 0);
   }
-  estimate += 64 * (routes_.size() + record_routes_.size());
-  for (const auto& [key, value] : extra_) {
+  estimate += 64 * (routes().size() + record_routes().size());
+  for (const auto& [key, value] : headers) {
     estimate += key.size() + value.size() + 4;
   }
   std::string out;
   out.reserve(estimate);
 
   if (is_request_) {
-    out += to_string(method_);
+    out += to_string(method());
     out += ' ';
-    out += ids.request_uri.to_string();
+    ids.request_uri.append_to(out);
     out += " SIP/2.0\r\n";
   } else {
     out += "SIP/2.0 ";
-    out += std::to_string(status_code_);
+    append_int(out, status_code_);
     out += ' ';
     out += reason_.view();
     out += "\r\n";
   }
 
-  // vias_ is stored bottom-first; the wire format lists the top Via first.
-  for (auto it = vias_.rbegin(); it != vias_.rend(); ++it) {
-    const Via& via = *it;
+  for (const Via& via : vias_) {  // top-first, the wire order
     out += "Via: ";
     out += via.protocol.view();
     out += ' ';
@@ -173,14 +212,14 @@ std::string Message::to_wire() const {
     }
     out += "\r\n";
   }
-  for (const Uri& route : record_routes_) {
+  for (const Uri& route : record_routes()) {
     out += "Record-Route: <";
-    out += route.to_string();
+    route.append_to(out);
     out += ">\r\n";
   }
-  for (const Uri& route : routes_) {
+  for (const Uri& route : routes()) {
     out += "Route: <";
-    out += route.to_string();
+    route.append_to(out);
     out += ">\r\n";
   }
   append_name_addr(out, "From", ids.from);
@@ -189,7 +228,7 @@ std::string Message::to_wire() const {
   out += ids.call_id.view();
   out += "\r\n";
   out += "CSeq: ";
-  out += std::to_string(ids.cseq.seq);
+  append_int(out, ids.cseq.seq);
   out += ' ';
   out += to_string(ids.cseq.method);
   out += "\r\n";
@@ -198,19 +237,19 @@ std::string Message::to_wire() const {
   }
   if (is_request_) {
     out += "Max-Forwards: ";
-    out += std::to_string(max_forwards_);
+    append_int(out, max_forwards_);
     out += "\r\n";
   }
-  for (const auto& [key, value] : extra_) {
+  for (const auto& [key, value] : headers) {
     out += key.view();
     out += ": ";
     out += value.view();
     out += "\r\n";
   }
   out += "Content-Length: ";
-  out += std::to_string(ids.body.size());
+  append_int(out, body.size());
   out += "\r\n\r\n";
-  out += ids.body;
+  out += body;
   return out;
 }
 

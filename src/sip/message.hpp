@@ -5,37 +5,43 @@
 // modify a message in flight (push a Via, decrement Max-Forwards) copies it
 // first — copy-on-forward, matching how a real proxy re-serializes.
 //
-// The layout is tuned for that copy. The call-identity fields (request-URI,
-// From, To, Call-ID, CSeq, Contact, body) live in one ref-counted block
-// that copies share; only a mutating accessor detaches it (copy on write),
-// so a forwarded clone copies a pointer instead of those strings. The Via
-// stack lives in a small-inline vector (no malloc for the common 1–4
-// entries), stored bottom-first so push_via/pop_via — the per-hop
-// operations — are O(1) at the back. Via branches, the Call-ID and
-// extension-header values are InlineText (inline_text.hpp), so copying a
-// Via stack, a header list or an identity block copies bytes. Via protocol
-// and sent-by, URI scheme and host, the reason phrase and extension-header
-// names are interned Tokens (pointer copies). finish() allocates the
-// shared block from a freelist-backed pool (see message_pool.hpp), as do
-// identity blocks, so a warm forward path creates and releases messages
+// A Message is a 64-byte handle. Its variable parts live in shared,
+// immutable, pooled blocks that copies share, so a clone, a response or a
+// forward copies pointers:
+//   - the call identity (request-URI, From, To, Call-ID, CSeq, Contact);
+//   - the Via stack, a persistent chain of ref-counted nodes, each pointing
+//     at the Via below it. push_via adds one node over the shared rest, and
+//     a response shares its request's whole chain;
+//   - the Route and Record-Route sets, one block each, null when empty;
+//   - the extension headers and the body, one block each.
+// Reads never copy. Only an explicit mutator gives the caller a private
+// block first (copy on write): mutable_top_via() copies just the top node,
+// mutable_routes() one route set, set_header the header block. Via
+// protocol and sent-by, URI scheme and host, the reason phrase and
+// extension-header names are interned Tokens (pointer copies); branches,
+// Call-IDs and header values are InlineText (inline_text.hpp). finish()
+// and every shared block take their memory from thread-local pools (see
+// message_pool.hpp), so a warm forward path creates and releases messages
 // without the allocator.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "common/small_vector.hpp"
+#include "sip/inline_text.hpp"
 #include "sip/intern.hpp"
 #include "sip/message_pool.hpp"
 #include "sip/methods.hpp"
 #include "sip/uri.hpp"
-#include "sip/inline_text.hpp"
 
 namespace svk::sip {
 
@@ -88,6 +94,13 @@ struct CSeq {
   friend bool operator==(const CSeq&, const CSeq&) = default;
 };
 
+/// A Route or Record-Route set, in header order. Two inline slots: a
+/// route set here is one entry per dialog-stateful hop.
+using RouteList = SmallVector<Uri, 2>;
+/// Extension headers: interned names, inline values (the proxies'
+/// host-valued X-Stateful marks fit, so copying the list copies bytes).
+using HeaderList = SmallVector<std::pair<Token, InlineText>, 2>;
+
 class Message;
 using MessagePtr = std::shared_ptr<const Message>;
 
@@ -103,71 +116,178 @@ struct Identity {
   InlineText call_id;
   CSeq cseq;
   std::optional<NameAddr> contact;
-  std::string body;
 };
 
-/// Copy-on-write handle over one pooled, ref-counted Identity. Copies share
-/// the block; mut() gives the caller a private block first. Null stands
-/// for an all-default Identity, so a default Message allocates nothing.
-/// The count is atomic: a MessagePtr may be released on another thread
-/// than the one that cloned it, and the last release frees the block.
-class SharedIdentity {
+/// Copy-on-write handle over one pooled, ref-counted T. Copies share the
+/// block; mut() gives the caller a private block first. Null stands for a
+/// default T, so an unset part allocates nothing. The count is atomic: a
+/// MessagePtr may be released on another thread than the one that cloned
+/// it, and the last release frees the block into that thread's pool.
+template <typename T, PoolKind kKind>
+class Shared {
  public:
-  SharedIdentity() noexcept = default;
-  explicit SharedIdentity(Identity value) : node_(make(std::move(value))) {}
-  SharedIdentity(const SharedIdentity& other) noexcept : node_(other.node_) {
-    if (node_ != nullptr) ++node_->refs;
+  Shared() noexcept = default;
+  explicit Shared(T value) : node_(make(std::move(value))) {}
+  Shared(const Shared& other) noexcept : node_(other.node_) {
+    if (node_ != nullptr) node_->refs.fetch_add(1, std::memory_order_relaxed);
   }
-  SharedIdentity(SharedIdentity&& other) noexcept
+  Shared(Shared&& other) noexcept
       : node_(std::exchange(other.node_, nullptr)) {}
-  SharedIdentity& operator=(SharedIdentity other) noexcept {
+  Shared& operator=(Shared other) noexcept {
     std::swap(node_, other.node_);
     return *this;
   }
-  ~SharedIdentity() { release(node_); }
+  ~Shared() { release(node_); }
 
-  [[nodiscard]] const Identity& get() const noexcept {
+  [[nodiscard]] const T& get() const noexcept {
     return node_ != nullptr ? node_->value : empty();
   }
   /// Detaches from any other holder, then returns the now-private block.
   /// A reference taken here must not outlive the next copy of the handle.
-  [[nodiscard]] Identity& mut();
+  [[nodiscard]] T& mut() {
+    if (node_ == nullptr) {
+      node_ = make(T{});
+    } else if (node_->refs.load(std::memory_order_acquire) != 1) {
+      Node* own = make(node_->value);
+      release(std::exchange(node_, own));
+    }
+    return node_->value;
+  }
 
  private:
   struct Node {
-    Identity value;
+    T value;
     std::atomic<std::uint32_t> refs{1};
   };
 
-  static Node* make(Identity value);
-  static void release(Node* node) noexcept;
-  static const Identity& empty() noexcept;
+  static Node* make(T value) {
+    void* block = pool_allocate(sizeof(Node), kKind);
+    return ::new (block) Node{std::move(value)};
+  }
+  static void release(Node* node) noexcept {
+    if (node == nullptr ||
+        node->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+      return;
+    }
+    node->~Node();
+    pool_deallocate(node, sizeof(Node), kKind);
+  }
+  static const T& empty() noexcept {
+    static const T none{};
+    return none;
+  }
 
   Node* node_ = nullptr;
 };
 
+using SharedIdentity = Shared<Identity, PoolKind::kIdentity>;
+
 }  // namespace detail
+
+/// A shared, immutable route set: what the UAC keeps from a 200 and
+/// attaches to the dialog's ACK and BYE.
+using SharedRoutes = detail::Shared<RouteList, PoolKind::kRoutes>;
+/// A shared, immutable message body: a constant body is built once.
+using SharedBody = detail::Shared<std::string, PoolKind::kBody>;
+
+/// The Via stack as a persistent chain: each pooled, ref-counted node holds
+/// one Via, its depth and a reference to the Via below it. Copies share the
+/// chain; push and pop touch only the top. Iteration runs top-first, in
+/// wire order.
+class ViaChain {
+  struct Node {
+    Via via;
+    Node* below;
+    std::atomic<std::uint32_t> refs{1};
+    std::uint32_t depth;
+  };
+
+ public:
+  /// A top-first forward iterator.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Via;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Via*;
+    using reference = const Via&;
+
+    const_iterator() noexcept = default;
+    reference operator*() const noexcept { return node_->via; }
+    pointer operator->() const noexcept { return &node_->via; }
+    const_iterator& operator++() noexcept {
+      node_ = node_->below;
+      return *this;
+    }
+    const_iterator operator++(int) noexcept {
+      const_iterator old = *this;
+      node_ = node_->below;
+      return old;
+    }
+    friend bool operator==(const_iterator, const_iterator) = default;
+
+   private:
+    friend class ViaChain;
+    explicit const_iterator(const Node* node) noexcept : node_(node) {}
+    const Node* node_ = nullptr;
+  };
+  using iterator = const_iterator;
+  using value_type = Via;
+  using size_type = std::size_t;
+
+  ViaChain() noexcept = default;
+  ViaChain(const ViaChain& other) noexcept : top_(other.top_) { retain(top_); }
+  ViaChain(ViaChain&& other) noexcept
+      : top_(std::exchange(other.top_, nullptr)) {}
+  ViaChain& operator=(ViaChain other) noexcept {
+    std::swap(top_, other.top_);
+    return *this;
+  }
+  ~ViaChain() { release(top_); }
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return top_ != nullptr ? top_->depth : 0;
+  }
+  [[nodiscard]] bool empty() const noexcept { return top_ == nullptr; }
+  /// The most recent hop's Via; precondition: !empty().
+  [[nodiscard]] const Via& top() const noexcept { return top_->via; }
+  /// The originator's Via; precondition: !empty(). O(size()).
+  [[nodiscard]] const Via& bottom() const noexcept;
+  [[nodiscard]] const_iterator begin() const noexcept {
+    return const_iterator(top_);
+  }
+  [[nodiscard]] const_iterator end() const noexcept { return {}; }
+
+  /// Pushes a new top Via over the shared rest of the chain.
+  void push(Via via);
+  /// Pops the top Via; precondition: !empty().
+  void pop() noexcept;
+  /// The top Via, copying its node first if another holder shares it;
+  /// precondition: !empty().
+  [[nodiscard]] Via& mutable_top();
+
+  friend bool operator==(const ViaChain& a, const ViaChain& b) noexcept;
+
+ private:
+  static void retain(Node* node) noexcept {
+    if (node != nullptr) node->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  static void release(Node* node) noexcept;
+
+  Node* top_ = nullptr;
+};
 
 /// A SIP request or response.
 class Message {
  public:
-  /// Via stack, stored bottom-first: the *last* element is the top Via
-  /// (most recent hop). Iteration order is bottom-to-top; to_wire() emits
-  /// top-first as the wire format requires.
-  using ViaList = SmallVector<Via, 4>;
-  /// Empty on most messages, so a plain vector (24 B, no inline slots).
-  using RouteList = std::vector<Uri>;
-  /// Extension headers: interned names, inline values (the proxies'
-  /// host-valued X-Stateful marks fit, so a clone copies them as bytes).
-  using HeaderList = SmallVector<std::pair<Token, InlineText>, 2>;
-
   /// Creates a request with the mandatory header skeleton.
   [[nodiscard]] static Message request(Method method, Uri request_uri,
                                        NameAddr from, NameAddr to,
                                        std::string_view call_id, CSeq cseq);
 
   /// Creates a response to `req` per RFC 3261 8.2.6: Vias, From, To,
-  /// Call-ID and CSeq are copied from the request.
+  /// Call-ID and CSeq are copied from the request (the Vias and the
+  /// Record-Route set by sharing them).
   [[nodiscard]] static Message response(const Message& req, int status_code,
                                         std::string_view reason = {});
 
@@ -175,7 +295,7 @@ class Message {
   [[nodiscard]] bool is_response() const { return !is_request_; }
 
   // -- Request line --------------------------------------------------------
-  [[nodiscard]] Method method() const { return method_; }
+  [[nodiscard]] Method method() const { return static_cast<Method>(method_); }
   [[nodiscard]] const Uri& request_uri() const { return id_.get().request_uri; }
   void set_request_uri(Uri uri) { id_.mut().request_uri = std::move(uri); }
 
@@ -184,15 +304,16 @@ class Message {
   [[nodiscard]] const std::string& reason() const { return reason_.str(); }
 
   // -- Core headers --------------------------------------------------------
-  /// The Via stack, bottom-first (top Via last — see ViaList).
-  [[nodiscard]] const ViaList& vias() const { return vias_; }
+  /// The Via stack, top-first.
+  [[nodiscard]] const ViaChain& vias() const { return vias_; }
   /// Top Via; precondition: at least one Via present.
-  [[nodiscard]] const Via& top_via() const { return vias_.back(); }
-  [[nodiscard]] Via& top_via() { return vias_.back(); }
+  [[nodiscard]] const Via& top_via() const { return vias_.top(); }
+  /// Top Via for writing; copies its node first when it is shared.
+  [[nodiscard]] Via& mutable_top_via() { return vias_.mutable_top(); }
   /// Pushes a new top Via. O(1).
-  void push_via(Via via) { vias_.push_back(std::move(via)); }
+  void push_via(Via via) { vias_.push(std::move(via)); }
   /// Pops the top Via. O(1).
-  void pop_via() { vias_.pop_back(); }
+  void pop_via() { vias_.pop(); }
 
   /// The non-const From/To accessors detach the shared identity block
   /// (copy on write): read through a const Message to avoid the copy.
@@ -216,12 +337,27 @@ class Message {
   void decrement_max_forwards() { --max_forwards_; }
 
   // -- Routing headers -----------------------------------------------------
-  [[nodiscard]] const RouteList& routes() const { return routes_; }
-  [[nodiscard]] RouteList& routes() { return routes_; }
+  [[nodiscard]] const RouteList& routes() const { return routes_.get(); }
+  /// The Route set for writing; copies the block first when it is shared.
+  [[nodiscard]] RouteList& mutable_routes() { return routes_.mut(); }
+  /// Attaches a shared Route set (the UAC's dialog route set).
+  void set_routes(SharedRoutes routes) { routes_ = std::move(routes); }
+  /// Drops the first Route entry (RFC 3261 16.4); precondition: one exists.
+  void pop_route();
+
   [[nodiscard]] const RouteList& record_routes() const {
+    return record_routes_.get();
+  }
+  [[nodiscard]] RouteList& mutable_record_routes() {
+    return record_routes_.mut();
+  }
+  /// The Record-Route set's block, for sharing it unchanged.
+  [[nodiscard]] const SharedRoutes& shared_record_routes() const {
     return record_routes_;
   }
-  [[nodiscard]] RouteList& record_routes() { return record_routes_; }
+  void set_record_routes(SharedRoutes routes) {
+    record_routes_ = std::move(routes);
+  }
 
   // -- Extension headers ---------------------------------------------------
   /// First value of an extension header, if present.
@@ -233,11 +369,17 @@ class Message {
   void set_header(std::string_view name, std::string_view value) {
     set_header(Token(name), value);
   }
-  [[nodiscard]] const HeaderList& extension_headers() const { return extra_; }
+  [[nodiscard]] const HeaderList& extension_headers() const {
+    return extra_.get();
+  }
 
   // -- Body ----------------------------------------------------------------
-  [[nodiscard]] const std::string& body() const { return id_.get().body; }
-  void set_body(std::string body) { id_.mut().body = std::move(body); }
+  [[nodiscard]] const std::string& body() const { return body_.get(); }
+  void set_body(std::string body) {
+    body_ = body.empty() ? SharedBody() : SharedBody(std::move(body));
+  }
+  /// Shares a body built once (a constant SDP) instead of copying it.
+  void set_body(SharedBody body) { body_ = std::move(body); }
 
   /// Serializes to RFC 3261 wire format (CRLF line endings).
   [[nodiscard]] std::string to_wire() const;
@@ -252,22 +394,23 @@ class Message {
 
  private:
   bool is_request_ = true;
-  Method method_ = Method::kInvite;
-  int status_code_ = 0;
+  // A Method, stored in one byte so the handle stays at 64 B.
+  std::uint8_t method_ = static_cast<std::uint8_t>(Method::kInvite);
+  std::int16_t status_code_ = 0;
   int max_forwards_ = 70;
   Token reason_;
   detail::SharedIdentity id_;
-
-  ViaList vias_;  // bottom-first; top Via is vias_.back()
-  RouteList routes_;
-  RouteList record_routes_;
-  HeaderList extra_;
+  ViaChain vias_;
+  SharedRoutes routes_;
+  SharedRoutes record_routes_;
+  detail::Shared<HeaderList, PoolKind::kHeaders> extra_;
+  SharedBody body_;
 
   friend class Parser;
 };
 
 /// Copies a shared message for modification (copy-on-forward). The copy
-/// shares the identity block until one side mutates it.
+/// shares every block until one side mutates it.
 [[nodiscard]] inline Message clone(const Message& msg) { return msg; }
 
 }  // namespace svk::sip

@@ -1,6 +1,5 @@
 #include "sip/parser.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <string>
 #include <vector>
@@ -94,25 +93,40 @@ Result<Via> parse_via(std::string_view value) {
 /// inside angle brackets or double quotes do not split.
 void split_header_values(std::string_view value,
                          std::vector<std::string_view>& out) {
+  // Most values hold no comma at all: one memchr settles them.
+  std::size_t pos = value.find(',');
+  if (pos == std::string_view::npos) {
+    out.push_back(value);
+    return;
+  }
   std::size_t start = 0;
   int angle = 0;
-  bool quoted = false;
-  for (std::size_t i = 0; i < value.size(); ++i) {
-    const char c = value[i];
-    if (quoted) {
-      if (c == '"') quoted = false;
-      continue;
+  pos = 0;
+  while ((pos = value.find_first_of(",<>\"", pos)) != std::string_view::npos) {
+    switch (value[pos]) {
+      case '"': {
+        const std::size_t close = value.find('"', pos + 1);
+        if (close == std::string_view::npos) {
+          out.push_back(value.substr(start));
+          return;
+        }
+        pos = close + 1;
+        continue;
+      }
+      case '<':
+        ++angle;
+        break;
+      case '>':
+        if (angle > 0) --angle;
+        break;
+      default:  // ','
+        if (angle == 0) {
+          out.push_back(value.substr(start, pos - start));
+          start = pos + 1;
+        }
+        break;
     }
-    if (c == '"') {
-      quoted = true;
-    } else if (c == '<') {
-      ++angle;
-    } else if (c == '>') {
-      if (angle > 0) --angle;
-    } else if (c == ',' && angle == 0) {
-      out.push_back(value.substr(start, i - start));
-      start = i + 1;
-    }
+    ++pos;
   }
   out.push_back(value.substr(start));
 }
@@ -199,10 +213,11 @@ Result<Message> Parser::parse(std::string_view wire) {
     std::string_view status_part = start_line.substr(8);
     const auto space = status_part.find(' ');
     std::string_view code_text = status_part.substr(0, space);
-    if (!parse_int(code_text, msg.status_code_) || msg.status_code_ < 100 ||
-        msg.status_code_ > 699) {
+    int code = 0;
+    if (!parse_int(code_text, code) || code < 100 || code > 699) {
       return make_error("parse: bad status code");
     }
+    msg.status_code_ = static_cast<std::int16_t>(code);
     msg.reason_ = space == std::string_view::npos
                       ? std::string_view()
                       : trim(status_part.substr(space + 1));
@@ -216,7 +231,8 @@ Result<Message> Parser::parse(std::string_view wire) {
     if (trim(start_line.substr(sp2 + 1)) != "SIP/2.0") {
       return make_error("parse: unsupported SIP version");
     }
-    msg.method_ = parse_method(start_line.substr(0, sp1));
+    msg.method_ =
+        static_cast<std::uint8_t>(parse_method(start_line.substr(0, sp1)));
     auto uri = Uri::parse(trim(start_line.substr(sp1 + 1, sp2 - sp1 - 1)));
     if (!uri) return uri.error();
     ids.request_uri = std::move(uri).value();
@@ -230,6 +246,7 @@ Result<Message> Parser::parse(std::string_view wire) {
 
   std::string folded;  // storage for unfolded multi-line header values
   std::vector<std::string_view> parts;
+  SmallVector<Via, 4> vias;  // wire order: top first
   while (true) {
     if (rest.empty()) break;
     std::string_view line = next_line(rest);
@@ -261,7 +278,7 @@ Result<Message> Parser::parse(std::string_view wire) {
       for (const std::string_view part : parts) {
         auto via = parse_via(part);
         if (!via) return via.error();
-        msg.vias_.push_back(std::move(via).value());
+        vias.push_back(std::move(via).value());
       }
     } else if (name == "From" || name == "f") {
       auto na = parse_name_addr(value);
@@ -300,7 +317,7 @@ Result<Message> Parser::parse(std::string_view wire) {
       for (const std::string_view part : parts) {
         auto uri = parse_bracketed_uri(part);
         if (!uri) return uri.error();
-        msg.routes_.push_back(std::move(uri).value());
+        msg.routes_.mut().push_back(std::move(uri).value());
       }
     } else if (name == "Record-Route") {
       parts.clear();
@@ -308,7 +325,7 @@ Result<Message> Parser::parse(std::string_view wire) {
       for (const std::string_view part : parts) {
         auto uri = parse_bracketed_uri(part);
         if (!uri) return uri.error();
-        msg.record_routes_.push_back(std::move(uri).value());
+        msg.record_routes_.mut().push_back(std::move(uri).value());
       }
     } else if (name == "Content-Length" || name == "l") {
       int length = 0;
@@ -317,7 +334,7 @@ Result<Message> Parser::parse(std::string_view wire) {
       }
       content_length = static_cast<std::size_t>(length);
     } else {
-      msg.extra_.emplace_back(Token(name), value);
+      msg.extra_.mut().emplace_back(Token(name), value);
     }
   }
 
@@ -325,14 +342,16 @@ Result<Message> Parser::parse(std::string_view wire) {
   if (!saw_cseq) return make_error("parse: missing CSeq");
   if (!saw_from) return make_error("parse: missing From");
   if (!saw_to) return make_error("parse: missing To");
-  if (msg.vias_.empty()) return make_error("parse: missing Via");
-  // Wire order is top Via first; the model stores the stack bottom-first.
-  std::reverse(msg.vias_.begin(), msg.vias_.end());
+  if (vias.empty()) return make_error("parse: missing Via");
+  // The chain grows from the bottom: push in reverse wire order.
+  for (auto it = vias.end(); it != vias.begin();) {
+    msg.vias_.push(std::move(*--it));
+  }
 
   if (content_length > rest.size()) {
     return make_error("parse: truncated body");
   }
-  ids.body = std::string(rest.substr(0, content_length));
+  msg.set_body(std::string(rest.substr(0, content_length)));
   return msg;
 }
 

@@ -101,7 +101,14 @@ void Uri::set_param(std::string name, std::string value) {
 }
 
 std::string Uri::to_string() const {
-  std::string out = scheme_.str() + ":";
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void Uri::append_to(std::string& out) const {
+  out += scheme_.view();
+  out += ':';
   if (!user_.empty()) {
     out += user_;
     out += '@';
@@ -109,7 +116,9 @@ std::string Uri::to_string() const {
   out += host_.view();
   if (port_ != 0) {
     out += ':';
-    out += std::to_string(port_);
+    char digits[16];
+    out.append(digits,
+               std::to_chars(digits, digits + sizeof(digits), port_).ptr);
   }
   for (const auto& [key, value] : params_) {
     out += ';';
@@ -119,7 +128,6 @@ std::string Uri::to_string() const {
       out += value;
     }
   }
-  return out;
 }
 
 }  // namespace svk::sip

@@ -51,6 +51,8 @@ class Uri {
   }
 
   [[nodiscard]] std::string to_string() const;
+  /// Appends the textual form to `out` (to_wire builds in place with it).
+  void append_to(std::string& out) const;
 
   /// Equality over scheme, user, host and port (parameters excluded, as in
   /// loose AOR comparison).

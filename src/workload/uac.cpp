@@ -27,7 +27,8 @@ Uac::Uac(sim::Simulator& sim, proxy::SipNetwork& network, Rng rng,
       domain_token_(config_.target_domain),
       txns_(sim, config_.timers),
       branches_(config_.address.value() | (1ULL << 32)),
-      call_id_text_(config_.host + "-") {
+      call_id_text_(config_.host + "-"),
+      sdp_(std::string("v=0 o=sim c=IN IP4 0.0.0.0 m=audio 49170 RTP/AVP 0")) {
   // Room for the widest counter, so appending one never reallocates.
   call_id_text_.reserve(call_id_text_.size() + kMaxCounterDigits);
   network_.attach(config_.address,
@@ -142,7 +143,7 @@ void Uac::place_call() {
   invite.push_via(sip::Via{sip::Via::udp(), host_token_, branches_.next()});
   invite.set_max_forwards(config_.max_forwards);
   invite.set_contact(sip::NameAddr{"", sip::Uri("caller", host_token_), ""});
-  invite.set_body("v=0 o=sim c=IN IP4 0.0.0.0 m=audio 49170 RTP/AVP 0");
+  invite.set_body(sdp_);
   maybe_attach_credentials(invite);
   auto invite_ptr = std::move(invite).finish();
 
@@ -216,8 +217,16 @@ void Uac::on_invite_response(common::SlabHandle handle,
     call.to_tag = msg->to().tag;
     call.remote_target = msg->contact() ? msg->contact()->uri
                                         : call.invite->request_uri();
-    call.route_set.assign(msg->record_routes().rbegin(),
-                          msg->record_routes().rend());
+    // The dialog's route set is the 200's Record-Route reversed; one entry
+    // reads the same either way, so the 200's block is shared as it is.
+    const sip::RouteList& record_routes = msg->record_routes();
+    if (record_routes.size() <= 1) {
+      call.route_set = msg->shared_record_routes();
+    } else {
+      sip::RouteList reversed;
+      reversed.assign(record_routes.rbegin(), record_routes.rend());
+      call.route_set = sip::SharedRoutes(std::move(reversed));
+    }
     send_ack(call, *msg);
     if (config_.hold_time > SimTime{}) {
       sim_.schedule(config_.hold_time, [this, handle] { send_bye(handle); });
@@ -247,7 +256,7 @@ void Uac::send_ack(Call& call, const sip::Message& ok) {
       sip::Method::kAck, call.remote_target, call.invite->from(), ok.to(),
       call.invite->call_id(), sip::CSeq{1, sip::Method::kAck});
   ack.push_via(sip::Via{sip::Via::udp(), host_token_, branches_.next()});
-  ack.routes() = call.route_set;
+  ack.set_routes(call.route_set);
   auto ack_ptr = std::move(ack).finish();
   call.ack = ack_ptr;
   network_.send(config_.address, config_.first_hop, ack_ptr);
@@ -266,7 +275,7 @@ void Uac::send_bye(common::SlabHandle handle) {
       call.invite->call_id(), sip::CSeq{2, sip::Method::kBye});
   bye.push_via(sip::Via{sip::Via::udp(), host_token_, branches_.next()});
   bye.set_max_forwards(config_.max_forwards);
-  bye.routes() = call.route_set;
+  bye.set_routes(call.route_set);
   maybe_attach_credentials(bye);
   auto bye_ptr = std::move(bye).finish();
 

@@ -95,7 +95,7 @@ class Uac {
     sip::MessagePtr invite;
     SimTime invite_sent;
     sip::MessagePtr ack;             // replayed on retransmitted 200s
-    sip::Message::RouteList route_set;  // reversed Record-Route from the 200
+    sip::SharedRoutes route_set;     // reversed Record-Route from the 200
     sip::Uri remote_target;          // 200's Contact
     std::string to_tag;
     bool established = false;
@@ -133,6 +133,8 @@ class Uac {
   /// "<host>-" and the current call's counter. Its capacity is reserved
   /// for the widest counter, so formatting a Call-ID never allocates.
   std::string call_id_text_;
+  /// The INVITE's constant SDP body, built once: every INVITE shares it.
+  sip::SharedBody sdp_;
   bool running_{false};
   sim::EventId next_call_timer_{0};
   /// No new calls before this time (503 Retry-After backoff).

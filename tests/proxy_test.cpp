@@ -587,8 +587,8 @@ TEST_F(ProxyPipelineTest, RouteHeaderPreferredOverRequestUri) {
       NameAddr{"", Uri("bob", "example.com"), "tag-b"}, "c1",
       CSeq{2, Method::kBye});
   bye.push_via(Via{"SIP/2.0/UDP", "client.test", "z9hG4bK-bye"});
-  bye.routes().push_back(Uri("", "proxy0.test"));
-  bye.routes().push_back(Uri("", "uas0.example.com"));
+  bye.mutable_routes().push_back(Uri("", "proxy0.test"));
+  bye.mutable_routes().push_back(Uri("", "uas0.example.com"));
   client->send(proxy->config().address, bye);
   bed->sim().run_until(SimTime::millis(100));
   ASSERT_EQ(uas_host->count_method(Method::kBye), 1);

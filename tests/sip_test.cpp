@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <set>
 #include <string>
 #include <string_view>
@@ -280,7 +281,6 @@ TEST(MessageTest, CloneIsIndependent) {
       [](Message& m) {
         m.set_contact(NameAddr{"", Uri("bob", "contact.test"), ""});
       },
-      [](Message& m) { m.set_body("v=1"); },
   };
   for (const auto& mutate : mutations) {
     Message mutated = clone(original);
@@ -292,6 +292,15 @@ TEST(MessageTest, CloneIsIndependent) {
     EXPECT_EQ(original.to_wire(), wire);
   }
 
+  // The body is a block of its own: replacing it leaves the identity shared.
+  Message rebodied = clone(original);
+  ASSERT_EQ(&rebodied.body(), &original.body());
+  rebodied.set_body("v=1");
+  EXPECT_EQ(&rebodied.call_id(), &original.call_id());
+  EXPECT_EQ(original.body(), "v=0");
+  EXPECT_NE(rebodied.to_wire(), wire);
+  EXPECT_EQ(original.to_wire(), wire);
+
   // Detaching works in the other direction too.
   const Message kept = clone(original);
   original.to().tag = "tag-burdell";
@@ -299,31 +308,117 @@ TEST(MessageTest, CloneIsIndependent) {
   EXPECT_EQ(kept.to_wire(), wire);
 }
 
-TEST(MessageTest, SharedIdentityIsReleasedOnAnyThread) {
-  // Clones that share one identity block are dropped on other threads; the
-  // last release frees it exactly once (checked under the sanitizers). The
-  // block's Call-ID is inline text, or a heap block past 31 characters.
+TEST(MessageTest, ResponseAndPoppedForwardShareTheRequestViaNodes) {
+  // A response shares its request's Via chain, and a proxy's popped copy
+  // shares the rest of it: no Via is copied on the response path.
+  Message req = make_invite();
+  req.push_via(Via{"SIP/2.0/UDP", "p1.example.com", "z9hG4bK-p1"});
+  req.push_via(Via{"SIP/2.0/UDP", "p2.example.com", "z9hG4bK-p2"});
+  const Message resp = Message::response(req, 200);
+  ASSERT_EQ(resp.vias().size(), 3u);
+  EXPECT_EQ(&resp.top_via(), &req.top_via());
+  EXPECT_EQ(&resp.vias().bottom(), &req.vias().bottom());
+
+  Message up = clone(resp);
+  up.pop_via();
+  ASSERT_EQ(up.vias().size(), 2u);
+  EXPECT_EQ(&up.top_via(), &*std::next(req.vias().begin()));
+  EXPECT_EQ(up.top_via().sent_by, "p1.example.com");
+  EXPECT_EQ(resp.vias().size(), 3u);  // the popped copy's holder is intact
+  EXPECT_EQ(req.top_via().sent_by, "p2.example.com");
+}
+
+TEST(MessageTest, MutableTopViaCopiesOnlyASharedTopNode) {
+  Message req = make_invite();
+  req.push_via(Via{"SIP/2.0/UDP", "p1.example.com", "z9hG4bK-p1"});
+  const std::string wire = req.to_wire();
+  Message resp = Message::response(req, 200);
+  const std::string resp_wire = resp.to_wire();
+
+  // The top node is shared with the request: writing copies that node
+  // alone, and the request's wire text does not change.
+  resp.mutable_top_via().oc_rate = 1234.5;
+  EXPECT_NE(&resp.top_via(), &req.top_via());
+  EXPECT_EQ(&resp.vias().bottom(), &req.vias().bottom());
+  EXPECT_EQ(req.to_wire(), wire);
+  EXPECT_LT(req.top_via().oc_rate, 0.0);
+  EXPECT_NE(resp.to_wire(), resp_wire);
+  EXPECT_DOUBLE_EQ(resp.top_via().oc_rate, 1234.5);
+
+  // A sole holder writes in place.
+  const Via* own = &resp.top_via();
+  resp.mutable_top_via().oc_rate = 99.0;
+  EXPECT_EQ(&resp.top_via(), own);
+}
+
+TEST(MessageTest, ReadsNeverCopyASharedPart) {
+  Message original = make_invite();
+  original.mutable_routes().push_back(Uri("", "p1.example.com"));
+  original.mutable_record_routes().push_back(Uri("", "p2.example.com"));
+  original.set_header("X-Stateful", "p1.example.com");
+  original.set_body("v=0");
+  Message copy = clone(original);
+  // Every read of a non-const Message goes through a const accessor.
+  EXPECT_EQ(&copy.top_via(), &original.top_via());
+  EXPECT_EQ(&copy.routes(), &original.routes());
+  EXPECT_EQ(&copy.record_routes(), &original.record_routes());
+  EXPECT_EQ(&copy.extension_headers(), &original.extension_headers());
+  EXPECT_EQ(&copy.body(), &original.body());
+  // The explicit mutators copy one part each.
+  copy.mutable_routes().push_back(Uri("", "p3.example.com"));
+  EXPECT_NE(&copy.routes(), &original.routes());
+  EXPECT_EQ(original.routes().size(), 1u);
+  EXPECT_EQ(&copy.record_routes(), &original.record_routes());
+  copy.mutable_record_routes().clear();
+  EXPECT_EQ(original.record_routes().size(), 1u);
+  copy.pop_route();
+  copy.pop_route();
+  EXPECT_TRUE(copy.routes().empty());
+  EXPECT_EQ(original.routes().front().host(), "p1.example.com");
+}
+
+TEST(MessageTest, SharedMessagePartsAreReleasedOnAnyThread) {
+  // Clones that share Via nodes, the identity, a route block, a header
+  // block and the body are dropped on other threads; the last release of
+  // each block frees it exactly once (checked under the sanitizers). The
+  // identity's Call-ID is inline text, or a heap block past 31 characters.
   for (const std::string& call_id : {std::string("call-1"),
                                     std::string(40, 'c')}) {
     Message invite = make_invite();
     invite = Message::request(invite.method(), invite.request_uri(),
                               invite.from(), invite.to(), call_id,
                               invite.cseq());
+    invite.push_via(Via{"SIP/2.0/UDP", "uac.us.ibm.com", "z9hG4bK-abc"});
+    invite.push_via(Via{"SIP/2.0/UDP", "p1.example.com", "z9hG4bK-p1"});
+    invite.mutable_routes().push_back(Uri("", "p2.example.com"));
+    invite.mutable_record_routes().push_back(Uri("", "p1.example.com"));
+    invite.set_header("X-Stateful", "p1.example.com");
+    invite.set_body(std::string(64, 'b'));
     const MessagePtr original = std::move(invite).finish();
+    const std::string wire = original->to_wire();
     std::vector<MessagePtr> clones;
-    for (int i = 0; i < 64; ++i) clones.push_back(clone(*original).finish());
+    for (int i = 0; i < 64; ++i) {
+      Message copy = i % 2 == 0 ? clone(*original)
+                                : Message::response(*original, 200);
+      // Every third copy pushes its own Via over the shared chain.
+      if (i % 3 == 0) copy.push_via(Via{"SIP/2.0/UDP", "p2.example.com"});
+      clones.push_back(std::move(copy).finish());
+    }
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
       threads.emplace_back([&clones, &call_id, t] {
         for (std::size_t i = static_cast<std::size_t>(t); i < clones.size();
              i += 4) {
           EXPECT_EQ(clones[i]->call_id(), call_id);
+          EXPECT_EQ(clones[i]->vias().bottom().sent_by, "uac.us.ibm.com");
+          EXPECT_EQ(clones[i]->record_routes().size(), 1u);
           clones[i].reset();
         }
       });
     }
     for (auto& thread : threads) thread.join();
     EXPECT_EQ(original->call_id(), call_id);
+    EXPECT_EQ(original->to_wire(), wire);
   }
 }
 
@@ -376,8 +471,8 @@ TEST(MessageTest, CallIdAndHeaderValuesAreInlineText) {
 TEST(WireTest, RequestRoundTrip) {
   Message msg = make_invite();
   msg.set_header("X-Stateful", "proxy0.example.net");
-  msg.routes().push_back(Uri("", "p1.example.com"));
-  msg.record_routes().push_back(Uri("", "p2.example.com"));
+  msg.mutable_routes().push_back(Uri("", "p1.example.com"));
+  msg.mutable_record_routes().push_back(Uri("", "p2.example.com"));
   msg.set_body("v=0");
 
   const std::string wire = msg.to_wire();
@@ -400,6 +495,31 @@ TEST(WireTest, RequestRoundTrip) {
   EXPECT_EQ(round.record_routes().size(), 1u);
   EXPECT_EQ(round.header("X-Stateful"), "proxy0.example.net");
   EXPECT_EQ(round.body(), "v=0");
+}
+
+TEST(WireTest, StackedViasAndRouteSetsRoundTripByteIdentically) {
+  // The parser pushes the wire's top-first Vias in reverse; routes and
+  // record-routes keep header order.
+  Message msg = make_invite();
+  for (int hop = 1; hop <= 3; ++hop) {
+    msg.push_via(Via{"SIP/2.0/UDP", "p" + std::to_string(hop) + ".example.com",
+                     "z9hG4bK-h" + std::to_string(hop)});
+  }
+  msg.mutable_routes().push_back(Uri("", "p4.example.com"));
+  msg.mutable_routes().push_back(Uri("bob", "p5.example.com", 5070));
+  msg.mutable_record_routes().push_back(Uri("", "p3.example.com"));
+  msg.mutable_record_routes().push_back(Uri("", "p2.example.com"));
+  ASSERT_EQ(msg.vias().size(), 4u);
+
+  const std::string wire = msg.to_wire();
+  const auto parsed = Parser::parse(wire);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  EXPECT_EQ(parsed.value().to_wire(), wire);
+  EXPECT_EQ(parsed.value().vias(), msg.vias());
+  EXPECT_EQ(parsed.value().top_via().sent_by, "p3.example.com");
+  EXPECT_EQ(parsed.value().vias().bottom().sent_by, "uac.us.ibm.com");
+  EXPECT_EQ(parsed.value().routes(), msg.routes());
+  EXPECT_EQ(parsed.value().record_routes(), msg.record_routes());
 }
 
 TEST(WireTest, ResponseRoundTrip) {
@@ -459,7 +579,7 @@ TEST(WireTest, ViaOcParameterRoundTrip) {
   // permitted upstream rate and must survive serialize -> parse intact.
   const Message req = make_invite();
   Message resp = Message::response(req, 200);
-  resp.top_via().oc_rate = 1234.5;
+  resp.mutable_top_via().oc_rate = 1234.5;
 
   const std::string wire = resp.to_wire();
   EXPECT_NE(wire.find(";oc=1234.500"), std::string::npos);
@@ -629,7 +749,7 @@ TEST(ParserTest, SplitsCommaCombinedVias) {
   ASSERT_EQ(msg.vias().size(), 2u);
   EXPECT_EQ(msg.top_via().sent_by, "p1.com");
   EXPECT_EQ(msg.top_via().branch, "z9hG4bK-a");
-  EXPECT_EQ(msg.vias().front().sent_by, "client.com");
+  EXPECT_EQ(msg.vias().bottom().sent_by, "client.com");
 }
 
 TEST(ParserTest, CommaCombinedViasRoundTripAsSeparateLines) {
@@ -704,7 +824,7 @@ TEST(ParserTest, FoldedCommaCombinedViaList) {
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   ASSERT_EQ(parsed.value().vias().size(), 2u);
   EXPECT_EQ(parsed.value().top_via().sent_by, "p1.com");
-  EXPECT_EQ(parsed.value().vias().front().branch, "z9hG4bK-b");
+  EXPECT_EQ(parsed.value().vias().bottom().branch, "z9hG4bK-b");
 }
 
 // ---------------------------------------------------------------------------
@@ -826,7 +946,7 @@ TEST(BranchTest, LongParsedBranchRoundTrips) {
   const std::string branch = "z9hG4bK-" + std::string(32, '7');
   ASSERT_EQ(branch.size(), 40u);
   Message msg = make_invite();
-  msg.top_via().branch = branch;
+  msg.mutable_top_via().branch = branch;
   ASSERT_FALSE(msg.top_via().branch.is_inline());
   const std::string wire = msg.to_wire();
   EXPECT_NE(wire.find(";branch=" + branch), std::string::npos) << wire;
@@ -868,7 +988,7 @@ TEST(TxnKeyTest, ResponseMatchesClientKeyOfRequest) {
 TEST(TxnKeyTest, DifferentBranchesDifferentKeys) {
   Message a = make_invite();
   Message b = make_invite();
-  b.top_via().branch = "z9hG4bK-other";
+  b.mutable_top_via().branch = "z9hG4bK-other";
   EXPECT_FALSE(server_key(a) == server_key(b));
   TransactionKeyHash hash;
   EXPECT_NE(hash(server_key(a)), hash(server_key(b)));
@@ -912,8 +1032,8 @@ Message random_message(Rng& rng) {
       "call-" + std::to_string(rng.uniform_int(100000)),
       CSeq{static_cast<std::uint32_t>(1 + rng.uniform_int(5000)), method});
 
-  // 1..10 Vias: well past ViaList's inline capacity of 4, so growth into
-  // heap storage (and back through the parser) is always exercised.
+  // 1..10 Vias: deep chains, and the parser's reverse push past its 4
+  // inline slots, are always exercised.
   const std::size_t num_vias = 1 + rng.uniform_int(10);
   for (std::size_t i = 0; i < num_vias; ++i) {
     Via via{rng.uniform_int(2) == 0 ? "SIP/2.0/UDP" : "SIP/2.0/TCP", host(),
@@ -926,10 +1046,10 @@ Message random_message(Rng& rng) {
   }
 
   for (std::size_t i = rng.uniform_int(5); i > 0; --i) {
-    msg.routes().push_back(Uri("", host()));
+    msg.mutable_routes().push_back(Uri("", host()));
   }
   for (std::size_t i = rng.uniform_int(5); i > 0; --i) {
-    msg.record_routes().push_back(Uri("", host()));
+    msg.mutable_record_routes().push_back(Uri("", host()));
   }
   for (std::size_t i = rng.uniform_int(4); i > 0; --i) {
     msg.set_header("X-Prop-" + std::to_string(i),

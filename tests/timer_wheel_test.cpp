@@ -428,9 +428,12 @@ TEST(MessagePoolTest, ForwardPathReusesSharedBlocks) {
   const auto& stats = message_pool_stats();
   std::uint64_t fresh_after_warmup = 0;
   std::uint64_t reuses_after_warmup = 0;
-  // Forwarding never touches the call identity, so no clone copies it.
-  const auto& identity = identity_pool_stats();
+  // Forwarding never touches the call identity, so no clone copies it. Each
+  // hop's Via node is recycled like the message block.
+  const auto& identity = pool_stats(PoolKind::kIdentity);
   const std::uint64_t identity_blocks = identity.fresh_allocs + identity.reuses;
+  const auto& via_nodes = pool_stats(PoolKind::kVia);
+  std::uint64_t via_fresh_after_warmup = 0;
 
   for (int i = 0; i < kWarmup + kMeasured; ++i) {
     Message fwd = clone(*shared);
@@ -442,6 +445,7 @@ TEST(MessagePoolTest, ForwardPathReusesSharedBlocks) {
     if (i == kWarmup - 1) {
       fresh_after_warmup = stats.fresh_allocs;
       reuses_after_warmup = stats.reuses;
+      via_fresh_after_warmup = via_nodes.fresh_allocs;
     }
   }
 
@@ -449,21 +453,23 @@ TEST(MessagePoolTest, ForwardPathReusesSharedBlocks) {
   EXPECT_EQ(stats.fresh_allocs, fresh_after_warmup);
   EXPECT_GE(stats.reuses, reuses_after_warmup + kMeasured);
   EXPECT_EQ(identity.fresh_allocs + identity.reuses, identity_blocks);
+  EXPECT_EQ(via_nodes.fresh_allocs, via_fresh_after_warmup);
 }
 
 TEST(MessagePoolTest, MessageLayoutStaysWithinBudget) {
   // Transactions hold requests and final responses for Timer J/K, so the
   // by-value part of a message is what a stateful run's memory scales
-  // with. The call identity lives in a shared block; Uri is two Tokens, the
-  // user, the port and an (empty) parameter vector. A Via is two Tokens,
-  // the inline branch (32 B) and the overload-control rate. The identity
-  // block holds the request-URI, From, To, Contact, the body and the
-  // inline Call-ID (32 B, the size of the std::string it replaced); every
-  // response and J record keeps one.
-  EXPECT_LE(sizeof(svk::sip::Message), 512u);
+  // with. A Message is a handle: the status line, Max-Forwards, the reason
+  // Token and one pointer each to the shared identity, Via chain, Route
+  // and Record-Route sets, extension headers and body. Uri is two Tokens,
+  // the user, the port and an (empty) parameter vector. A Via is two
+  // Tokens, the inline branch (32 B) and the overload-control rate. The
+  // identity block holds the request-URI, From, To, Contact and the inline
+  // Call-ID (32 B); every response and J record keeps one.
+  EXPECT_LE(sizeof(svk::sip::Message), 64u);
   EXPECT_LE(sizeof(svk::sip::Uri), 80u);
   EXPECT_LE(sizeof(svk::sip::Via), 56u);
-  EXPECT_LE(sizeof(svk::sip::detail::Identity), 592u);
+  EXPECT_LE(sizeof(svk::sip::detail::Identity), 560u);
 }
 
 // ---------------------------------------------------------------------------

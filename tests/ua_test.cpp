@@ -275,6 +275,52 @@ TEST_F(UaFixture, UacReAcksA200RetransmittedAfterItsTransactionEnded) {
   EXPECT_EQ(uac.metrics().calls_established, 1u);  // not a second call
 }
 
+// The UAC keeps the 200's Record-Route set, reversed, as one shared block
+// that its ACK and BYE both attach. A one-entry set reads the same either
+// way, so the dialog shares the 200's own block.
+TEST_F(UaFixture, AckAndByeShareTheOkRouteBlock) {
+  UacConfig config;
+  config.hold_time = SimTime::millis(100);
+  Uac& uac = add_one_call_uac(*bed, peer->address(), std::move(config));
+  const MessagePtr invite = peer->last_request(Method::kInvite);
+  ASSERT_TRUE(invite);
+
+  Message ok = answer_with(*invite, 200);
+  ok.mutable_record_routes().push_back(Uri("", "p2.test"));
+  ok.mutable_record_routes().push_back(Uri("", "p1.test"));
+  peer->send(uac.config().address, ok);
+  bed->sim().run_until(SimTime::millis(1300));
+  const MessagePtr ack = peer->last_request(Method::kAck);
+  const MessagePtr bye = peer->last_request(Method::kBye);
+  ASSERT_TRUE(ack);
+  ASSERT_TRUE(bye);
+  ASSERT_EQ(ack->routes().size(), 2u);
+  EXPECT_EQ(ack->routes()[0].host(), "p1.test");
+  EXPECT_EQ(ack->routes()[1].host(), "p2.test");
+  EXPECT_EQ(&ack->routes(), &bye->routes());
+  EXPECT_NE(&ack->routes(), &ok.record_routes());
+}
+
+TEST_F(UaFixture, AOneHopDialogSharesTheOkRecordRouteBlock) {
+  UacConfig config;
+  config.hold_time = SimTime::millis(100);
+  Uac& uac = add_one_call_uac(*bed, peer->address(), std::move(config));
+  const MessagePtr invite = peer->last_request(Method::kInvite);
+  ASSERT_TRUE(invite);
+
+  Message ok = answer_with(*invite, 200);
+  ok.mutable_record_routes().push_back(Uri("", "p1.test"));
+  peer->send(uac.config().address, ok);
+  bed->sim().run_until(SimTime::millis(1300));
+  const MessagePtr ack = peer->last_request(Method::kAck);
+  const MessagePtr bye = peer->last_request(Method::kBye);
+  ASSERT_TRUE(ack);
+  ASSERT_TRUE(bye);
+  ASSERT_EQ(ack->routes().size(), 1u);
+  EXPECT_EQ(&ack->routes(), &ok.record_routes());
+  EXPECT_EQ(&bye->routes(), &ok.record_routes());
+}
+
 TEST_F(UaFixture, TimersAndResponsesForAnErasedCallAreIgnored) {
   UacConfig config;
   config.cancel_probability = 1.0;  // every call schedules its CANCEL
@@ -344,7 +390,7 @@ TEST_F(UaFixture, SecondBranchOfARingingCallKeepsTheFirstEntry) {
   Message first = make_invite("c-twice");
   first.set_request_uri(Uri("bob", "slow.test"));
   Message second = first;
-  second.top_via().branch = "z9hG4bK-other-branch";
+  second.mutable_top_via().branch = "z9hG4bK-other-branch";
   peer->send(slow.config().address, first);
   bed->sim().run_until(SimTime::millis(100));
   peer->send(slow.config().address, second);
