@@ -34,14 +34,14 @@ const HeaderNames& header_names() {
 
 ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
                          const HostRegistry& registry,
-                         std::shared_ptr<LocationService> location,
+                         LocationService& location,
                          RouteTable routes,
                          std::unique_ptr<StatePolicy> policy,
                          ProxyConfig config)
     : sim_(sim),
       network_(network),
       registry_(registry),
-      location_(std::move(location)),
+      location_(location),
       routes_(std::move(routes)),
       policy_(std::move(policy)),
       config_(std::move(config)),
@@ -784,7 +784,7 @@ std::optional<ProxyServer::LocalTarget> ProxyServer::resolve_local_target(
   // Otherwise an address-of-record: consult the location service and
   // retarget to the current contact. lookup_uri hashes user@host off the
   // URI parts — no AOR string is built for the per-call routing query.
-  const auto binding = location_->lookup_uri(uri, sim_.now());
+  const auto binding = location_.lookup_uri(uri, sim_.now());
   if (!binding) return std::nullopt;
   const auto address = registry_.resolve(binding->contact.host());
   if (!address) return std::nullopt;

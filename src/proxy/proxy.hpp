@@ -173,7 +173,7 @@ class ProxyServer {
  public:
   ProxyServer(sim::Simulator& sim, SipNetwork& network,
               const HostRegistry& registry,
-              std::shared_ptr<LocationService> location, RouteTable routes,
+              LocationService& location, RouteTable routes,
               std::unique_ptr<StatePolicy> policy, ProxyConfig config);
   ~ProxyServer();
 
@@ -286,7 +286,7 @@ class ProxyServer {
   sim::Simulator& sim_;
   SipNetwork& network_;
   const HostRegistry& registry_;
-  std::shared_ptr<LocationService> location_;
+  LocationService& location_;
   RouteTable routes_;
   std::unique_ptr<StatePolicy> policy_;
   ProxyConfig config_;

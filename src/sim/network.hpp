@@ -144,7 +144,7 @@ class NetworkFaultState {
 /// A datagram network between attached hosts.
 ///
 /// \tparam Payload  copyable handle delivered to the receiver (typically a
-///                  shared_ptr to an immutable message)
+///                  sip::MessagePtr, a handle to an immutable message)
 template <typename Payload>
 class Network {
  public:

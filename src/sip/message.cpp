@@ -3,7 +3,6 @@
 #include <array>
 #include <charconv>
 #include <cstdio>
-#include <new>
 #include <utility>
 
 namespace svk::sip {
@@ -56,43 +55,20 @@ Token default_reason(int status_code) {
 }  // namespace
 
 const Via& ViaChain::bottom() const noexcept {
-  const Node* node = top_;
-  while (node->below != nullptr) node = node->below;
+  const Node* node = top_.get();
+  while (node->below) node = node->below.get();
   return node->via;
 }
 
 void ViaChain::push(Via via) {
-  void* block = detail::pool_allocate(sizeof(Node), PoolKind::kVia);
+  const auto depth = static_cast<std::uint32_t>(size() + 1);
   // The new node takes over this chain's reference to the old top.
-  top_ = ::new (block) Node{std::move(via), top_, {1},
-                            static_cast<std::uint32_t>(size() + 1)};
-}
-
-void ViaChain::pop() noexcept {
-  Node* old = std::exchange(top_, top_->below);
-  retain(top_);
-  release(old);
+  top_ = NodeRef::make(std::move(via), std::move(top_), depth);
 }
 
 Via& ViaChain::mutable_top() {
-  if (top_->refs.load(std::memory_order_acquire) != 1) {
-    retain(top_->below);
-    void* block = detail::pool_allocate(sizeof(Node), PoolKind::kVia);
-    Node* own = ::new (block) Node{top_->via, top_->below, {1}, top_->depth};
-    release(std::exchange(top_, own));
-  }
+  if (top_.shared()) top_ = NodeRef::make(top_->via, top_->below, top_->depth);
   return top_->via;
-}
-
-void ViaChain::release(Node* node) noexcept {
-  // Iterative, so dropping a long unshared chain does not recurse.
-  while (node != nullptr &&
-         node->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    Node* below = node->below;
-    node->~Node();
-    detail::pool_deallocate(node, sizeof(Node), PoolKind::kVia);
-    node = below;
-  }
 }
 
 bool operator==(const ViaChain& a, const ViaChain& b) noexcept {

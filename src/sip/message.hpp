@@ -1,9 +1,11 @@
 // SIP message model (RFC 3261 subset).
 //
 // Messages are built mutable, then shared immutably across the simulated
-// network as MessagePtr (shared_ptr<const Message>). A proxy that needs to
-// modify a message in flight (push a Via, decrement Max-Forwards) copies it
-// first — copy-on-forward, matching how a real proxy re-serializes.
+// network as MessagePtr: finish() moves the message into a pooled block
+// that also holds its reference count, and a MessagePtr is one pointer to
+// that block. A proxy that needs to modify a message in flight (push a
+// Via, decrement Max-Forwards) copies it first — copy-on-forward, matching
+// how a real proxy re-serializes.
 //
 // A Message is a 64-byte handle. Its variable parts live in shared,
 // immutable, pooled blocks that copies share, so a clone, a response or a
@@ -19,18 +21,16 @@
 // mutable_routes() one route set, set_header the header block. Via
 // protocol and sent-by, URI scheme and host, the reason phrase and
 // extension-header names are interned Tokens (pointer copies); branches,
-// Call-IDs and header values are InlineText (inline_text.hpp). finish()
-// and every shared block take their memory from thread-local pools (see
-// message_pool.hpp), so a warm forward path creates and releases messages
-// without the allocator.
+// Call-IDs and header values are InlineText (inline_text.hpp). The
+// finished message and every shared part are blocks of the thread-local
+// pools in message_pool.hpp, counted by one handle (detail::PoolRef), so a
+// warm forward path creates and releases messages without the allocator.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -102,7 +102,7 @@ using RouteList = SmallVector<Uri, 2>;
 using HeaderList = SmallVector<std::pair<Token, InlineText>, 2>;
 
 class Message;
-using MessagePtr = std::shared_ptr<const Message>;
+class MessagePtr;
 
 namespace detail {
 
@@ -120,36 +120,23 @@ struct Identity {
 
 /// Copy-on-write handle over one pooled, ref-counted T. Copies share the
 /// block; mut() gives the caller a private block first. Null stands for a
-/// default T, so an unset part allocates nothing. The count is atomic: a
-/// MessagePtr may be released on another thread than the one that cloned
-/// it, and the last release frees the block into that thread's pool.
+/// default T, so an unset part allocates nothing.
 template <typename T, PoolKind kKind>
 class Shared {
  public:
   Shared() noexcept = default;
-  explicit Shared(T value) : node_(make(std::move(value))) {}
-  Shared(const Shared& other) noexcept : node_(other.node_) {
-    if (node_ != nullptr) node_->refs.fetch_add(1, std::memory_order_relaxed);
-  }
-  Shared(Shared&& other) noexcept
-      : node_(std::exchange(other.node_, nullptr)) {}
-  Shared& operator=(Shared other) noexcept {
-    std::swap(node_, other.node_);
-    return *this;
-  }
-  ~Shared() { release(node_); }
+  explicit Shared(T value) : node_(Ref::make(std::move(value))) {}
 
   [[nodiscard]] const T& get() const noexcept {
-    return node_ != nullptr ? node_->value : empty();
+    return node_ ? node_->value : empty();
   }
   /// Detaches from any other holder, then returns the now-private block.
   /// A reference taken here must not outlive the next copy of the handle.
   [[nodiscard]] T& mut() {
-    if (node_ == nullptr) {
-      node_ = make(T{});
-    } else if (node_->refs.load(std::memory_order_acquire) != 1) {
-      Node* own = make(node_->value);
-      release(std::exchange(node_, own));
+    if (!node_) {
+      node_ = Ref::make(T{});
+    } else if (node_.shared()) {
+      node_ = Ref::make(node_->value);
     }
     return node_->value;
   }
@@ -159,25 +146,14 @@ class Shared {
     T value;
     std::atomic<std::uint32_t> refs{1};
   };
+  using Ref = PoolRef<Node, kKind>;
 
-  static Node* make(T value) {
-    void* block = pool_allocate(sizeof(Node), kKind);
-    return ::new (block) Node{std::move(value)};
-  }
-  static void release(Node* node) noexcept {
-    if (node == nullptr ||
-        node->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-      return;
-    }
-    node->~Node();
-    pool_deallocate(node, sizeof(Node), kKind);
-  }
   static const T& empty() noexcept {
     static const T none{};
     return none;
   }
 
-  Node* node_ = nullptr;
+  Ref node_;
 };
 
 using SharedIdentity = Shared<Identity, PoolKind::kIdentity>;
@@ -195,11 +171,13 @@ using SharedBody = detail::Shared<std::string, PoolKind::kBody>;
 /// chain; push and pop touch only the top. Iteration runs top-first, in
 /// wire order.
 class ViaChain {
+  struct Node;
+  using NodeRef = detail::PoolRef<Node, PoolKind::kVia>;
   struct Node {
     Via via;
-    Node* below;
-    std::atomic<std::uint32_t> refs{1};
+    NodeRef below;
     std::uint32_t depth;
+    std::atomic<std::uint32_t> refs{1};
   };
 
  public:
@@ -216,12 +194,12 @@ class ViaChain {
     reference operator*() const noexcept { return node_->via; }
     pointer operator->() const noexcept { return &node_->via; }
     const_iterator& operator++() noexcept {
-      node_ = node_->below;
+      node_ = node_->below.get();
       return *this;
     }
     const_iterator operator++(int) noexcept {
       const_iterator old = *this;
-      node_ = node_->below;
+      ++*this;
       return old;
     }
     friend bool operator==(const_iterator, const_iterator) = default;
@@ -236,32 +214,24 @@ class ViaChain {
   using size_type = std::size_t;
 
   ViaChain() noexcept = default;
-  ViaChain(const ViaChain& other) noexcept : top_(other.top_) { retain(top_); }
-  ViaChain(ViaChain&& other) noexcept
-      : top_(std::exchange(other.top_, nullptr)) {}
-  ViaChain& operator=(ViaChain other) noexcept {
-    std::swap(top_, other.top_);
-    return *this;
-  }
-  ~ViaChain() { release(top_); }
 
   [[nodiscard]] std::size_t size() const noexcept {
-    return top_ != nullptr ? top_->depth : 0;
+    return top_ ? top_->depth : 0;
   }
-  [[nodiscard]] bool empty() const noexcept { return top_ == nullptr; }
+  [[nodiscard]] bool empty() const noexcept { return !top_; }
   /// The most recent hop's Via; precondition: !empty().
   [[nodiscard]] const Via& top() const noexcept { return top_->via; }
   /// The originator's Via; precondition: !empty(). O(size()).
   [[nodiscard]] const Via& bottom() const noexcept;
   [[nodiscard]] const_iterator begin() const noexcept {
-    return const_iterator(top_);
+    return const_iterator(top_.get());
   }
   [[nodiscard]] const_iterator end() const noexcept { return {}; }
 
   /// Pushes a new top Via over the shared rest of the chain.
   void push(Via via);
   /// Pops the top Via; precondition: !empty().
-  void pop() noexcept;
+  void pop() noexcept { top_ = top_->below; }
   /// The top Via, copying its node first if another holder shares it;
   /// precondition: !empty().
   [[nodiscard]] Via& mutable_top();
@@ -269,12 +239,7 @@ class ViaChain {
   friend bool operator==(const ViaChain& a, const ViaChain& b) noexcept;
 
  private:
-  static void retain(Node* node) noexcept {
-    if (node != nullptr) node->refs.fetch_add(1, std::memory_order_relaxed);
-  }
-  static void release(Node* node) noexcept;
-
-  Node* top_ = nullptr;
+  NodeRef top_;
 };
 
 /// A SIP request or response.
@@ -384,13 +349,9 @@ class Message {
   /// Serializes to RFC 3261 wire format (CRLF line endings).
   [[nodiscard]] std::string to_wire() const;
 
-  /// Shares this message immutably. The control block and payload come
-  /// from the thread-local message pool in one allocation, recycled when
-  /// the last MessagePtr drops.
-  [[nodiscard]] MessagePtr finish() && {
-    return std::allocate_shared<const Message>(MessagePoolAllocator<Message>{},
-                                               std::move(*this));
-  }
+  /// Shares this message immutably: moves it into a message block of this
+  /// thread's pool, recycled when the last MessagePtr drops.
+  [[nodiscard]] MessagePtr finish() &&;
 
  private:
   bool is_request_ = true;
@@ -408,6 +369,46 @@ class Message {
 
   friend class Parser;
 };
+
+namespace detail {
+
+/// A finished message and its count: one PoolKind::kMessage block, 72 B.
+struct MessageBlock {
+  Message message;
+  std::atomic<std::uint32_t> refs{1};
+};
+
+}  // namespace detail
+
+/// A shared, immutable message: a nullable handle over one message block.
+/// Copies share the block, and the last release, on any thread, destroys
+/// the message and returns the block to that thread's pool.
+class MessagePtr {
+ public:
+  MessagePtr() noexcept = default;
+
+  const Message& operator*() const noexcept { return block_->message; }
+  const Message* operator->() const noexcept { return &block_->message; }
+  explicit operator bool() const noexcept { return static_cast<bool>(block_); }
+  void reset() noexcept { block_ = {}; }
+
+  friend bool operator==(const MessagePtr&, const MessagePtr&) = default;
+  friend bool operator==(const MessagePtr& ptr, std::nullptr_t) noexcept {
+    return !ptr;
+  }
+
+ private:
+  friend class Message;
+  using Block = detail::PoolRef<detail::MessageBlock, PoolKind::kMessage>;
+  explicit MessagePtr(Block block) noexcept : block_(std::move(block)) {}
+
+  Block block_;
+};
+static_assert(sizeof(MessagePtr) == sizeof(void*));
+
+inline MessagePtr Message::finish() && {
+  return MessagePtr(MessagePtr::Block::make(std::move(*this)));
+}
 
 /// Copies a shared message for modification (copy-on-forward). The copy
 /// shares every block until one side mutates it.

@@ -9,57 +9,16 @@
 namespace svk::sip {
 namespace {
 
-// allocate_shared<const Message> produces exactly one size class per
-// libstdc++ version; a second class appears if anything else ever uses the
-// allocator. Linear scan over this many bins is cheaper than any map.
-constexpr std::size_t kMaxBins = 8;
-// Per-bin freelist cap: bounds idle pool memory at kMaxParked blocks per
-// size class per thread while still absorbing the forward path's
-// allocate/release churn.
-constexpr std::size_t kMaxParked = 4096;
-// Blocks per chunk of a shared-block pool.
+// Blocks per chunk of a block pool.
 constexpr std::size_t kChunkBlocks = 128;
-
-struct Bin {
-  std::size_t bytes = 0;
-  std::vector<void*> free;
-};
-
-struct MessagePool {
-  Bin bins[kMaxBins];
-  MessagePoolStats stats;
-
-  ~MessagePool() {
-    for (Bin& bin : bins) {
-      for (void* p : bin.free) ::operator delete(p);
-    }
-  }
-
-  Bin* find(std::size_t bytes) {
-    for (Bin& bin : bins) {
-      if (bin.bytes == bytes) return &bin;
-      if (bin.bytes == 0) {
-        bin.bytes = bytes;
-        return &bin;
-      }
-    }
-    return nullptr;  // unusual size mix; fall through to the heap
-  }
-};
-
-MessagePool& message_pool() {
-  thread_local MessagePool pool;
-  return pool;
-}
 
 struct FreeBlock {
   FreeBlock* next;
 };
 
 /// One kind's fixed-size blocks on one thread: a freelist, then the unused
-/// tail of the newest chunk. Trivially destructible, so a block released
-/// while the thread's other thread-locals are being destroyed still has a
-/// list to join.
+/// tail of the newest chunk. Trivially destructible, so it stays usable
+/// while the thread's other thread-locals are being destroyed.
 struct BlockPool {
   std::size_t bytes = 0;
   FreeBlock* free = nullptr;
@@ -83,6 +42,9 @@ Spares& spares() {
   return *s;
 }
 
+/// Set once this thread's pools were handed to spares() at its exit.
+thread_local bool handed_over = false;
+
 /// Hands a thread's free and never-used blocks to spares() when it exits.
 struct ThreadExit {
   ThreadExit() = default;
@@ -104,12 +66,15 @@ struct ThreadExit {
         s.free[kind] = block;
       }
     }
+    handed_over = true;
   }
 };
 
-void register_thread_exit() {
+/// Makes sure this thread hands its pools over at exit; false once it has.
+bool register_thread_exit() {
   thread_local ThreadExit hook;
   (void)hook;
+  return !handed_over;
 }
 
 /// Refills an empty pool from the spares of exited threads, else with a
@@ -128,13 +93,31 @@ void refill(BlockPool& pool, int kind) {
   pool.fresh_end = chunk + kChunkBlocks * pool.bytes;
 }
 
-void* block_allocate(std::size_t bytes, int kind) {
-  BlockPool& pool = block_pools[kind];
+}  // namespace
+
+const MessagePoolStats& pool_stats(PoolKind kind) {
+  return block_pools[static_cast<int>(kind)].stats;
+}
+
+const MessagePoolStats& message_pool_stats() {
+  return pool_stats(PoolKind::kMessage);
+}
+
+std::int64_t pooled_bytes_in_use() {
+  std::int64_t bytes = 0;
+  for (const BlockPool& pool : block_pools) bytes += pool.stats.bytes_in_use;
+  return bytes;
+}
+
+namespace detail {
+
+void* pool_allocate(std::size_t bytes, PoolKind kind) {
+  BlockPool& pool = block_pools[static_cast<int>(kind)];
   if (pool.bytes == 0) pool.bytes = bytes;
   assert(pool.bytes == bytes && "one block size per pool kind");
   pool.stats.bytes_in_use += static_cast<std::int64_t>(bytes);
   if (pool.free == nullptr && pool.fresh == pool.fresh_end) {
-    refill(pool, kind);
+    refill(pool, static_cast<int>(kind));
   }
   if (pool.free != nullptr) {
     FreeBlock* block = pool.free;
@@ -148,67 +131,19 @@ void* block_allocate(std::size_t bytes, int kind) {
   return p;
 }
 
-void block_deallocate(void* p, std::size_t bytes, int kind) noexcept {
-  BlockPool& pool = block_pools[kind];
-  if (pool.free == nullptr) register_thread_exit();
-  pool.free = ::new (p) FreeBlock{pool.free};
+void pool_deallocate(void* p, std::size_t bytes, PoolKind kind) noexcept {
+  BlockPool& pool = block_pools[static_cast<int>(kind)];
   pool.stats.bytes_in_use -= static_cast<std::int64_t>(bytes);
   ++pool.stats.returns;
-}
-
-}  // namespace
-
-const MessagePoolStats& pool_stats(PoolKind kind) {
-  if (kind == PoolKind::kMessage) return message_pool().stats;
-  return block_pools[static_cast<int>(kind)].stats;
-}
-
-const MessagePoolStats& message_pool_stats() {
-  return pool_stats(PoolKind::kMessage);
-}
-
-std::int64_t pooled_bytes_in_use() {
-  std::int64_t bytes = 0;
-  for (int kind = 0; kind < kPoolKinds; ++kind) {
-    bytes += pool_stats(static_cast<PoolKind>(kind)).bytes_in_use;
-  }
-  return bytes;
-}
-
-namespace detail {
-
-void* pool_allocate(std::size_t bytes, PoolKind kind) {
-  if (kind != PoolKind::kMessage) {
-    return block_allocate(bytes, static_cast<int>(kind));
-  }
-  MessagePool& pool = message_pool();
-  pool.stats.bytes_in_use += static_cast<std::int64_t>(bytes);
-  Bin* bin = pool.find(bytes);
-  if (bin != nullptr && !bin->free.empty()) {
-    void* p = bin->free.back();
-    bin->free.pop_back();
-    ++pool.stats.reuses;
-    return p;
-  }
-  ++pool.stats.fresh_allocs;
-  return ::operator new(bytes);
-}
-
-void pool_deallocate(void* p, std::size_t bytes, PoolKind kind) noexcept {
-  if (kind != PoolKind::kMessage) {
-    block_deallocate(p, bytes, static_cast<int>(kind));
+  if (pool.free == nullptr && !register_thread_exit()) {
+    // A thread-local destroyed after the hand-over held the last reference.
+    Spares& s = spares();
+    std::lock_guard lock(s.mutex);
+    FreeBlock*& spare = s.free[static_cast<int>(kind)];
+    spare = ::new (p) FreeBlock{spare};
     return;
   }
-  MessagePool& pool = message_pool();
-  pool.stats.bytes_in_use -= static_cast<std::int64_t>(bytes);
-  Bin* bin = pool.find(bytes);
-  if (bin != nullptr && bin->free.size() < kMaxParked) {
-    bin->free.push_back(p);
-    ++pool.stats.returns;
-    return;
-  }
-  ++pool.stats.releases;
-  ::operator delete(p);
+  pool.free = ::new (p) FreeBlock{pool.free};
 }
 
 }  // namespace detail

@@ -303,7 +303,7 @@ void TransactionManager::expire(Lane lane) {
   const std::uint64_t seq = l.due++;
   Record& r = l.at(seq);
   r.terminated = true;
-  r.msg = nullptr;  // a Terminated transaction sends nothing
+  r.msg.reset();  // a Terminated transaction sends nothing
   r.send = nullptr;
   const TxnId tap_id = r.tap_id;
   // As for a machine, removal is a fresh zero-delay event.
@@ -359,7 +359,7 @@ void TransactionManager::absorb_request(Entry entry,
     tap_->on_server_event(
         tap_id, ServerEvent::kRxRequest,
         completed ? ServerState::kCompleted : ServerState::kTerminated,
-        request.get());
+        &*request);
   }
 }
 
@@ -382,7 +382,7 @@ void TransactionManager::absorb_response(Entry entry,
     tap_->on_client_event(
         tap_id, ClientEvent::kRxResponse,
         completed ? ClientState::kCompleted : ClientState::kTerminated,
-        response.get());
+        &*response);
   }
 }
 

@@ -130,7 +130,7 @@ void ClientTransaction::notify_terminated() {
 
 void ClientTransaction::receive_response(const sip::MessagePtr& response) {
   receive_response_impl(response);
-  notify(ClientEvent::kRxResponse, response.get());
+  notify(ClientEvent::kRxResponse, &*response);
 }
 
 void ClientTransaction::receive_response_impl(
@@ -240,7 +240,7 @@ void ServerTransaction::wire_send(const sip::MessagePtr& msg) {
 
 void ServerTransaction::receive_request(const sip::MessagePtr& request) {
   receive_request_impl(request);
-  notify(ServerEvent::kRxRequest, request.get());
+  notify(ServerEvent::kRxRequest, &*request);
 }
 
 void ServerTransaction::receive_request_impl(const sip::MessagePtr& request) {
@@ -278,7 +278,7 @@ void ServerTransaction::receive_request_impl(const sip::MessagePtr& request) {
 
 void ServerTransaction::respond(const sip::MessagePtr& response) {
   respond_impl(response);
-  notify(ServerEvent::kRespond, response.get());
+  notify(ServerEvent::kRespond, &*response);
 }
 
 void ServerTransaction::respond_impl(const sip::MessagePtr& response) {

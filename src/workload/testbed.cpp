@@ -7,7 +7,6 @@ namespace svk::workload {
 
 TestBed::TestBed(std::uint64_t seed)
     : rng_(seed),
-      location_(std::make_shared<proxy::LocationService>()),
       network_(sim_, rng_.split(0xAE7)) {
   // 250us per hop one-way gives the ~1.5ms UAC<->UAS round trip the paper
   // reports on its Gigabit segment (3 hops each way).
@@ -68,7 +67,7 @@ void TestBed::register_users(const std::string& domain, int count,
   for (int i = 0; i < count; ++i) {
     const std::string aor = "user" + std::to_string(i) + "@" + domain;
     const std::string& uas_host = uas_hosts[i % uas_hosts.size()];
-    location_->register_binding(aor, sip::Uri("", uas_host));
+    location_.register_binding(aor, sip::Uri("", uas_host));
   }
 }
 

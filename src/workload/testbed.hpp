@@ -55,10 +55,7 @@ class TestBed {
 
   [[nodiscard]] proxy::SipNetwork& network() { return network_; }
   [[nodiscard]] proxy::HostRegistry& registry() { return registry_; }
-  [[nodiscard]] const std::shared_ptr<proxy::LocationService>& location()
-      const {
-    return location_;
-  }
+  [[nodiscard]] proxy::LocationService* location() { return &location_; }
 
   /// Advances the bed through `until` (sim().run_until()).
   void run_until(SimTime until) { sim_.run_until(until); }
@@ -143,7 +140,7 @@ class TestBed {
   sim::Simulator sim_;
   Rng rng_;
   proxy::HostRegistry registry_;
-  std::shared_ptr<proxy::LocationService> location_;
+  proxy::LocationService location_;
   proxy::SipNetwork network_;
   std::uint32_t next_address_{1};
   /// (address, host) pairs in declaration order, for trace thread names.

@@ -422,6 +422,21 @@ TEST(MessageTest, SharedMessagePartsAreReleasedOnAnyThread) {
   }
 }
 
+TEST(MessageTest, MessageReleasedAtThreadExitIsHandedOver) {
+  // A thread_local constructed before the pools' own thread-locals is
+  // destroyed after them, so the message it holds is released once the
+  // thread has handed its pools over at exit. The release must not touch
+  // a destroyed pool (checked under the sanitizers).
+  std::thread worker([] {
+    thread_local MessagePtr holder;
+    holder = MessagePtr();
+    // Finish and drop one message, so a block is parked on this thread.
+    { const MessagePtr dropped = make_invite().finish(); }
+    holder = make_invite().finish();
+  });
+  worker.join();
+}
+
 TEST(MessageTest, CallIdAndHeaderValuesAreInlineText) {
   // The simulator's Call-IDs ("<host>-<n>", at most 29 characters) and
   // host-valued X-Stateful marks are kept inline, so a response, a clone

@@ -456,6 +456,33 @@ TEST(MessagePoolTest, ForwardPathReusesSharedBlocks) {
   EXPECT_EQ(via_nodes.fresh_allocs, via_fresh_after_warmup);
 }
 
+TEST(MessagePoolTest, EveryReleasedMessageBlockIsReused) {
+  // A stateful run holds tens of thousands of messages at once (Timer J),
+  // so however many were held, every released block stays in the pool:
+  // the next round of finish() calls takes none from the allocator.
+  using namespace svk::sip;
+  Message base = Message::request(
+      Method::kInvite, Uri("bob", "biloxi.example.com"),
+      NameAddr{"", Uri("alice", "client.test"), "tag-a"},
+      NameAddr{"", Uri("bob", "biloxi.example.com"), ""}, "pool-call-2",
+      CSeq{1, Method::kInvite});
+  base.push_via(Via{"SIP/2.0/UDP", "client.test", "z9hG4bK-pool-cap"});
+  constexpr int kHeld = 10'000;
+  const auto& stats = message_pool_stats();
+  const std::int64_t bytes0 = pooled_bytes_in_use();
+  std::vector<MessagePtr> held;
+  held.reserve(kHeld);
+  const auto hold_and_drop = [&] {
+    for (int i = 0; i < kHeld; ++i) held.push_back(clone(base).finish());
+    held.clear();
+    EXPECT_EQ(pooled_bytes_in_use(), bytes0);
+  };
+  hold_and_drop();
+  const std::uint64_t fresh = stats.fresh_allocs;
+  hold_and_drop();
+  EXPECT_EQ(stats.fresh_allocs, fresh);
+}
+
 TEST(MessagePoolTest, MessageLayoutStaysWithinBudget) {
   // Transactions hold requests and final responses for Timer J/K, so the
   // by-value part of a message is what a stateful run's memory scales
@@ -467,6 +494,8 @@ TEST(MessagePoolTest, MessageLayoutStaysWithinBudget) {
   // identity block holds the request-URI, From, To, Contact and the inline
   // Call-ID (32 B); every response and J record keeps one.
   EXPECT_LE(sizeof(svk::sip::Message), 64u);
+  // A finished message is one pooled block: the Message and its count.
+  EXPECT_LE(sizeof(svk::sip::detail::MessageBlock), 72u);
   EXPECT_LE(sizeof(svk::sip::Uri), 80u);
   EXPECT_LE(sizeof(svk::sip::Via), 56u);
   EXPECT_LE(sizeof(svk::sip::detail::Identity), 560u);
