@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "txn/timers.hpp"
+
 namespace svk::check {
 namespace {
 
@@ -10,6 +12,7 @@ using txn::ClientEvent;
 using txn::ClientState;
 using txn::ServerEvent;
 using txn::ServerState;
+using Timers = txn::TimerConfig;
 
 const char* client_event_name(ClientEvent event) {
   switch (event) {
@@ -114,16 +117,14 @@ void TxnOracle::check_sends(Shadow& shadow, const char* event_name) {
 // Client shadow (RFC 3261 17.1)
 // ---------------------------------------------------------------------------
 
-txn::TxnId TxnOracle::on_client_created(const sip::TransactionKey& key,
-                                        const txn::TimerConfig& timers) {
+txn::TxnId TxnOracle::on_client_created(const sip::TransactionKey& key) {
   ClientShadow shadow;
   shadow.key = key;
-  shadow.timers = timers;
   shadow.is_invite = key.method == sip::Method::kInvite;
   shadow.method = key.method;
   shadow.state =
       shadow.is_invite ? ClientState::kCalling : ClientState::kTrying;
-  shadow.rtx_interval = timers.t1;
+  shadow.rtx_interval = Timers::t1;
   const txn::TxnId id = ++shadows_created_;
   clients_.emplace(id, std::move(shadow));
   return id;
@@ -157,7 +158,7 @@ void TxnOracle::client_rx_response(ClientShadow& shadow,
           // (16.6 step 11) bounds Proceeding and is refreshed on every
           // provisional, standing in for timer B from here on.
           shadow.rtx_at.reset();
-          shadow.timeout_at = now + shadow.timers.timer_c();
+          shadow.timeout_at = now + Timers::timer_c();
         }
         // Non-INVITE (17.1.2.2): retransmissions continue, now at T2 flat;
         // the interval change applies when the armed timer next fires.
@@ -170,7 +171,7 @@ void TxnOracle::client_rx_response(ClientShadow& shadow,
         shadow.state = ClientState::kCompleted;
         shadow.rtx_at.reset();
         shadow.timeout_at.reset();
-        shadow.linger_at = now + shadow.timers.timer_d();
+        shadow.linger_at = now + Timers::timer_d();
       } else if (shadow.is_invite) {
         // 2xx: the transaction terminates; ACK is the TU's job end-to-end.
         shadow.state = ClientState::kTerminated;
@@ -182,7 +183,7 @@ void TxnOracle::client_rx_response(ClientShadow& shadow,
         shadow.state = ClientState::kCompleted;
         shadow.rtx_at.reset();
         shadow.timeout_at.reset();
-        shadow.linger_at = now + shadow.timers.timer_k();
+        shadow.linger_at = now + Timers::timer_k();
       }
       return;
     case ClientState::kCompleted:
@@ -204,11 +205,10 @@ void TxnOracle::step_client(ClientShadow& shadow, ClientEvent event,
       // 17.1.1.2 / 17.1.2.1: send the request, arm retransmission (timer
       // A doubling / timer E capped at T2) and the 64*T1 timeout (B / F).
       shadow.expected.push_back(Send{true, shadow.method, 0});
-      shadow.rtx_interval = shadow.timers.t1;
+      shadow.rtx_interval = Timers::t1;
       shadow.rtx_at = now + shadow.rtx_interval;
       shadow.timeout_at =
-          now + (shadow.is_invite ? shadow.timers.timer_b()
-                                  : shadow.timers.timer_f());
+          now + (shadow.is_invite ? Timers::timer_b() : Timers::timer_f());
       break;
     case ClientEvent::kRxResponse:
       client_rx_response(shadow, *msg);
@@ -224,10 +224,9 @@ void TxnOracle::step_client(ClientShadow& shadow, ClientEvent event,
         if (shadow.is_invite) {
           shadow.rtx_interval = 2 * shadow.rtx_interval;
         } else if (shadow.state == ClientState::kProceeding) {
-          shadow.rtx_interval = shadow.timers.t2;
+          shadow.rtx_interval = Timers::t2;
         } else {
-          shadow.rtx_interval =
-              std::min(2 * shadow.rtx_interval, shadow.timers.t2);
+          shadow.rtx_interval = std::min(2 * shadow.rtx_interval, Timers::t2);
         }
         shadow.rtx_at = now + shadow.rtx_interval;
       } else {
@@ -307,17 +306,15 @@ void TxnOracle::on_client_removed(txn::TxnId id) {
 // Server shadow (RFC 3261 17.2)
 // ---------------------------------------------------------------------------
 
-txn::TxnId TxnOracle::on_server_created(const sip::TransactionKey& key,
-                                        const txn::TimerConfig& timers) {
+txn::TxnId TxnOracle::on_server_created(const sip::TransactionKey& key) {
   ServerShadow shadow;
   shadow.key = key;
-  shadow.timers = timers;
   shadow.is_invite = key.method == sip::Method::kInvite;
   // 17.2.1: the INVITE server starts in Proceeding (the TU's 100 follows);
   // 17.2.2: the non-INVITE server starts in Trying.
   shadow.state =
       shadow.is_invite ? ServerState::kProceeding : ServerState::kTrying;
-  shadow.rtx_interval = timers.t1;
+  shadow.rtx_interval = Timers::t1;
   const txn::TxnId id = ++shadows_created_;
   servers_.emplace(id, std::move(shadow));
   return id;
@@ -348,7 +345,7 @@ void TxnOracle::server_rx_request(ServerShadow& shadow,
       shadow.state = ServerState::kConfirmed;
       shadow.rtx_at.reset();
       shadow.timeout_at.reset();
-      shadow.linger_at = now + shadow.timers.timer_i();
+      shadow.linger_at = now + Timers::timer_i();
     }
     // ACKs in any other state are absorbed silently.
     return;
@@ -403,12 +400,12 @@ void TxnOracle::server_respond(ServerShadow& shadow,
       // Completed: retransmit the final on timer G, give up on timer H.
       shadow.state = ServerState::kCompleted;
       shadow.rtx_at = now + shadow.rtx_interval;
-      shadow.timeout_at = now + shadow.timers.timer_h();
+      shadow.timeout_at = now + Timers::timer_h();
     }
   } else {
     // 17.2.2: Completed, absorb retransmissions until timer J.
     shadow.state = ServerState::kCompleted;
-    shadow.linger_at = now + shadow.timers.timer_j();
+    shadow.linger_at = now + Timers::timer_j();
   }
 }
 
@@ -427,8 +424,7 @@ void TxnOracle::step_server(ServerShadow& shadow, ServerEvent event,
       if (shadow.state == ServerState::kCompleted) {
         shadow.expected.push_back(Send{false, sip::Method::kInvite,
                                        shadow.last_code});
-        shadow.rtx_interval =
-            std::min(2 * shadow.rtx_interval, shadow.timers.t2);
+        shadow.rtx_interval = std::min(2 * shadow.rtx_interval, Timers::t2);
         shadow.rtx_at = now + shadow.rtx_interval;
       } else {
         log_.add("oracle.stale_timer", now,

@@ -31,7 +31,6 @@
 #include "sip/branch.hpp"
 #include "sip/message.hpp"
 #include "txn/tap.hpp"
-#include "txn/timers.hpp"
 
 namespace svk::check {
 
@@ -40,16 +39,14 @@ class TxnOracle final : public txn::ConformanceTap {
   TxnOracle(sim::Simulator& sim, ViolationLog& log) : sim_(sim), log_(log) {}
 
   // txn::ConformanceTap
-  txn::TxnId on_client_created(const sip::TransactionKey& key,
-                               const txn::TimerConfig& timers) override;
+  txn::TxnId on_client_created(const sip::TransactionKey& key) override;
   void on_client_send(txn::TxnId id, const sip::MessagePtr& msg) override;
   void on_client_event(txn::TxnId id, txn::ClientEvent event,
                        txn::ClientState state,
                        const sip::Message* msg) override;
   void on_client_removed(txn::TxnId id) override;
 
-  txn::TxnId on_server_created(const sip::TransactionKey& key,
-                               const txn::TimerConfig& timers) override;
+  txn::TxnId on_server_created(const sip::TransactionKey& key) override;
   void on_server_send(txn::TxnId id, const sip::MessagePtr& msg) override;
   void on_server_event(txn::TxnId id, txn::ServerEvent event,
                        txn::ServerState state,
@@ -78,7 +75,6 @@ class TxnOracle final : public txn::ConformanceTap {
   /// Shadow of one client transaction (RFC 3261 17.1).
   struct ClientShadow {
     sip::TransactionKey key;
-    txn::TimerConfig timers;
     bool is_invite = false;
     sip::Method method = sip::Method::kInvite;
     txn::ClientState state = txn::ClientState::kCalling;
@@ -94,7 +90,6 @@ class TxnOracle final : public txn::ConformanceTap {
   /// Shadow of one server transaction (RFC 3261 17.2).
   struct ServerShadow {
     sip::TransactionKey key;
-    txn::TimerConfig timers;
     bool is_invite = false;
     txn::ServerState state = txn::ServerState::kTrying;
     bool has_last_response = false;

@@ -3,13 +3,19 @@
 #include <string>
 
 namespace svk::check {
+namespace {
+
+/// Aggregate-counter sweep period.
+constexpr SimTime kSweepPeriod = SimTime::millis(250);
+
+}  // namespace
 
 RunChecker::RunChecker(sim::Simulator& sim, CheckOptions options)
     : sim_(sim),
       options_(options),
       oracle_(sim, log_),
       wire_(sim, log_),
-      sweep_(sim, options.period, [this] { tick(); }) {}
+      sweep_(sim, kSweepPeriod, [this] { tick(); }) {}
 
 void RunChecker::start() { sweep_.start(); }
 

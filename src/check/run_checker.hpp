@@ -37,8 +37,6 @@
 namespace svk::check {
 
 struct CheckOptions {
-  /// Aggregate-counter sweep period.
-  SimTime period = SimTime::millis(250);
   /// Assert exactly-one-stateful: no call is handled statefully by two
   /// servers, and no admitted INVITE reaches the UAS without any stateful
   /// hop (true for SERvartuka assignments; a deliberately all-stateful or

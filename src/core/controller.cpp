@@ -7,6 +7,15 @@
 #include "obs/trace.hpp"
 
 namespace svk::core {
+namespace {
+
+/// Self-overload hysteresis: overload starts when the required stateful
+/// rate exceeds kOverloadHeadroom * budget and clears below
+/// kRecoverFactor * budget.
+constexpr double kOverloadHeadroom = 1.02;
+constexpr double kRecoverFactor = 0.85;
+
+}  // namespace
 
 ControllerConfig ControllerConfig::from_call_rates(double t_sf_cps,
                                                    double t_sl_cps,
@@ -287,8 +296,7 @@ void Controller::on_tick(SimTime now) {
   // Self-overload detection (Algorithm 2's upstream signal): the stateful
   // work this node cannot shed exceeds its feasible budget.
   const bool overloaded_now =
-      not_ovld_count == 0 &&
-      required_rate > budget_rate * config_.overload_headroom;
+      not_ovld_count == 0 && required_rate > budget_rate * kOverloadHeadroom;
   bool overload_changed = false;
   // The advertised rate is what the subtree rooted here keeps absorbing:
   // our own feasible budget plus everything frozen further downstream.
@@ -304,8 +312,7 @@ void Controller::on_tick(SimTime now) {
     overload_changed = true;
     windows_since_advert_ = 0;
     if (send_overload) send_overload(true, advertised_c_asf());
-  } else if (self_overloaded_ &&
-             required_rate < budget_rate * config_.recover_factor) {
+  } else if (self_overloaded_ && required_rate < budget_rate * kRecoverFactor) {
     self_overloaded_ = false;
     overload_changed = true;
     if (send_overload) send_overload(false, 0.0);

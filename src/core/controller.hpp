@@ -56,10 +56,6 @@ struct ControllerConfig {
   /// paper's open-loop thresholds cannot see (e.g. work induced by the
   /// rejected calls themselves). Set false for the paper-literal ablation.
   bool utilization_feedback = true;
-  /// Self-overload trigger: required > headroom * budget.
-  double overload_headroom = 1.02;
-  /// Overload clears when required < recover_factor * budget.
-  double recover_factor = 0.85;
 
   // --- Lost-signal tolerance (overload signals ride unacknowledged OPTIONS
   // --- and can be dropped by the network; see DESIGN.md §controller) ------

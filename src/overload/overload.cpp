@@ -19,6 +19,23 @@ std::string_view to_string(ControlKind kind) {
 
 namespace {
 
+/// Occupancy setpoint the controls regulate toward. Occupancy is
+/// utilization plus normalized backlog growth, so it exceeds 1.0 when the
+/// queue is building — that surplus is the control error.
+constexpr double kTargetOccupancy = 0.9;
+/// Per-period multiplicative rate adjustment clamps.
+constexpr double kMinDecrease = 0.5;
+constexpr double kIncreaseFactor = 1.1;
+/// The advertised rate never drops below this (cps); a trickle must keep
+/// flowing so responses keep refreshing the advertisement upstream.
+constexpr double kMinRateRps = 1.0;
+/// Token bucket depth, as seconds of burst at the advertised rate.
+constexpr double kBucketDepthSeconds = 0.2;
+/// An advertisement not refreshed within this window expires and the
+/// throttler stops restricting (RFC 7339 oc-validity analog; guarantees
+/// recovery if the overloaded hop goes quiet).
+constexpr SimTime kAdvertValidity = SimTime::millis(1000);
+
 // ---------------------------------------------------------------------------
 // Local occupancy gate
 // ---------------------------------------------------------------------------
@@ -59,8 +76,8 @@ class LocalOccupancyPolicy : public OverloadPolicy {
   /// target, in which case pass accept_fraction of arrivals through.
   [[nodiscard]] AdmitDecision local_gate() {
     const double occ = stats_.smoothed_occupancy;
-    if (occ <= config_.target_occupancy) return AdmitDecision::kAdmit;
-    const double accept = config_.target_occupancy / occ;
+    if (occ <= kTargetOccupancy) return AdmitDecision::kAdmit;
+    const double accept = kTargetOccupancy / occ;
     shed_acc_ += 1.0 - accept;
     if (shed_acc_ >= 1.0) {
       shed_acc_ -= 1.0;
@@ -83,13 +100,13 @@ class LocalOccupancyPolicy : public OverloadPolicy {
 ///    offered rate per control period; when smoothed occupancy crosses the
 ///    target it advertises rate = offered * target / occupancy, then
 ///    adjusts multiplicatively each period (clamped to
-///    [min_decrease, increase_factor] per step). It leaves controlled mode
-///    after `release_periods` consecutive periods comfortably below target.
+///    [kMinDecrease, kIncreaseFactor] per step). It leaves controlled mode
+///    after kReleasePeriods consecutive periods comfortably below target.
 ///
 ///  * Throttler (this node as the upstream neighbor): one token bucket per
 ///    path, parameterized by the advert last read off that path's Via
 ///    `oc`. Buckets refill lazily on access from sim-time deltas; an advert
-///    not refreshed within advert_validity expires and the path runs
+///    not refreshed within kAdvertValidity expires and the path runs
 ///    unrestricted again.
 class HopByHopPolicy : public LocalOccupancyPolicy {
  public:
@@ -103,7 +120,7 @@ class HopByHopPolicy : public LocalOccupancyPolicy {
     if (local != AdmitDecision::kAdmit) return local;
     if (path_index >= buckets_.size()) return AdmitDecision::kAdmit;
     Bucket& bucket = buckets_[path_index];
-    if (!bucket.active(now, config_.advert_validity)) {
+    if (!bucket.active(now)) {
       return AdmitDecision::kAdmit;
     }
     bucket.refill(now);
@@ -117,21 +134,18 @@ class HopByHopPolicy : public LocalOccupancyPolicy {
   void on_occupancy_sample(double occupancy, SimTime now) override {
     LocalOccupancyPolicy::on_occupancy_sample(occupancy, now);
     const double occ = stats_.smoothed_occupancy;
-    const double period_s = config_.control_period.to_seconds();
-    const double offered_rps =
-        period_s > 0.0 ? static_cast<double>(offered_in_period_) / period_s
-                       : 0.0;
+    const double offered_rps = static_cast<double>(offered_in_period_) /
+                               kControlPeriod.to_seconds();
     offered_in_period_ = 0;
 
     if (!controlled_) {
-      if (occ > config_.target_occupancy) {
+      if (occ > kTargetOccupancy) {
         // Enter controlled mode: carry what the target allows of what was
         // actually offered this period.
         controlled_ = true;
         below_target_periods_ = 0;
         stats_.advertised_rate_rps =
-            std::max(config_.min_rate_rps,
-                     offered_rps * config_.target_occupancy / occ);
+            std::max(kMinRateRps, offered_rps * kTargetOccupancy / occ);
         ++stats_.rate_updates;
       }
       return;
@@ -139,16 +153,14 @@ class HopByHopPolicy : public LocalOccupancyPolicy {
 
     // Controlled: multiplicative adjustment toward the setpoint, clamped so
     // one bad sample cannot slam the rate to zero or double it.
-    const double ratio =
-        occ > 0.0 ? config_.target_occupancy / occ : config_.increase_factor;
-    const double step =
-        std::clamp(ratio, config_.min_decrease, config_.increase_factor);
+    const double ratio = occ > 0.0 ? kTargetOccupancy / occ : kIncreaseFactor;
+    const double step = std::clamp(ratio, kMinDecrease, kIncreaseFactor);
     stats_.advertised_rate_rps =
-        std::max(config_.min_rate_rps, stats_.advertised_rate_rps * step);
+        std::max(kMinRateRps, stats_.advertised_rate_rps * step);
     ++stats_.rate_updates;
 
-    if (occ < 0.8 * config_.target_occupancy) {
-      if (++below_target_periods_ >= config_.release_periods) {
+    if (occ < 0.8 * kTargetOccupancy) {
+      if (++below_target_periods_ >= kReleasePeriods) {
         controlled_ = false;
         below_target_periods_ = 0;
         stats_.advertised_rate_rps = -1.0;
@@ -166,15 +178,15 @@ class HopByHopPolicy : public LocalOccupancyPolicy {
                              SimTime now) override {
     if (path_index >= buckets_.size() || rate_rps < 0.0) return;
     Bucket& bucket = buckets_[path_index];
-    if (bucket.active(now, config_.advert_validity) &&
+    if (bucket.active(now) &&
         bucket.rate_rps == rate_rps) {
       bucket.last_advert = now;  // refresh only; keep the token level
       return;
     }
-    const bool was_active = bucket.active(now, config_.advert_validity);
+    const bool was_active = bucket.active(now);
     if (was_active) bucket.refill(now);
     bucket.rate_rps = rate_rps;
-    const double depth = std::max(1.0, rate_rps * config_.bucket_depth_s);
+    const double depth = std::max(1.0, rate_rps * kBucketDepthSeconds);
     if (!was_active) {
       bucket.tokens = depth;  // fresh restriction starts with a full burst
     } else {
@@ -191,7 +203,7 @@ class HopByHopPolicy : public LocalOccupancyPolicy {
     // UAC-facing Retry-After already slows the source.
     if (path_index >= buckets_.size()) return;
     Bucket& bucket = buckets_[path_index];
-    if (bucket.active(now, config_.advert_validity)) {
+    if (bucket.active(now)) {
       bucket.refill(now);
       bucket.tokens = std::max(0.0, bucket.tokens - 1.0);
     }
@@ -207,8 +219,8 @@ class HopByHopPolicy : public LocalOccupancyPolicy {
     SimTime last_refill;
     SimTime last_advert;
 
-    [[nodiscard]] bool active(SimTime now, SimTime validity) const {
-      return rate_rps >= 0.0 && now - last_advert <= validity;
+    [[nodiscard]] bool active(SimTime now) const {
+      return rate_rps >= 0.0 && now - last_advert <= kAdvertValidity;
     }
 
     void refill(SimTime now) {

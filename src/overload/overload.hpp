@@ -52,33 +52,18 @@ enum class ControlKind {
 
 [[nodiscard]] std::string_view to_string(ControlKind kind);
 
+/// Control period: how often the proxy feeds an occupancy sample.
+inline constexpr SimTime kControlPeriod = SimTime::millis(200);
+/// Retry-After value stamped on locally generated 503s, in seconds.
+inline constexpr int kRetryAfterSeconds = 1;
+/// Consecutive below-target control periods required before the
+/// restrictor leaves controlled mode.
+inline constexpr int kReleasePeriods = 5;
+
 struct OverloadConfig {
   ControlKind kind = ControlKind::kNone;
-  /// Occupancy setpoint the controller regulates toward. Occupancy is
-  /// utilization plus normalized backlog growth, so it exceeds 1.0 when the
-  /// queue is building — that surplus is the control error.
-  double target_occupancy = 0.9;
   /// EWMA gain for the occupancy estimate (per control period).
   double smoothing_gain = 0.3;
-  /// Control period: how often the proxy feeds an occupancy sample.
-  SimTime control_period = SimTime::millis(200);
-  /// Retry-After value stamped on locally generated 503s, in seconds.
-  double retry_after_s = 1.0;
-  /// Per-period multiplicative rate adjustment clamps.
-  double min_decrease = 0.5;
-  double increase_factor = 1.1;
-  /// The advertised rate never drops below this (cps); a trickle must keep
-  /// flowing so responses keep refreshing the advertisement upstream.
-  double min_rate_rps = 1.0;
-  /// Token bucket depth, as seconds of burst at the advertised rate.
-  double bucket_depth_s = 0.2;
-  /// An advertisement not refreshed within this window expires and the
-  /// throttler stops restricting (RFC 7339 oc-validity analog; guarantees
-  /// recovery if the overloaded hop goes quiet).
-  SimTime advert_validity = SimTime::millis(1000);
-  /// Consecutive below-target control periods required before the
-  /// restrictor leaves controlled mode.
-  int release_periods = 5;
 };
 
 /// Controller state. The events the policy reacts to (rejections, adverts,
@@ -130,7 +115,6 @@ class OverloadPolicy {
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   [[nodiscard]] const OverloadStats& stats() const { return stats_; }
-  [[nodiscard]] const OverloadConfig& config() const { return config_; }
 
  protected:
   OverloadConfig config_;

@@ -51,7 +51,7 @@ ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
                        HandlingMode::kDialogStatefulAuth),
       cpu_(sim, sim::CpuQueueConfig{config_.cpu_capacity,
                                     config_.max_queue_delay}),
-      txns_(sim, config_.timers),
+      txns_(sim),
       auth_(config_.auth_realm.empty() ? config_.host : config_.auth_realm,
             config_.auth_nonce.empty() ? "nonce-" + config_.host
                                        : config_.auth_nonce),
@@ -92,13 +92,13 @@ ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
         });
     policy_timer_->start();
   }
-  if (dialog_mode_ && config_.dialog_ttl > SimTime{}) {
+  if (dialog_mode_) {
     // Reap early dialogs nothing will ever confirm (lost finals, crashed
     // endpoints). Sweeping at ttl/2 bounds residency at 1.5*ttl.
     dialog_sweep_ = std::make_unique<sim::PeriodicTimer>(
-        sim_, SimTime::nanos(config_.dialog_ttl.ns() / 2), [this] {
+        sim_, SimTime::nanos(kDialogTtl.ns() / 2), [this] {
           stats_.dialogs_expired +=
-              dialogs_.expire_early(sim_.now(), config_.dialog_ttl);
+              dialogs_.expire_early(sim_.now(), kDialogTtl);
         });
     dialog_sweep_->start();
   }
@@ -107,7 +107,7 @@ ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
   if (overload_ != nullptr) {
     overload_probe_ = std::make_unique<sim::UtilizationProbe>(cpu_, sim_);
     overload_timer_ = std::make_unique<sim::PeriodicTimer>(
-        sim_, config_.overload.control_period, [this] { overload_tick(); });
+        sim_, overload::kControlPeriod, [this] { overload_tick(); });
     overload_timer_->start();
   }
   network_.attach(config_.address,
@@ -564,10 +564,8 @@ void ProxyServer::respond_local(const sip::Message& req, int code,
   // advertised rate, and stacking an on/off generator pause on top of rate
   // control re-creates the oscillation RFC 7339 exists to avoid.
   if (with_retry_after) {
-    response.set_header(
-        header_names().retry_after,
-        std::to_string(
-            static_cast<int>(config_.overload.retry_after_s + 0.5)));
+    response.set_header(header_names().retry_after,
+                        std::to_string(overload::kRetryAfterSeconds));
   }
   stamp_oc(response);
   auto ptr = std::move(response).finish();
@@ -587,11 +585,10 @@ void ProxyServer::overload_tick() {
   // (no control error left to regulate on); the backlog term keeps the
   // signal proportional when the queue is building, which both the shed
   // fraction and the advertised rate divide by.
-  const double period_s = config_.overload.control_period.to_seconds();
   const double util = overload_probe_->utilization();
   overload_probe_->restart();
   const double backlog_growth =
-      period_s > 0.0 ? cpu_.backlog().to_seconds() / period_s : 0.0;
+      cpu_.backlog().to_seconds() / overload::kControlPeriod.to_seconds();
   overload_->on_occupancy_sample(util + backlog_growth, sim_.now());
 
   if (const obs::Sinks& obs = sim_.obs(); obs.tracer != nullptr) {

@@ -60,11 +60,24 @@ inline constexpr std::string_view kOverloadHeader = "X-Overload";
 /// repairing lost "on"/"off" advertisements.
 inline constexpr std::string_view kOverloadProbeHeader = "X-Overload-Probe";
 
+/// Default CPU queueing-delay bound before 500 Server Busy. OpenSER answers
+/// 500 once its queues fill, which is what keeps the paper's stateful
+/// response times under ~200 ms. The bound must keep the worst-case
+/// UAC->UAS->UAC round trip (4 queue traversals) under SIP T1 (500 ms), or
+/// retransmission storms pin a saturated queue at its cap.
+inline constexpr SimTime kDefaultMaxQueueDelay = SimTime::millis(100);
+
+/// Early (unconfirmed) dialogs older than this are expired by a periodic
+/// sweep on dialog-stateful proxies — they belong to calls that will never
+/// complete (lost finals, crashed endpoints) and would otherwise accumulate
+/// forever.
+inline constexpr SimTime kDialogTtl = SimTime::seconds(300);
+
 struct ProxyConfig {
   std::string host;
   Address address;
   double cpu_capacity = profile::CpuCostModel::kCalibratedCapacity;
-  SimTime max_queue_delay = SimTime::millis(1500);
+  SimTime max_queue_delay = kDefaultMaxQueueDelay;
   /// Mode used when a request is handled statefully.
   profile::HandlingMode stateful_mode =
       profile::HandlingMode::kTransactionStateful;
@@ -83,7 +96,6 @@ struct ProxyConfig {
   /// sharing auth duty must share these.
   std::string auth_realm;
   std::string auth_nonce;
-  txn::TimerConfig timers;
   /// Fraction of outgoing overload *advertisements* silently dropped before
   /// they reach the wire, realized deterministically by error diffusion
   /// (fault-ablation knob; probes and probe replies are never dropped here
@@ -93,11 +105,6 @@ struct ProxyConfig {
   /// queue-delay bound + 500; the other kinds replace it with 503-based
   /// admission (local occupancy gate, optionally hop-by-hop rate feedback).
   overload::OverloadConfig overload;
-  /// Early (unconfirmed) dialogs older than this are expired by a periodic
-  /// sweep — they belong to calls that will never complete (lost finals,
-  /// crashed endpoints) and would otherwise accumulate forever. Only
-  /// consulted in dialog-stateful modes. Zero disables the sweep.
-  SimTime dialog_ttl = SimTime::seconds(300);
   /// Test hook for the conformance mutation smoke: reintroduces the
   /// decrement-before-test Max-Forwards off-by-one (a request arriving
   /// with Max-Forwards 1 is wrongly rejected 483).

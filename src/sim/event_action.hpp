@@ -7,7 +7,9 @@
 // std::function each scheduled event, CPU job and transaction callback cost
 // a malloc/free. InlineFunction keeps the target in an inline buffer whose
 // size each instance picks, and falls back to the heap only for a target
-// that is larger than the buffer, over-aligned, or whose move can throw.
+// that is larger than the buffer, aligned beyond a pointer, or whose move
+// can throw. The buffer is pointer-aligned, not max_align_t-aligned, so an
+// instance is its buffer plus the ops pointer with no padding.
 //
 // There is one template and two kinds of instance:
 // - EventAction, the void() instance with 64 bytes inline and move-only,
@@ -45,7 +47,7 @@ class InlineFunction<void(Args...), InlineSize, Copyable> {
   /// True when a target of type Fn lives in the inline buffer.
   template <typename Fn>
   static constexpr bool kStoresInline =
-      sizeof(Fn) <= InlineSize && alignof(Fn) <= alignof(std::max_align_t) &&
+      sizeof(Fn) <= InlineSize && alignof(Fn) <= alignof(void*) &&
       std::is_nothrow_move_constructible_v<Fn>;
 
   InlineFunction() noexcept = default;
@@ -184,12 +186,13 @@ class InlineFunction<void(Args...), InlineSize, Copyable> {
     }
   }
 
-  alignas(std::max_align_t) unsigned char buf_[InlineSize];
+  alignas(void*) unsigned char buf_[InlineSize];
   const Ops* ops_ = nullptr;
 };
 
 /// The simulator's event callable (and a CPU-queue job): void(), 64 bytes
 /// inline, move-only.
 using EventAction = InlineFunction<void(), 64>;
+static_assert(sizeof(EventAction) == 72);
 
 }  // namespace svk::sim

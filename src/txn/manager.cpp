@@ -36,12 +36,11 @@ void TransactionManager::LingerLane::push(Record&& record) {
   at(tail++) = std::move(record);
 }
 
-TransactionManager::TransactionManager(sim::Simulator& sim,
-                                       TimerConfig timers)
-    : sim_(sim), timers_(timers) {
-  lanes_[kTimerJ].delay = timers_.timer_j();
-  lanes_[kTimerK].delay = timers_.timer_k();
-  lanes_[kTimerD].delay = timers_.timer_d();
+TransactionManager::TransactionManager(sim::Simulator& sim, TimerConfig)
+    : sim_(sim) {
+  lanes_[kTimerJ].delay = TimerConfig::timer_j();
+  lanes_[kTimerK].delay = TimerConfig::timer_k();
+  lanes_[kTimerD].delay = TimerConfig::timer_d();
 }
 
 TransactionManager::~TransactionManager() {
@@ -99,7 +98,7 @@ ClientTransaction& TransactionManager::create_client(
   TxnHandle handle;
   handle.hash = sip::txn_key_hash(via.branch, via.sent_by, method);
   handle.slot = client_slab_.emplace(
-      sim_, timers_, method == sip::Method::kInvite, request, std::move(send),
+      sim_, method == sip::Method::kInvite, request, std::move(send),
       std::move(callbacks));
   ClientTransaction& ref = *client_slab_.get(handle.slot);
   // The removal hook needs the handle, which exists only now.
@@ -111,8 +110,7 @@ ClientTransaction& TransactionManager::create_client(
   if (tap_ != nullptr) {
     ref.tap_ = tap_;
     ref.tap_id_ = tap_->on_client_created(
-        sip::TransactionKey{via.branch.str(), via.sent_by.str(), method},
-        timers_);
+        sip::TransactionKey{via.branch.str(), via.sent_by.str(), method});
   }
   if (out_handle != nullptr) *out_handle = handle;
   ref.start();
@@ -126,7 +124,7 @@ ServerTransaction& TransactionManager::create_server(
   TxnHandle handle;
   handle.hash = probe.hash;
   handle.slot = server_slab_.emplace(
-      sim_, timers_, request->method() == sip::Method::kInvite, request,
+      sim_, request->method() == sip::Method::kInvite, request,
       std::move(send), std::move(callbacks));
   ServerTransaction& ref = *server_slab_.get(handle.slot);
   ref.manager_ = this;
@@ -136,7 +134,7 @@ ServerTransaction& TransactionManager::create_server(
   note_active();
   if (tap_ != nullptr) {
     ref.tap_ = tap_;
-    ref.tap_id_ = tap_->on_server_created(sip::server_key(*request), timers_);
+    ref.tap_id_ = tap_->on_server_created(sip::server_key(*request));
   }
   if (out_handle != nullptr) *out_handle = handle;
   return ref;

@@ -70,7 +70,9 @@ struct TxnStats {
 /// Owns all transactions of one element (proxy or user agent).
 class TransactionManager {
  public:
-  TransactionManager(sim::Simulator& sim, TimerConfig timers);
+  /// The TimerConfig argument is an empty tag (see txn/timers.hpp): a
+  /// compatibility surface that the next benchmark change deletes.
+  explicit TransactionManager(sim::Simulator& sim, TimerConfig = {});
   ~TransactionManager();
 
   TransactionManager(const TransactionManager&) = delete;
@@ -257,7 +259,6 @@ class TransactionManager {
   }
 
   sim::Simulator& sim_;
-  TimerConfig timers_;
   ConformanceTap* tap_{nullptr};
   std::uint32_t trace_tid_{0};
   TxnStats stats_;

@@ -24,7 +24,6 @@
 
 #include "sip/branch.hpp"
 #include "sip/message.hpp"
-#include "txn/timers.hpp"
 
 namespace svk::txn {
 
@@ -56,8 +55,7 @@ class ConformanceTap {
   virtual ~ConformanceTap() = default;
 
   /// Returns the id every later notification for this transaction carries.
-  virtual TxnId on_client_created(const sip::TransactionKey& key,
-                                  const TimerConfig& timers) = 0;
+  virtual TxnId on_client_created(const sip::TransactionKey& key) = 0;
   virtual void on_client_send(TxnId id, const sip::MessagePtr& msg) = 0;
   /// `msg` is the response for kRxResponse, null for timer events/start.
   /// `state` is the transaction's state after the event.
@@ -65,8 +63,7 @@ class ConformanceTap {
                                const sip::Message* msg) = 0;
   virtual void on_client_removed(TxnId id) = 0;
 
-  virtual TxnId on_server_created(const sip::TransactionKey& key,
-                                  const TimerConfig& timers) = 0;
+  virtual TxnId on_server_created(const sip::TransactionKey& key) = 0;
   virtual void on_server_send(TxnId id, const sip::MessagePtr& msg) = 0;
   /// `msg` is the request for kRxRequest, the response for kRespond, null
   /// for timer events.

@@ -22,18 +22,17 @@ sip::MessagePtr build_non2xx_ack(const sip::Message& invite,
 // ClientTransaction
 // ---------------------------------------------------------------------------
 
-ClientTransaction::ClientTransaction(sim::Simulator& sim,
-                                     const TimerConfig& timers,
-                                     bool is_invite, sip::MessagePtr request,
-                                     SendFn send, ClientCallbacks callbacks)
+ClientTransaction::ClientTransaction(sim::Simulator& sim, bool is_invite,
+                                     sip::MessagePtr request, SendFn send,
+                                     ClientCallbacks callbacks)
     : sim_(sim),
-      timers_(timers),
       is_invite_(is_invite),
       request_(std::move(request)),
       send_(std::move(send)),
       callbacks_(std::move(callbacks)),
       state_(is_invite ? ClientState::kCalling : ClientState::kTrying),
-      rtx_interval_(is_invite ? timers.timer_a() : timers.timer_e()) {
+      rtx_interval_(is_invite ? TimerConfig::timer_a()
+                              : TimerConfig::timer_e()) {
   assert(request_ && request_->is_request());
 }
 
@@ -54,7 +53,7 @@ void ClientTransaction::start() {
   wire_send(request_);
   arm_retransmit(rtx_interval_);
   const SimTime timeout =
-      is_invite_ ? timers_.timer_b() : timers_.timer_f();
+      is_invite_ ? TimerConfig::timer_b() : TimerConfig::timer_f();
   timeout_timer_ = sim_.schedule(timeout, [this] { fire_timeout(); });
   notify(ClientEvent::kStart);
 }
@@ -91,9 +90,9 @@ void ClientTransaction::arm_retransmit(SimTime interval) {
       if (is_invite_) {
         rtx_interval_ = 2 * rtx_interval_;
       } else if (state_ == ClientState::kProceeding) {
-        rtx_interval_ = timers_.t2;
+        rtx_interval_ = TimerConfig::t2;
       } else {
-        rtx_interval_ = std::min(2 * rtx_interval_, timers_.t2);
+        rtx_interval_ = std::min(2 * rtx_interval_, TimerConfig::t2);
       }
       arm_retransmit(rtx_interval_);
     }
@@ -155,8 +154,9 @@ void ClientTransaction::receive_response_impl(
           // Timer C replaces timer B: the transaction may not sit in
           // Proceeding forever waiting on a peer that died after its 1xx.
           // Refreshed on every provisional (RFC 3261 16.7 step 2).
-          timeout_timer_ = sim_.reschedule(timeout_timer_, timers_.timer_c(),
-                                           [this] { fire_timeout(); });
+          timeout_timer_ =
+              sim_.reschedule(timeout_timer_, TimerConfig::timer_c(),
+                              [this] { fire_timeout(); });
         }
         if (callbacks_.on_response) callbacks_.on_response(response);
         return;
@@ -196,18 +196,16 @@ void ClientTransaction::receive_response_impl(
 // ServerTransaction
 // ---------------------------------------------------------------------------
 
-ServerTransaction::ServerTransaction(sim::Simulator& sim,
-                                     const TimerConfig& timers,
-                                     bool is_invite, sip::MessagePtr request,
-                                     SendFn send, ServerCallbacks callbacks)
+ServerTransaction::ServerTransaction(sim::Simulator& sim, bool is_invite,
+                                     sip::MessagePtr request, SendFn send,
+                                     ServerCallbacks callbacks)
     : sim_(sim),
-      timers_(timers),
       is_invite_(is_invite),
       request_(std::move(request)),
       send_(std::move(send)),
       callbacks_(std::move(callbacks)),
       state_(is_invite ? ServerState::kProceeding : ServerState::kTrying),
-      rtx_interval_(timers.timer_g()) {
+      rtx_interval_(TimerConfig::timer_g()) {
   assert(request_ && request_->is_request());
 }
 
@@ -255,7 +253,7 @@ void ServerTransaction::receive_request_impl(const sip::MessagePtr& request) {
       sim_.cancel(rtx_timer_);
       sim_.cancel(timeout_timer_);
       rtx_timer_ = timeout_timer_ = 0;
-      linger_timer_ = sim_.schedule(timers_.timer_i(), [this] {
+      linger_timer_ = sim_.schedule(TimerConfig::timer_i(), [this] {
         linger_timer_ = 0;
         terminate();
         notify(ServerEvent::kTimerLinger);
@@ -316,7 +314,7 @@ void ServerTransaction::respond_impl(const sip::MessagePtr& response) {
     } else {
       state_ = ServerState::kCompleted;
       arm_response_retransmit(rtx_interval_);
-      timeout_timer_ = sim_.reschedule(timeout_timer_, timers_.timer_h(),
+      timeout_timer_ = sim_.reschedule(timeout_timer_, TimerConfig::timer_h(),
                                        [this] {
         timeout_timer_ = 0;
         if (state_ == ServerState::kCompleted) {
@@ -337,7 +335,7 @@ void ServerTransaction::arm_response_retransmit(SimTime interval) {
     rtx_timer_ = 0;
     if (state_ == ServerState::kCompleted) {
       wire_send(last_response_);
-      rtx_interval_ = std::min(2 * rtx_interval_, timers_.t2);
+      rtx_interval_ = std::min(2 * rtx_interval_, TimerConfig::t2);
       arm_response_retransmit(rtx_interval_);
     }
     notify(ServerEvent::kTimerRetransmit);

@@ -68,6 +68,7 @@ struct ServerCallbacks {
 /// owner when constructing the transaction).
 using SendFn =
     sim::InlineFunction<void(const sip::MessagePtr&), kSendInline, true>;
+static_assert(sizeof(SendFn) == 24);
 
 class TransactionManager;
 
@@ -111,8 +112,8 @@ class ClientTransaction {
 
   /// \param is_invite  selects the INVITE (17.1.1) vs non-INVITE (17.1.2)
   ///                   machine
-  ClientTransaction(sim::Simulator& sim, const TimerConfig& timers,
-                    bool is_invite, sip::MessagePtr request, SendFn send,
+  ClientTransaction(sim::Simulator& sim, bool is_invite,
+                    sip::MessagePtr request, SendFn send,
                     ClientCallbacks callbacks);
 
   /// Transmits the request and arms the timers.
@@ -135,7 +136,6 @@ class ClientTransaction {
   }
 
   sim::Simulator& sim_;
-  TimerConfig timers_;
   bool is_invite_;
   sip::MessagePtr request_;
   SendFn send_;
@@ -181,8 +181,8 @@ class ServerTransaction {
   friend class TransactionManager;
   friend class common::Slab<ServerTransaction>;  // constructs in place
 
-  ServerTransaction(sim::Simulator& sim, const TimerConfig& timers,
-                    bool is_invite, sip::MessagePtr request, SendFn send,
+  ServerTransaction(sim::Simulator& sim, bool is_invite,
+                    sip::MessagePtr request, SendFn send,
                     ServerCallbacks callbacks);
 
   /// Feeds a retransmitted request or an ACK matched to this transaction.
@@ -202,7 +202,6 @@ class ServerTransaction {
   }
 
   sim::Simulator& sim_;
-  TimerConfig timers_;
   bool is_invite_;
   sip::MessagePtr request_;
   SendFn send_;

@@ -16,6 +16,8 @@ constexpr std::string_view kAuthUser = "alice";
 constexpr std::string_view kAuthPassword = "secret";
 constexpr std::string_view kSharedRealm = "example.net";
 constexpr std::string_view kSharedNonce = "nonce-example.net";
+/// Callee URIs registered per UAS domain: the paper's two.
+constexpr int kNumUsers = 2;
 
 double capacity_scale(const ScenarioOptions& options, std::size_t idx) {
   if (idx < options.capacity_scale.size()) {
@@ -59,18 +61,12 @@ proxy::ProxyConfig proxy_config(const ScenarioOptions& options,
   config.host = host;
   config.cpu_capacity =
       profile::CpuCostModel::kCalibratedCapacity * capacity_scale(options, idx);
-  // Bounded queueing delay: OpenSER answers 500 once its queues fill, which
-  // is what keeps the paper's stateful response times under ~200 ms. The
-  // bound must keep the worst-case UAC->UAS->UAC round trip (4 queue
-  // traversals) under SIP T1 (500 ms), or retransmission storms pin a
-  // saturated queue at its cap.
   config.max_queue_delay = options.max_queue_delay;
   config.stateful_mode = options.stateful_mode;
   config.stateless_mode = options.stateless_mode;
   config.authenticate = authenticate;
   config.overload_signal_loss = options.overload_signal_loss;
   config.overload = options.overload_control;
-  config.dialog_ttl = options.dialog_ttl;
   config.debug_predecrement_max_forwards =
       options.debug_predecrement_max_forwards;
   if (options.distribute_auth) {
@@ -88,10 +84,10 @@ std::vector<std::string> add_uas_farm(TestBed& bed,
   for (int j = 0; j < options.num_uas; ++j) {
     const std::string host =
         "uas" + std::to_string(j) + "." + std::string(domain);
-    bed.add_uas(UasConfig{host, Address{}, options.answer_delay, {}});
+    bed.add_uas(UasConfig{host, Address{}, options.answer_delay});
     hosts.push_back(host);
   }
-  bed.register_users(std::string(domain), options.num_users, hosts);
+  bed.register_users(std::string(domain), kNumUsers, hosts);
   return hosts;
 }
 
@@ -107,7 +103,7 @@ void add_uac_group(TestBed& bed, const ScenarioOptions& options,
         "uac" + std::to_string(k) + "." + std::string(group) + ".client.net";
     config.first_hop = first_hop;
     config.target_domain = std::string(target_domain);
-    config.num_callees = options.num_users;
+    config.num_callees = kNumUsers;
     config.call_rate_cps = total_rate / n;
     config.poisson_arrivals = options.poisson_arrivals;
     config.max_forwards = options.uac_max_forwards;

@@ -15,6 +15,7 @@
 #include "core/controller.hpp"
 #include "fault/fault_plan.hpp"
 #include "profile/cost_model.hpp"
+#include "proxy/proxy.hpp"
 #include "workload/runner.hpp"
 
 namespace svk::workload {
@@ -41,10 +42,10 @@ struct ScenarioOptions {
   /// to the topology's proxy count or empty for homogeneous.
   std::vector<double> capacity_scale;
 
-  /// Workload shape (paper defaults: 2 clients, 2 servers, 2 URIs).
+  /// Workload shape (paper defaults: 2 clients, 2 servers; the callees
+  /// are always the paper's 2 URIs).
   int num_uacs = 2;
   int num_uas = 2;
-  int num_users = 2;
   bool poisson_arrivals = false;
 
   /// Proxy modes.
@@ -58,9 +59,9 @@ struct ScenarioOptions {
   bool distribute_auth = false;
 
   /// Per-proxy CPU queueing-delay bound before 500 Server Busy (overload
-  /// control); see scenarios.cpp for why the default must keep round trips
-  /// under SIP T1.
-  SimTime max_queue_delay = SimTime::millis(100);
+  /// control); see proxy::kDefaultMaxQueueDelay for why the default must
+  /// keep round trips under SIP T1.
+  SimTime max_queue_delay = proxy::kDefaultMaxQueueDelay;
 
   /// Overload-control subsystem (src/overload), applied to every proxy.
   /// kNone keeps the legacy queue-bound + 500 behavior.
@@ -78,10 +79,6 @@ struct ScenarioOptions {
   /// Deterministic fraction of overload advertisements each proxy sheds
   /// before sending (fault-ablation axis; see ProxyConfig).
   double overload_signal_loss = 0.0;
-
-  /// Early-dialog time-to-live on dialog-stateful proxies (see
-  /// ProxyConfig::dialog_ttl); <= 0 disables the expiry sweep.
-  SimTime dialog_ttl = SimTime::seconds(300);
 
   /// Caller abandonment: each UAC CANCELs a call with this probability
   /// once it has rung for `ring_abandon_after` unanswered; the UASes ring

@@ -25,7 +25,7 @@ Uac::Uac(sim::Simulator& sim, proxy::SipNetwork& network, Rng rng,
       config_(std::move(config)),
       host_token_(config_.host),
       domain_token_(config_.target_domain),
-      txns_(sim, config_.timers),
+      txns_(sim),
       branches_(config_.address.value() | (1ULL << 32)),
       call_id_text_(config_.host + "-"),
       sdp_(std::string("v=0 o=sim c=IN IP4 0.0.0.0 m=audio 49170 RTP/AVP 0")) {

@@ -37,7 +37,6 @@ struct UacConfig {
   /// workload).
   double cancel_probability = 0.0;
   SimTime ring_abandon_after = SimTime::seconds(2.0);
-  txn::TimerConfig timers;
   /// Max-Forwards stamped on generated INVITE/BYE requests (RFC 3261
   /// default 70; conformance tests lower it to exercise hop-count
   /// exhaustion at a chosen hop).

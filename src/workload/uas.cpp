@@ -10,7 +10,7 @@ Uas::Uas(sim::Simulator& sim, proxy::SipNetwork& network, UasConfig config)
       network_(network),
       config_(std::move(config)),
       host_token_(config_.host),
-      txns_(sim, config_.timers) {
+      txns_(sim) {
   network_.attach(config_.address,
                   [this](Address from, const sip::MessagePtr& msg) {
                     on_datagram(from, msg);
@@ -112,10 +112,10 @@ void Uas::answer(PendingAnswer ringing) {
   // RFC 3261 13.3.1.4: the UAS core retransmits the 2xx until ACKed. A
   // retransmitted INVITE is answered from this entry, so no second call
   // with its Call-ID starts ringing while it exists.
-  const SimTime interval = config_.timers.t1;
+  const SimTime interval = txn::TimerConfig::t1;
   const common::SlabHandle pending = pending_200_.insert(
       Pending200{ok_ptr, ringing.peer, 0, interval,
-                 sim_.now() + 64 * config_.timers.t1});
+                 sim_.now() + 64 * txn::TimerConfig::t1});
   pending_200_.get(pending)->timer = sim_.schedule(
       interval, [this, pending] { retransmit_200(pending); });
 }
@@ -155,7 +155,7 @@ void Uas::retransmit_200(common::SlabHandle handle) {
   }
   ++metrics_.retransmitted_200;
   network_.send(config_.address, pending->peer, pending->response);
-  pending->interval = std::min(2 * pending->interval, config_.timers.t2);
+  pending->interval = std::min(2 * pending->interval, txn::TimerConfig::t2);
   pending->timer = sim_.schedule(
       pending->interval, [this, handle] { retransmit_200(handle); });
 }

@@ -27,7 +27,6 @@ struct UasConfig {
   /// Ringing time before the 200 OK (0 = answer immediately, the SIPp
   /// default). A nonzero delay opens the window in which CANCEL applies.
   SimTime answer_delay;
-  txn::TimerConfig timers;
 };
 
 class Uas {

@@ -83,7 +83,7 @@ TEST(LocalOccupancyTest, NeverAdvertisesARate) {
 
 TEST(HopByHopTest, BucketEnforcesAdvertisedRate) {
   auto policy = make_overload_policy(hop_config(), 1);
-  // rate 10/s, bucket_depth_s 0.2 -> burst of 2 tokens.
+  // rate 10/s, bucket depth 0.2 s -> burst of 2 tokens.
   policy->on_rate_advertisement(0, 10.0, at(1.0));
   EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kAdmit);
   EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kAdmit);
@@ -97,7 +97,7 @@ TEST(HopByHopTest, BucketEnforcesAdvertisedRate) {
 }
 
 TEST(HopByHopTest, AdvertExpiryLiftsThrottle) {
-  // An advert not refreshed within advert_validity (1s default) expires:
+  // An advert not refreshed within the advert validity (1 s) expires:
   // the overloaded hop going quiet must never throttle a path forever.
   auto policy = make_overload_policy(hop_config(), 1);
   policy->on_rate_advertisement(0, 1.0, at(1.0));  // depth max(1, 0.2) = 1
@@ -123,8 +123,8 @@ TEST(HopByHopTest, Downstream503TaxesActiveBucket) {
 }
 
 TEST(HopByHopTest, RestrictorEntersAndLeavesControlledMode) {
-  OverloadConfig config = hop_config();  // period 200ms, target 0.9
-  auto policy = make_overload_policy(config, 1);
+  // Period 200 ms, target occupancy 0.9.
+  auto policy = make_overload_policy(hop_config(), 1);
   EXPECT_LT(policy->advertised_rate(), 0.0);
 
   // 100 arrivals in the period (500/s offered), then an overload sample:
@@ -133,10 +133,10 @@ TEST(HopByHopTest, RestrictorEntersAndLeavesControlledMode) {
   policy->on_occupancy_sample(1.2, at(0.2));
   EXPECT_DOUBLE_EQ(policy->advertised_rate(), 375.0);
 
-  // Comfortable recovery (occ < 0.8 * target) for release_periods ticks
+  // Comfortable recovery (occ < 0.8 * target) for kReleasePeriods ticks
   // withdraws the advertisement; each tick first raises the rate by at
-  // most increase_factor.
-  for (int i = 1; i <= config.release_periods; ++i) {
+  // most the increase factor (1.1).
+  for (int i = 1; i <= kReleasePeriods; ++i) {
     EXPECT_GE(policy->advertised_rate(), 0.0) << "released too early";
     policy->on_occupancy_sample(0.1, at(0.2 + 0.2 * i));
   }

@@ -46,7 +46,7 @@ TEST(InlineFunctionTest, SmallCaptureStaysInline) {
   f();
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(token.use_count(), 2);
-  static_assert(sizeof(EventAction) == 80);  // 64 inline + ops, 16-aligned
+  static_assert(sizeof(EventAction) == 72);  // 64 inline + ops, no padding
 }
 
 TEST(InlineFunctionTest, OversizedCaptureFallsBackToHeap) {
@@ -66,6 +66,20 @@ TEST(InlineFunctionTest, OversizedCaptureFallsBackToHeap) {
     EXPECT_EQ(seen, 7);
   }
   EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(InlineFunctionTest, OverAlignedCaptureFallsBackToHeap) {
+  // The buffer is only pointer-aligned: a wider alignment cannot go inline.
+  struct alignas(16) Wide {
+    int v = 3;
+  };
+  int seen = 0;
+  auto lambda = [wide = Wide{}, &seen] { seen += wide.v; };
+  static_assert(!SmallFn::kStoresInline<decltype(lambda)>);
+  SmallFn f(std::move(lambda));
+  SmallFn moved(std::move(f));
+  moved();
+  EXPECT_EQ(seen, 3);
 }
 
 TEST(InlineFunctionTest, ThrowingMoveCaptureFallsBackToHeap) {

@@ -23,6 +23,23 @@ using sip::NameAddr;
 using sip::Uri;
 using sip::Via;
 
+// RFC 3261 Table 4, pinned against literals: the tests below compare run
+// times against TimerConfig's formulas, so only these catch a wrong value.
+static_assert(TimerConfig::t1 == SimTime::millis(500));
+static_assert(TimerConfig::t2 == SimTime::seconds(4));
+static_assert(TimerConfig::t4 == SimTime::seconds(5));
+static_assert(TimerConfig::timer_a() == SimTime::millis(500));
+static_assert(TimerConfig::timer_e() == SimTime::millis(500));
+static_assert(TimerConfig::timer_g() == SimTime::millis(500));
+static_assert(TimerConfig::timer_b() == SimTime::seconds(32));
+static_assert(TimerConfig::timer_f() == SimTime::seconds(32));
+static_assert(TimerConfig::timer_h() == SimTime::seconds(32));
+static_assert(TimerConfig::timer_j() == SimTime::seconds(32));
+static_assert(TimerConfig::timer_d() == SimTime::seconds(32));
+static_assert(TimerConfig::timer_i() == SimTime::seconds(5));
+static_assert(TimerConfig::timer_k() == SimTime::seconds(5));
+static_assert(TimerConfig::timer_c() == SimTime::seconds(180));
+
 MessagePtr make_request(Method method, const std::string& branch = "z9hG4bK-1",
                         const std::string& call_id = "call-1") {
   Message msg = Message::request(
@@ -70,8 +87,7 @@ struct WireLog {
 class TxnFixture : public ::testing::Test {
  protected:
   sim::Simulator sim;
-  TimerConfig timers;
-  TransactionManager manager{sim, timers};
+  TransactionManager manager{sim};
   WireLog wire;
   TxnHandle handle;
 };
@@ -588,8 +604,7 @@ TEST_F(NonInviteServerTest, NoTimerGRetransmissions) {
 class ManagerTest : public ::testing::Test {
  protected:
   sim::Simulator sim;
-  TimerConfig timers;
-  TransactionManager manager{sim, timers};
+  TransactionManager manager{sim};
   WireLog wire;
 };
 
@@ -753,7 +768,7 @@ TEST_F(ManagerTest, RecordReplaysFinalDuringTimerJ) {
   EXPECT_TRUE(manager.has_server(*bye));
   EXPECT_EQ(manager.machine_count(), 1u);  // detached, freed by a later event
   sim.run();
-  EXPECT_EQ(sim.now(), timers.timer_j());
+  EXPECT_EQ(sim.now(), TimerConfig::timer_j());
   EXPECT_EQ(manager.active_count(), 0u);
   EXPECT_EQ(manager.dispatch(bye), Dispatch::kNewRequest);
 }
@@ -773,7 +788,7 @@ TEST_F(ManagerTest, RecordAbsorbsRetransmittedFinalDuringTimerK) {
   EXPECT_EQ(codes, (std::vector<int>{200}));
   EXPECT_EQ(wire.sent.size(), 1u);  // the BYE; nothing answers a 200
   sim.run();
-  EXPECT_EQ(sim.now(), timers.timer_k());
+  EXPECT_EQ(sim.now(), TimerConfig::timer_k());
   EXPECT_EQ(manager.dispatch(ok), Dispatch::kStrayResponse);
 }
 
@@ -797,7 +812,7 @@ TEST_F(ManagerTest, RecordReAcksRetransmitted4xxDuringTimerD) {
             Dispatch::kHandledByClientTxn);
   EXPECT_EQ(wire.count_method(Method::kAck), 2);
   sim.run();
-  EXPECT_EQ(sim.now(), timers.timer_d());
+  EXPECT_EQ(sim.now(), TimerConfig::timer_d());
   EXPECT_EQ(manager.active_count(), 0u);
 }
 
@@ -816,7 +831,7 @@ TEST_F(ManagerTest, ExpiryTickOrderDecidesWhatARetransmissionSees) {
     seen.push_back(manager.dispatch(bye));
     replays.push_back(static_cast<std::size_t>(wire.count_status(200)));
   };
-  const SimTime expiry = timers.timer_j();
+  const SimTime expiry = TimerConfig::timer_j();
   sim.schedule_at(expiry, probe);          // key before the timer's
   server.respond(make_response(*bye, 200));
   sim.schedule_at(expiry, probe);          // key after the timer's
@@ -887,7 +902,7 @@ TEST(ManagerLifetimeTest, DestroyedWithPendingRecordsFreesEverything) {
   sim::Simulator sim;
   WireLog wire;
   {
-    TransactionManager manager(sim, TimerConfig{});
+    TransactionManager manager(sim);
     auto bye = make_request(Method::kBye, "z9hG4bK-j");
     manager.create_server(bye, wire.sender(), ServerCallbacks{})
         .respond(make_response(*bye, 200));

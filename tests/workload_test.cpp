@@ -109,7 +109,7 @@ TEST(CallFlowTest, HoldTimeDelaysBye) {
   config.host = "proxy0.example.net";
   bed.add_proxy(std::move(config), std::move(routes),
                 std::make_unique<proxy::AlwaysStateful>());
-  bed.add_uas(UasConfig{"uas0.callee.example.net", Address{}, {}, {}});
+  bed.add_uas(UasConfig{"uas0.callee.example.net", Address{}, {}});
   bed.register_users("callee.example.net", 2, {"uas0.callee.example.net"});
 
   UacConfig uac_config;
