@@ -6,7 +6,7 @@
 // are 16-29 characters ("z9hG4bK-<element>-<counter>", "<host>-<n>"
 // Call-IDs) and host-valued headers up to 18, just past std::string's
 // 15-character small-string buffer, so as std::strings every copy on the
-// forward path (a Via stack, a response's identity block, a clone's
+// forward path (a Via stack, a detached dialog block, a clone's
 // headers) cost a malloc. An InlineText is 32 bytes, the size of a
 // std::string, and holds up to 31 characters inline. Longer values (only a
 // parser or a test can produce them) fall back to one heap block.

@@ -85,9 +85,10 @@ Message Message::request(Method method, Uri request_uri, NameAddr from,
   Message msg;
   msg.is_request_ = true;
   msg.method_ = static_cast<std::uint8_t>(method);
-  msg.id_ = detail::SharedIdentity(
-      detail::Identity{std::move(request_uri), std::move(from), std::move(to),
-                       InlineText(call_id), cseq, std::nullopt});
+  msg.dialog_ = detail::SharedDialog(detail::Dialog{
+      std::move(from), std::move(to), InlineText(call_id), cseq});
+  msg.target_ = detail::SharedTarget(
+      detail::Target{std::move(request_uri), std::nullopt, {}});
   return msg;
 }
 
@@ -98,15 +99,19 @@ Message Message::response(const Message& req, int status_code,
   msg.status_code_ = static_cast<std::int16_t>(status_code);
   msg.reason_ = reason.empty() ? default_reason(status_code) : Token(reason);
   msg.vias_ = req.vias_;
-  // A response keeps the request's From, To, Call-ID and CSeq, but not its
-  // request-URI or Contact, so it gets an identity block of its own.
-  const detail::Identity& ids = req.id_.get();
-  msg.id_ = detail::SharedIdentity(detail::Identity{
-      {}, ids.from, ids.to, ids.call_id, ids.cseq, std::nullopt});
+  // A response keeps the request's From, To, Call-ID and CSeq, so it shares
+  // the request's dialog block until it writes a To-tag. It keeps neither
+  // the request-URI, the Contact nor the body: its target block is null.
+  msg.dialog_ = req.dialog_;
   // Record-Route is mirrored into responses so the caller learns the
   // dialog route set (RFC 3261 16.7/12.1.1).
   msg.record_routes_ = req.record_routes_;
   return msg;
+}
+
+void Message::set_body(SharedBody body) {
+  if (body.get().empty() && this->body().empty()) return;
+  target_.mut().body = std::move(body);
 }
 
 void Message::pop_route() {
@@ -140,14 +145,15 @@ void Message::set_header(Token name, std::string_view value) {
 }
 
 std::string Message::to_wire() const {
-  const detail::Identity& ids = id_.get();
-  const std::string& body = body_.get();
+  const detail::Dialog& ids = dialog_.get();
+  const detail::Target& target = target_.get();
+  const std::string& body = target.body.get();
   const HeaderList& headers = extra_.get();
   // Size the buffer once: per-header constants cover the literal parts
   // ("Via: ", ";branch=", CRLFs...), variable parts are summed exactly for
   // the repeated headers and estimated generously for the name-addr lines.
   std::size_t estimate = 192 + body.size() + ids.call_id.size() +
-                         reason_.size() + 96 * (2 + (ids.contact ? 1 : 0));
+                         reason_.size() + 96 * (2 + (target.contact ? 1 : 0));
   for (const Via& via : vias_) {
     estimate += 16 + via.protocol.size() + via.sent_by.size() +
                 via.branch.size() + (via.oc_rate >= 0.0 ? 24 : 0);
@@ -162,7 +168,7 @@ std::string Message::to_wire() const {
   if (is_request_) {
     out += to_string(method());
     out += ' ';
-    ids.request_uri.append_to(out);
+    target.request_uri.append_to(out);
     out += " SIP/2.0\r\n";
   } else {
     out += "SIP/2.0 ";
@@ -208,8 +214,8 @@ std::string Message::to_wire() const {
   out += ' ';
   out += to_string(ids.cseq.method);
   out += "\r\n";
-  if (ids.contact) {
-    append_name_addr(out, "Contact", *ids.contact);
+  if (target.contact) {
+    append_name_addr(out, "Contact", *target.contact);
   }
   if (is_request_) {
     out += "Max-Forwards: ";

@@ -10,14 +10,20 @@
 // A Message is a 64-byte handle. Its variable parts live in shared,
 // immutable, pooled blocks that copies share, so a clone, a response or a
 // forward copies pointers:
-//   - the call identity (request-URI, From, To, Call-ID, CSeq, Contact);
+//   - the dialog block (From, To, Call-ID, CSeq), which a response shares
+//     with its request: a response that writes no To-tag holds no block of
+//     its own;
+//   - the target block (request-URI, Contact and the body), null in a
+//     response that sets none of them, which is every response but the 2xx
+//     to an INVITE;
 //   - the Via stack, a persistent chain of ref-counted nodes, each pointing
 //     at the Via below it. push_via adds one node over the shared rest, and
 //     a response shares its request's whole chain;
 //   - the Route and Record-Route sets, one block each, null when empty;
-//   - the extension headers and the body, one block each.
+//   - the extension headers, one block.
 // Reads never copy. Only an explicit mutator gives the caller a private
 // block first (copy on write): mutable_top_via() copies just the top node,
+// to() the dialog block, set_request_uri() the target block,
 // mutable_routes() one route set, set_header the header block. Via
 // protocol and sent-by, URI scheme and host, the reason phrase and
 // extension-header names are interned Tokens (pointer copies); branches,
@@ -106,18 +112,6 @@ class MessagePtr;
 
 namespace detail {
 
-/// The fields that identify a call and that a forwarding hop leaves alone:
-/// every clone of a message shares one copy of them. The Call-ID is inline
-/// text, so building or detaching a block copies it without the allocator.
-struct Identity {
-  Uri request_uri;
-  NameAddr from;
-  NameAddr to;
-  InlineText call_id;
-  CSeq cseq;
-  std::optional<NameAddr> contact;
-};
-
 /// Copy-on-write handle over one pooled, ref-counted T. Copies share the
 /// block; mut() gives the caller a private block first. Null stands for a
 /// default T, so an unset part allocates nothing.
@@ -156,8 +150,6 @@ class Shared {
   Ref node_;
 };
 
-using SharedIdentity = Shared<Identity, PoolKind::kIdentity>;
-
 }  // namespace detail
 
 /// A shared, immutable route set: what the UAC keeps from a 200 and
@@ -165,6 +157,34 @@ using SharedIdentity = Shared<Identity, PoolKind::kIdentity>;
 using SharedRoutes = detail::Shared<RouteList, PoolKind::kRoutes>;
 /// A shared, immutable message body: a constant body is built once.
 using SharedBody = detail::Shared<std::string, PoolKind::kBody>;
+
+namespace detail {
+
+/// The dialog block: the fields a request and every response to it carry
+/// unchanged, so a response shares its request's block and a forwarding
+/// hop never copies it. The Call-ID is inline text, so building or
+/// detaching a block copies it without the allocator.
+struct Dialog {
+  NameAddr from;
+  NameAddr to;
+  InlineText call_id;
+  CSeq cseq;
+};
+
+/// The target block: the request-URI, the Contact and the body. A response
+/// sets none of them unless it is a 2xx to an INVITE, so in every other
+/// response the block is null; a proxy's request-URI rewrite copies this
+/// block alone.
+struct Target {
+  Uri request_uri;
+  std::optional<NameAddr> contact;
+  SharedBody body;
+};
+
+using SharedDialog = Shared<Dialog, PoolKind::kIdentity>;
+using SharedTarget = Shared<Target, PoolKind::kTarget>;
+
+}  // namespace detail
 
 /// The Via stack as a persistent chain: each pooled, ref-counted node holds
 /// one Via, its depth and a reference to the Via below it. Copies share the
@@ -251,8 +271,8 @@ class Message {
                                        std::string_view call_id, CSeq cseq);
 
   /// Creates a response to `req` per RFC 3261 8.2.6: Vias, From, To,
-  /// Call-ID and CSeq are copied from the request (the Vias and the
-  /// Record-Route set by sharing them).
+  /// Call-ID and CSeq are copied from the request by sharing its Via chain
+  /// and dialog block, and so is the Record-Route set.
   [[nodiscard]] static Message response(const Message& req, int status_code,
                                         std::string_view reason = {});
 
@@ -261,8 +281,12 @@ class Message {
 
   // -- Request line --------------------------------------------------------
   [[nodiscard]] Method method() const { return static_cast<Method>(method_); }
-  [[nodiscard]] const Uri& request_uri() const { return id_.get().request_uri; }
-  void set_request_uri(Uri uri) { id_.mut().request_uri = std::move(uri); }
+  [[nodiscard]] const Uri& request_uri() const {
+    return target_.get().request_uri;
+  }
+  void set_request_uri(Uri uri) {
+    target_.mut().request_uri = std::move(uri);
+  }
 
   // -- Status line ---------------------------------------------------------
   [[nodiscard]] int status_code() const { return status_code_; }
@@ -280,21 +304,23 @@ class Message {
   /// Pops the top Via. O(1).
   void pop_via() { vias_.pop(); }
 
-  /// The non-const From/To accessors detach the shared identity block
-  /// (copy on write): read through a const Message to avoid the copy.
-  [[nodiscard]] const NameAddr& from() const { return id_.get().from; }
-  [[nodiscard]] NameAddr& from() { return id_.mut().from; }
-  [[nodiscard]] const NameAddr& to() const { return id_.get().to; }
-  [[nodiscard]] NameAddr& to() { return id_.mut().to; }
+  /// The non-const From/To accessors detach the shared dialog block (copy
+  /// on write): read through a const Message to avoid the copy.
+  [[nodiscard]] const NameAddr& from() const { return dialog_.get().from; }
+  [[nodiscard]] NameAddr& from() { return dialog_.mut().from; }
+  [[nodiscard]] const NameAddr& to() const { return dialog_.get().to; }
+  [[nodiscard]] NameAddr& to() { return dialog_.mut().to; }
 
-  [[nodiscard]] const InlineText& call_id() const { return id_.get().call_id; }
-  [[nodiscard]] const CSeq& cseq() const { return id_.get().cseq; }
+  [[nodiscard]] const InlineText& call_id() const {
+    return dialog_.get().call_id;
+  }
+  [[nodiscard]] const CSeq& cseq() const { return dialog_.get().cseq; }
 
   [[nodiscard]] const std::optional<NameAddr>& contact() const {
-    return id_.get().contact;
+    return target_.get().contact;
   }
   void set_contact(NameAddr contact) {
-    id_.mut().contact = std::move(contact);
+    target_.mut().contact = std::move(contact);
   }
 
   [[nodiscard]] int max_forwards() const { return max_forwards_; }
@@ -339,12 +365,15 @@ class Message {
   }
 
   // -- Body ----------------------------------------------------------------
-  [[nodiscard]] const std::string& body() const { return body_.get(); }
-  void set_body(std::string body) {
-    body_ = body.empty() ? SharedBody() : SharedBody(std::move(body));
+  [[nodiscard]] const std::string& body() const {
+    return target_.get().body.get();
   }
-  /// Shares a body built once (a constant SDP) instead of copying it.
-  void set_body(SharedBody body) { body_ = std::move(body); }
+  void set_body(std::string body) {
+    set_body(body.empty() ? SharedBody() : SharedBody(std::move(body)));
+  }
+  /// Shares a body built once (a constant SDP) instead of copying it. An
+  /// empty body on a message without one leaves the target block alone.
+  void set_body(SharedBody body);
 
   /// Serializes to RFC 3261 wire format (CRLF line endings).
   [[nodiscard]] std::string to_wire() const;
@@ -360,12 +389,12 @@ class Message {
   std::int16_t status_code_ = 0;
   int max_forwards_ = 70;
   Token reason_;
-  detail::SharedIdentity id_;
+  detail::SharedDialog dialog_;
+  detail::SharedTarget target_;
   ViaChain vias_;
   SharedRoutes routes_;
   SharedRoutes record_routes_;
   detail::Shared<HeaderList, PoolKind::kHeaders> extra_;
-  SharedBody body_;
 
   friend class Parser;
 };

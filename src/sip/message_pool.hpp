@@ -2,14 +2,15 @@
 // part it shares.
 //
 // A finished message (Message::finish(), message.hpp) and each of its
-// variable parts — the call identity, the Via nodes, the route sets, the
-// extension headers and the body — live in fixed-size blocks, one size per
-// PoolKind, each holding its value and an atomic reference count. Each kind
-// has its own thread-local block pool, so `message_pool_stats()` counts
-// messages, one block per finish(). A block pool grows by chunks of many
-// blocks: a run whose live set keeps growing (responses held for Timer J)
-// then takes one allocation per chunk, not one per block, and a warm
-// forward path creates and releases messages without the allocator.
+// variable parts — the dialog and target blocks, the Via nodes, the route
+// sets, the extension headers and the body — live in fixed-size blocks,
+// one size per PoolKind, each holding its value and an atomic reference
+// count. Each kind has its own thread-local block pool, so
+// `message_pool_stats()` counts messages, one block per finish(). A block
+// pool grows by chunks of many blocks: a run whose live set keeps growing
+// (responses held for Timer J) then takes one allocation per chunk, not one
+// per block, and a warm forward path creates and releases messages without
+// the allocator.
 // Chunks stay reachable for the process lifetime, like the intern table,
 // and a thread's free blocks pass to the next thread that needs them when
 // it exits.
@@ -43,9 +44,13 @@ struct MessagePoolStats {
 };
 
 /// What a pooled block holds. kMessage is the finish() block; the others
-/// are the shared parts of a message (message.hpp).
-enum class PoolKind { kMessage, kIdentity, kVia, kRoutes, kHeaders, kBody };
-inline constexpr int kPoolKinds = 6;
+/// are the shared parts of a message (message.hpp): kIdentity its dialog
+/// block (From, To, Call-ID, CSeq), kTarget its target block (request-URI,
+/// Contact, body handle).
+enum class PoolKind {
+  kMessage, kIdentity, kTarget, kVia, kRoutes, kHeaders, kBody
+};
+inline constexpr int kPoolKinds = 7;
 
 /// This thread's counters for one kind of block.
 const MessagePoolStats& pool_stats(PoolKind kind);

@@ -207,7 +207,7 @@ Result<Message> Parser::parse(std::string_view wire) {
   if (start_line.empty()) return make_error("parse: empty start line");
 
   Message msg;
-  detail::Identity& ids = msg.id_.mut();
+  detail::Dialog& ids = msg.dialog_.mut();
   if (start_line.starts_with("SIP/2.0 ")) {
     msg.is_request_ = false;
     std::string_view status_part = start_line.substr(8);
@@ -235,7 +235,7 @@ Result<Message> Parser::parse(std::string_view wire) {
         static_cast<std::uint8_t>(parse_method(start_line.substr(0, sp1)));
     auto uri = Uri::parse(trim(start_line.substr(sp1 + 1, sp2 - sp1 - 1)));
     if (!uri) return uri.error();
-    ids.request_uri = std::move(uri).value();
+    msg.target_.mut().request_uri = std::move(uri).value();
   }
 
   bool saw_call_id = false;
@@ -306,7 +306,7 @@ Result<Message> Parser::parse(std::string_view wire) {
     } else if (name == "Contact" || name == "m") {
       auto na = parse_name_addr(value);
       if (!na) return na.error();
-      ids.contact = std::move(na).value();
+      msg.target_.mut().contact = std::move(na).value();
     } else if (name == "Max-Forwards") {
       if (!parse_int(value, msg.max_forwards_)) {
         return make_error("parse: bad Max-Forwards");

@@ -18,6 +18,14 @@ sip::Method server_stored_method(const ServerTransaction& txn) {
   return m == sip::Method::kAck ? sip::Method::kInvite : m;
 }
 
+/// Whether `probe` names the transaction whose record holds `msg`: J's and
+/// K's finals carry their transaction's top Via and CSeq method, and D's
+/// INVITE is its transaction's request.
+bool record_matches(const sip::TxnProbe& probe, const sip::Message& msg) {
+  const sip::Via& via = msg.top_via();
+  return probe.matches(via.branch, via.sent_by, msg.cseq().method);
+}
+
 /// Smallest ring a lane allocates on its first record.
 constexpr std::size_t kMinRing = 16;
 
@@ -143,10 +151,7 @@ ServerTransaction& TransactionManager::create_server(
 TransactionManager::Entry* TransactionManager::find_server_entry(
     const sip::TxnProbe& probe) {
   return servers_.find(probe.hash, [&](const Entry& entry) {
-    if (entry.is_record()) {
-      const Record& r = record(entry);
-      return probe.matches(r.branch, r.sent_by, r.method);
-    }
+    if (entry.is_record()) return record_matches(probe, *record(entry).msg);
     const ServerTransaction* txn = server_slab_.get(entry.slot());
     const sip::Via& via = txn->request()->top_via();
     return probe.matches(via.branch, via.sent_by, server_stored_method(*txn));
@@ -156,10 +161,7 @@ TransactionManager::Entry* TransactionManager::find_server_entry(
 TransactionManager::Entry* TransactionManager::find_client_entry(
     const sip::TxnProbe& probe) {
   return clients_.find(probe.hash, [&](const Entry& entry) {
-    if (entry.is_record()) {
-      const Record& r = record(entry);
-      return probe.matches(r.branch, r.sent_by, r.method);
-    }
+    if (entry.is_record()) return record_matches(probe, *record(entry).msg);
     const ClientTransaction* txn = client_slab_.get(entry.slot());
     const sip::Via& via = txn->request()->top_via();
     return probe.matches(via.branch, via.sent_by,
@@ -216,22 +218,23 @@ void TransactionManager::schedule_server_removal(TxnHandle handle) {
 // Linger records
 // ---------------------------------------------------------------------------
 
-void TransactionManager::retire(ClientTransaction& txn) {
+void TransactionManager::retire(ClientTransaction& txn,
+                                const sip::MessagePtr& final_response) {
   // A record runs no user callbacks, and no lingering transaction in src/
   // installs one.
   assert(!txn.callbacks_.on_terminated);
-  const sip::Via& via = txn.request_->top_via();
   Record record;
   record.hash = txn.handle_.hash;
-  record.branch = via.branch;
-  record.sent_by = via.sent_by;
-  record.method = txn.request_->cseq().method;
   record.tap_id = txn.tap_id_;
   const Lane lane = txn.is_invite_ ? kTimerD : kTimerK;
   if (lane == kTimerD) {
     // Re-ACKs of retransmitted finals are built from the INVITE.
     record.msg = std::move(txn.request_);
     record.send = std::move(txn.send_);
+  } else {
+    // The final, not the request: it usually shares its block with the
+    // next hop's Timer-J record, and it pins no target block.
+    record.msg = final_response;
   }
   free_retired();
   txn.manager_ = nullptr;
@@ -241,12 +244,8 @@ void TransactionManager::retire(ClientTransaction& txn) {
 
 void TransactionManager::retire(ServerTransaction& txn) {
   assert(!txn.callbacks_.on_terminated);
-  const sip::Via& via = txn.request_->top_via();
   Record record;
   record.hash = txn.handle_.hash;
-  record.branch = via.branch;
-  record.sent_by = via.sent_by;
-  record.method = server_stored_method(txn);
   record.tap_id = txn.tap_id_;
   record.msg = std::move(txn.last_response_);
   record.send = std::move(txn.send_);
@@ -259,6 +258,8 @@ void TransactionManager::retire(ServerTransaction& txn) {
 void TransactionManager::push_record(Lane lane, Record record,
                                      common::SlabHandle slot) {
   LingerLane& l = lanes_[lane];
+  // The record is found by its message's key.
+  assert(sip::key_for_response(*record.msg).hash == record.hash);
   // The expiry and order key the machine's linger timer would have taken.
   record.expiry = sim_.now() + l.delay;
   record.key = sim_.reserve_order_key();
@@ -300,9 +301,9 @@ void TransactionManager::expire(Lane lane) {
   l.event = 0;
   const std::uint64_t seq = l.due++;
   Record& r = l.at(seq);
+  // A Terminated transaction sends nothing, but keeps its message until
+  // removal: the message is its key.
   r.terminated = true;
-  r.msg.reset();  // a Terminated transaction sends nothing
-  r.send = nullptr;
   const TxnId tap_id = r.tap_id;
   // As for a machine, removal is a fresh zero-delay event.
   sim_.schedule(SimTime{}, [this, lane, seq] { remove_record(lane, seq); });
@@ -334,6 +335,8 @@ void TransactionManager::remove_record(Lane lane, std::uint64_t seq) {
   table(lane).erase(r.hash, [&](const Entry& entry) {
     return entry == Entry::record(lane, seq);
   });
+  r.msg.reset();
+  r.send = nullptr;
   ++l.head;
   note_active();
 }

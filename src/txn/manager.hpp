@@ -15,16 +15,20 @@
 // (INVITE client Completed after a non-2xx final) — only absorbs
 // retransmissions until its timer fires. Almost every transaction a loaded
 // element holds is in one of these states, so each becomes a compact record
-// and its machine is freed: the key, the expiry and order key its linger
-// timer would have taken, its tap id, at most one message (J: the final to
-// replay; D: the INVITE to build re-ACKs from) and its send function. A
-// lane per timer keeps the records in a power-of-two ring. The delay is a
-// per-manager constant, so FIFO order is expiry order, and only the oldest
-// unexpired record of a lane has a wheel event, at that record's reserved
-// (expiry, key): the records expire exactly where the machines' timers
-// would have fired. An expired record stays in the table, Terminated,
-// until the same deferred removal event a machine gets, so a message
-// dispatched on the expiry tick sees it exactly when it saw the machine.
+// and its machine is freed: the key hash, the expiry and order key its
+// linger timer would have taken, its tap id, its send function and one
+// message, which also carries its key: J keeps the final to replay, K the
+// final that completed it and D the INVITE to build re-ACKs from. Each has
+// the transaction's top Via and CSeq method, so a probe of a record reads
+// them from the message, as a probe of a live machine reads them from its
+// retained request. A lane per timer keeps the records in a power-of-two
+// ring. The delay is a per-manager constant, so FIFO order is expiry order,
+// and only the oldest unexpired record of a lane has a wheel event, at that
+// record's reserved (expiry, key): the records expire exactly where the
+// machines' timers would have fired. An expired record stays in the table,
+// Terminated, until the same deferred removal event a machine gets, so a
+// message dispatched on the expiry tick sees it exactly when it saw the
+// machine.
 #pragma once
 
 #include <cassert>
@@ -36,7 +40,6 @@
 #include "common/stat_table.hpp"
 #include "sim/simulator.hpp"
 #include "sip/branch.hpp"
-#include "sip/intern.hpp"
 #include "sip/message.hpp"
 #include "txn/transaction.hpp"
 
@@ -155,15 +158,16 @@ class TransactionManager {
   struct Record {
     SendFn send;  // J, D: the machine's wire send; K: empty
     std::uint64_t hash = 0;
-    sip::Branch branch;
-    sip::Token sent_by;
     SimTime expiry;
     sim::OrderKey key = 0;  // the order key the linger timer would have had
     TxnId tap_id = 0;
-    sip::MessagePtr msg;  // J: the final to replay; D: the INVITE; K: null
-    sip::Method method = sip::Method::kInvite;
+    /// Held until removal; its top Via and CSeq method are the record's
+    /// key. J: the final to replay; K: the final that completed it; D: the
+    /// INVITE to build re-ACKs from.
+    sip::MessagePtr msg;
     bool terminated = false;  // linger fired; removal pending
   };
+  static_assert(sizeof(Record) == 72);
 
   /// The records of one linger timer, oldest first, in a power-of-two ring
   /// indexed by sequence number: [head, due) have expired and wait for
@@ -220,8 +224,9 @@ class TransactionManager {
   /// Called by a machine entering a linger state: moves what the record
   /// needs out of it, swaps its table entry for the record's, and detaches
   /// it. The object itself is freed at a later event, because callers on
-  /// the current stack still hold it.
-  void retire(ClientTransaction& txn);
+  /// the current stack still hold it. A client passes the final that
+  /// completed it.
+  void retire(ClientTransaction& txn, const sip::MessagePtr& final_response);
   void retire(ServerTransaction& txn);
   void push_record(Lane lane, Record record, common::SlabHandle slot);
   /// Frees detached machines retired by an earlier event.

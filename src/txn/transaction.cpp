@@ -111,7 +111,7 @@ void ClientTransaction::enter_completed_invite(
   sim_.cancel(rtx_timer_);
   sim_.cancel(timeout_timer_);
   rtx_timer_ = timeout_timer_ = 0;
-  manager_->retire(*this);  // timer D runs on the record
+  manager_->retire(*this, response);  // timer D runs on the record
 }
 
 void ClientTransaction::terminate() {
@@ -177,7 +177,7 @@ void ClientTransaction::receive_response_impl(
         sim_.cancel(rtx_timer_);
         sim_.cancel(timeout_timer_);
         rtx_timer_ = timeout_timer_ = 0;
-        manager_->retire(*this);  // timer K runs on the record
+        manager_->retire(*this, response);  // timer K runs on the record
       }
       return;
     }

@@ -181,13 +181,17 @@ TEST(AllocBudgetTest, ServartukaChainStaysWithinBudget) {
 // holds for 32 s at the UAS and at each stateful proxy, so the pooled
 // bytes still held at the end of the window grow with every call. A change
 // that re-inflates a held response (a by-value Via stack, a copied route
-// set or identity) fails here, not only in the benchmark's peak RSS.
+// set, a dialog block of its own) fails here, not only in the benchmark's
+// peak RSS.
 TEST(AllocBudgetTest, ServartukaChainHeldBytesStayWithinBudget) {
-  // Measured 932: per call about one 560-byte identity block, two 72-byte
-  // message blocks and three 72-byte Via nodes. With 80-byte message blocks
-  // (message plus shared_ptr control block) it was 948, and with a by-value
-  // Via stack (448-byte message blocks) 1502.
-  constexpr double kHeldBytesPerCall = 980.0;
+  // Measured 772: per call one 336-byte dialog block, which the 200s to
+  // the BYE share with the BYE, three 72-byte message blocks and three
+  // 72-byte Via nodes. The third message block is the 200 a Timer-K record
+  // holds at the UAC: a record is keyed by the message it holds. With a
+  // 568-byte identity block per response and keyless K records it was 932,
+  // with 80-byte message blocks (message plus shared_ptr control block)
+  // 948, and with a by-value Via stack (448-byte message blocks) 1502.
+  constexpr double kHeldBytesPerCall = 800.0;
   const double per_call = held_bytes_per_call(
       series_chain(2, bed_options(PolicyKind::kServartuka, 4)),
       9000.0 * kScale);

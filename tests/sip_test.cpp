@@ -272,31 +272,43 @@ TEST(MessageTest, CloneIsIndependent) {
   EXPECT_EQ(&copy.call_id(), &original.call_id());
   EXPECT_EQ(&std::as_const(copy).from(), &std::as_const(original).from());
 
-  // Every mutating accessor detaches the clone before writing.
+  // Every mutating accessor detaches the clone's block before writing: the
+  // dialog block for From and To, the target block for the request-URI and
+  // the Contact. The other block stays shared.
   const std::string wire = original.to_wire();
-  const std::vector<std::function<void(Message&)>> mutations = {
-      [](Message& m) { m.to().tag = "tag-burdell"; },
-      [](Message& m) { m.from().display = "Mallory"; },
-      [](Message& m) { m.set_request_uri(Uri("bob", "elsewhere.test")); },
-      [](Message& m) {
-        m.set_contact(NameAddr{"", Uri("bob", "contact.test"), ""});
-      },
+  struct Mutation {
+    std::function<void(Message&)> mutate;
+    bool dialog;  // true: detaches the dialog block; false: the target
   };
-  for (const auto& mutate : mutations) {
+  const std::vector<Mutation> mutations = {
+      {[](Message& m) { m.to().tag = "tag-burdell"; }, true},
+      {[](Message& m) { m.from().display = "Mallory"; }, true},
+      {[](Message& m) { m.set_request_uri(Uri("bob", "elsewhere.test")); },
+       false},
+      {[](Message& m) {
+         m.set_contact(NameAddr{"", Uri("bob", "contact.test"), ""});
+       },
+       false},
+  };
+  for (const auto& [mutate, dialog] : mutations) {
     Message mutated = clone(original);
     ASSERT_EQ(&mutated.call_id(), &original.call_id());
+    ASSERT_EQ(&mutated.request_uri(), &original.request_uri());
     mutate(mutated);
-    EXPECT_NE(&mutated.call_id(), &original.call_id());
+    EXPECT_EQ(&mutated.call_id() != &original.call_id(), dialog);
+    EXPECT_EQ(&mutated.request_uri() != &original.request_uri(), !dialog);
     EXPECT_EQ(mutated.call_id(), original.call_id());
     EXPECT_NE(mutated.to_wire(), wire);
     EXPECT_EQ(original.to_wire(), wire);
   }
 
-  // The body is a block of its own: replacing it leaves the identity shared.
+  // The body is a block of its own that the target block points at:
+  // replacing it copies the target block and leaves the dialog shared.
   Message rebodied = clone(original);
   ASSERT_EQ(&rebodied.body(), &original.body());
   rebodied.set_body("v=1");
   EXPECT_EQ(&rebodied.call_id(), &original.call_id());
+  EXPECT_EQ(rebodied.request_uri(), original.request_uri());
   EXPECT_EQ(original.body(), "v=0");
   EXPECT_NE(rebodied.to_wire(), wire);
   EXPECT_EQ(original.to_wire(), wire);
@@ -306,6 +318,60 @@ TEST(MessageTest, CloneIsIndependent) {
   original.to().tag = "tag-burdell";
   EXPECT_TRUE(kept.to().tag.empty());
   EXPECT_EQ(kept.to_wire(), wire);
+}
+
+TEST(MessageTest, ResponseSharesTheRequestDialogBlock) {
+  // A response shares its request's dialog block (From, To, Call-ID, CSeq)
+  // and has no target block, so the 200 to a BYE that Timer J holds takes
+  // no block of either kind. Writing a To-tag, as a UAS does in a response
+  // to an INVITE, detaches one dialog block for the response alone.
+  Message bye_msg = Message::request(
+      Method::kBye, Uri("burdell", "uas.cc.gatech.edu"),
+      NameAddr{"", Uri("hal", "us.ibm.com"), "tag-hal"},
+      NameAddr{"", Uri("burdell", "cc.gatech.edu"), "tag-burdell"}, "call-1",
+      CSeq{2, Method::kBye});
+  bye_msg.push_via(Via{"SIP/2.0/UDP", "uac.us.ibm.com", "z9hG4bK-bye"});
+  const MessagePtr bye = std::move(bye_msg).finish();
+
+  const MessagePoolStats& dialogs = pool_stats(PoolKind::kIdentity);
+  const MessagePoolStats& targets = pool_stats(PoolKind::kTarget);
+  const MessagePoolStats dialogs0 = dialogs;
+  const MessagePoolStats targets0 = targets;
+  const auto flat = [](const MessagePoolStats& now,
+                       const MessagePoolStats& then) {
+    return now.fresh_allocs == then.fresh_allocs &&
+           now.reuses == then.reuses && now.returns == then.returns &&
+           now.bytes_in_use == then.bytes_in_use;
+  };
+  {
+    const MessagePtr ok = Message::response(*bye, 200).finish();
+    EXPECT_TRUE(flat(dialogs, dialogs0));
+    EXPECT_TRUE(flat(targets, targets0));
+    EXPECT_EQ(&ok->call_id(), &bye->call_id());
+    EXPECT_EQ(ok->from(), bye->from());
+    EXPECT_EQ(ok->to(), bye->to());
+    EXPECT_EQ(ok->cseq(), bye->cseq());
+    EXPECT_EQ(ok->request_uri(), Uri());
+    EXPECT_FALSE(ok->contact().has_value());
+    EXPECT_TRUE(ok->body().empty());
+  }
+  EXPECT_TRUE(flat(dialogs, dialogs0));
+  EXPECT_TRUE(flat(targets, targets0));
+
+  // A To-tag write copies the dialog block; the request keeps its own,
+  // untagged To.
+  const Message invite = make_invite();
+  const std::int64_t dialog_bytes = dialogs.bytes_in_use;
+  Message ringing = Message::response(invite, 180);
+  ASSERT_EQ(&ringing.call_id(), &invite.call_id());
+  ringing.to().tag = "tag-burdell";
+  EXPECT_TRUE(invite.to().tag.empty());
+  EXPECT_EQ(ringing.to().tag, "tag-burdell");
+  EXPECT_NE(&ringing.call_id(), &invite.call_id());
+  EXPECT_EQ(ringing.call_id(), invite.call_id());
+  EXPECT_EQ(ringing.from(), invite.from());
+  EXPECT_GT(dialogs.bytes_in_use, dialog_bytes);
+  EXPECT_FALSE(ringing.contact().has_value());
 }
 
 TEST(MessageTest, ResponseAndPoppedForwardShareTheRequestViaNodes) {
@@ -378,10 +444,11 @@ TEST(MessageTest, ReadsNeverCopyASharedPart) {
 }
 
 TEST(MessageTest, SharedMessagePartsAreReleasedOnAnyThread) {
-  // Clones that share Via nodes, the identity, a route block, a header
-  // block and the body are dropped on other threads; the last release of
-  // each block frees it exactly once (checked under the sanitizers). The
-  // identity's Call-ID is inline text, or a heap block past 31 characters.
+  // Clones that share Via nodes, the dialog and target blocks, a route
+  // block, a header block and the body are dropped on other threads; the
+  // last release of each block frees it exactly once (checked under the
+  // sanitizers). The dialog block's Call-ID is inline text, or a heap block
+  // past 31 characters.
   for (const std::string& call_id : {std::string("call-1"),
                                     std::string(40, 'c')}) {
     Message invite = make_invite();
@@ -403,6 +470,16 @@ TEST(MessageTest, SharedMessagePartsAreReleasedOnAnyThread) {
       // Every third copy pushes its own Via over the shared chain.
       if (i % 3 == 0) copy.push_via(Via{"SIP/2.0/UDP", "p2.example.com"});
       clones.push_back(std::move(copy).finish());
+    }
+    // Requests with a dialog block of their own, each next to a response
+    // that shares it: the two land on different threads, so the last
+    // release of the block may come from either.
+    for (int i = 0; i < 32; ++i) {
+      Message request = clone(*original);
+      request.from().tag = "tag-" + std::to_string(i);
+      Message response = Message::response(request, 200);
+      clones.push_back(std::move(request).finish());
+      clones.push_back(std::move(response).finish());
     }
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
@@ -456,7 +533,9 @@ TEST(MessageTest, CallIdAndHeaderValuesAreInlineText) {
   EXPECT_EQ(response.call_id(), call_id);
   EXPECT_TRUE(response.call_id().is_inline());
   Message fwd = clone(invite);
-  fwd.set_request_uri(Uri("user0", "uas0.cc.gatech.edu"));  // detaches
+  fwd.set_request_uri(Uri("user0", "uas0.cc.gatech.edu"));
+  EXPECT_EQ(&fwd.call_id(), &invite.call_id());
+  fwd.to().tag = "tag-user0";  // detaches the dialog block
   EXPECT_NE(&fwd.call_id(), &invite.call_id());
   EXPECT_EQ(fwd.call_id(), call_id);
   EXPECT_EQ(fwd.header("X-Stateful"), "proxy0.example.net");

@@ -491,14 +491,18 @@ TEST(MessagePoolTest, MessageLayoutStaysWithinBudget) {
   // and Record-Route sets, extension headers and body. Uri is two Tokens,
   // the user, the port and an (empty) parameter vector. A Via is two
   // Tokens, the inline branch (32 B) and the overload-control rate. The
-  // identity block holds the request-URI, From, To, Contact and the inline
-  // Call-ID (32 B); every response and J record keeps one.
+  // dialog block holds From, To, CSeq and the inline Call-ID (32 B); a
+  // response shares its request's, so a held 200 to a BYE adds none. The
+  // target block holds the request-URI, the Contact and the body handle,
+  // and is null in a response that sets none of them. They were one
+  // 560-byte identity block, which every response built for itself.
   EXPECT_LE(sizeof(svk::sip::Message), 64u);
   // A finished message is one pooled block: the Message and its count.
   EXPECT_LE(sizeof(svk::sip::detail::MessageBlock), 72u);
   EXPECT_LE(sizeof(svk::sip::Uri), 80u);
   EXPECT_LE(sizeof(svk::sip::Via), 56u);
-  EXPECT_LE(sizeof(svk::sip::detail::Identity), 560u);
+  EXPECT_LE(sizeof(svk::sip::detail::Dialog), 328u);
+  EXPECT_LE(sizeof(svk::sip::detail::Target), 240u);
 }
 
 // ---------------------------------------------------------------------------

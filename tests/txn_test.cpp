@@ -817,12 +817,16 @@ TEST_F(ManagerTest, RecordReAcksRetransmitted4xxDuringTimerD) {
 }
 
 TEST_F(ManagerTest, ExpiryTickOrderDecidesWhatARetransmissionSees) {
-  // Timer J fires at (32 s, the key reserved when the final was sent), and
-  // the record leaves the table at a removal event scheduled then. A
-  // retransmission on that tick keyed before the timer sees the Completed
-  // transaction (the final is replayed), one keyed after it sees it
-  // Terminated (absorbed, nothing sent), and one after the removal starts
-  // a new transaction: the same three outcomes a machine had.
+  // A linger timer fires at (its expiry, the key reserved when the record
+  // was made), and the record leaves the table at a removal event scheduled
+  // then. A retransmission on that tick keyed before the timer sees the
+  // Completed transaction, one keyed after it sees it Terminated (absorbed,
+  // nothing sent), and one after the removal misses the table: the same
+  // three outcomes a machine had. A record is found through the message it
+  // holds, so that message stays until the removal.
+  //
+  // Timer J: a retransmitted request is answered with the final only while
+  // Completed, and starts a new transaction after the removal.
   auto bye = make_request(Method::kBye);
   auto& server = manager.create_server(bye, wire.sender(), ServerCallbacks{});
   std::vector<Dispatch> seen;
@@ -836,11 +840,56 @@ TEST_F(ManagerTest, ExpiryTickOrderDecidesWhatARetransmissionSees) {
   server.respond(make_response(*bye, 200));
   sim.schedule_at(expiry, probe);          // key after the timer's
   sim.schedule_at(expiry + SimTime::nanos(1), probe);
+
+  // Timer K: the record holds the final that completed it. A retransmitted
+  // final is absorbed on both sides of the timer and nothing is sent; after
+  // the removal it is a stray.
+  auto fwd = make_request(Method::kBye, "z9hG4bK-k");
+  manager.create_client(fwd, wire.sender(), ClientCallbacks{});
+  const MessagePtr ok = make_response(*fwd, 200);
+  std::vector<Dispatch> k_seen;
+  std::vector<std::size_t> k_sent;
+  auto k_probe = [&] {
+    k_seen.push_back(manager.dispatch(ok));
+    k_sent.push_back(wire.sent.size());
+  };
+  sim.schedule_at(TimerConfig::timer_k(), k_probe);
+  ASSERT_EQ(manager.dispatch(ok), Dispatch::kHandledByClientTxn);
+  sim.schedule_at(TimerConfig::timer_k(), k_probe);
+  sim.schedule_at(TimerConfig::timer_k() + SimTime::nanos(1), k_probe);
+
+  // Timer D: the record holds the INVITE. A retransmitted 486 is re-ACKed
+  // only while Completed; after the removal it is a stray.
+  auto invite = make_request(Method::kInvite, "z9hG4bK-d");
+  manager.create_client(invite, wire.sender(), ClientCallbacks{});
+  const MessagePtr busy = make_response(*invite, 486);
+  std::vector<Dispatch> d_seen;
+  std::vector<int> acks;
+  auto d_probe = [&] {
+    d_seen.push_back(manager.dispatch(busy));
+    acks.push_back(wire.count_method(Method::kAck));
+  };
+  sim.schedule_at(TimerConfig::timer_d(), d_probe);
+  ASSERT_EQ(manager.dispatch(busy), Dispatch::kHandledByClientTxn);
+  sim.schedule_at(TimerConfig::timer_d(), d_probe);
+  sim.schedule_at(TimerConfig::timer_d() + SimTime::nanos(1), d_probe);
+  ASSERT_EQ(manager.record_count(), 3u);
+  const std::size_t sent_at_start = wire.sent.size();
+
   sim.run();
   EXPECT_EQ(seen, (std::vector<Dispatch>{Dispatch::kHandledByServerTxn,
                                          Dispatch::kHandledByServerTxn,
                                          Dispatch::kNewRequest}));
   EXPECT_EQ(replays, (std::vector<std::size_t>{2, 2, 2}));
+  EXPECT_EQ(k_seen, (std::vector<Dispatch>{Dispatch::kHandledByClientTxn,
+                                           Dispatch::kHandledByClientTxn,
+                                           Dispatch::kStrayResponse}));
+  EXPECT_EQ(k_sent, std::vector<std::size_t>(3, sent_at_start));
+  EXPECT_EQ(d_seen, (std::vector<Dispatch>{Dispatch::kHandledByClientTxn,
+                                           Dispatch::kHandledByClientTxn,
+                                           Dispatch::kStrayResponse}));
+  EXPECT_EQ(acks, (std::vector<int>{2, 2, 2}));
+  EXPECT_EQ(manager.active_count(), 0u);
 }
 
 TEST_F(ManagerTest, HandleToARecordResolvesToNull) {
